@@ -17,7 +17,6 @@ from meandev import (
     PiecewiseLinearWeight,
     StateVector,
     choquet_deviation,
-    classify_g,
     es_alpha,
     expectile,
     md_eval,
@@ -59,7 +58,7 @@ print("=" * 72)
 print(f"{'g':<22}{'linear':<8}{'convex':<8}{'star':<6}{'concave':<9}{'slope a':<9}sup g/x")
 for g in [LinearWeight(0.7), ExpShortfallWeight(1.0), ExpCapWeight(1.0),
           PiecewiseLinearWeight(knots=(1.0,), slopes=(0.0, 1.0))]:
-    c = classify_g(g)
+    c = g.classify()
     kind = g.spec()["kind"]
     print(f"{kind:<22}{str(c.is_linear):<8}{str(c.is_convex):<8}"
           f"{str(c.is_star_shaped):<6}{str(c.is_concave):<9}"

@@ -7,7 +7,6 @@ variance, bound them under moment or Wasserstein uncertainty, and backtest
 portfolios that minimize them.
 """
 from .distortion import (
-    ChoquetNorms,
     DistortionFunction,
     ESDeviation,
     Gini,
@@ -16,10 +15,7 @@ from .distortion import (
     RangeDistortion,
     choquet_deviation,
     distortion_from_spec,
-    h_norms,
     is_range_normalized,
-    left_derivative_h,
-    q_norm,
 )
 from .distributions import (
     EmpiricalDistribution,
@@ -47,7 +43,6 @@ from .measures import (
     es_alpha_ru,
     expectile,
     md_eval,
-    md_value,
     var_alpha,
 )
 from .portfolio import (
@@ -72,11 +67,8 @@ from .riskweight import (
     ParetoShortfallWeight,
     PiecewiseLinearWeight,
     RiskWeightFunction,
-    classify_g,
     conjugate,
-    g_eval,
     g_from_spec,
-    g_left_derivative,
     smallest_coherent_multiplier,
 )
 from .robust import (

@@ -49,8 +49,12 @@ def emit_json(obj) -> None:
 
 
 def _json_arg(text: str, what: str) -> dict:
+    def reject_constant(name: str):
+        # json.loads accepts NaN and +-Infinity, which are not RFC 8259 JSON
+        raise ValueError(f"bad JSON for {what}: {name} is not a finite number")
+
     try:
-        value = json.loads(text)
+        value = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad JSON for {what}: {exc}") from exc
     if not isinstance(value, dict):

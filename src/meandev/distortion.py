@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from .distributions import StateVector
@@ -28,11 +27,7 @@ __all__ = [
     "MeanAbsDevHalf",
     "RangeDistortion",
     "PiecewiseLinearDistortion",
-    "ChoquetNorms",
-    "left_derivative_h",
     "choquet_deviation",
-    "h_norms",
-    "q_norm",
     "is_range_normalized",
     "distortion_from_spec",
 ]
@@ -68,7 +63,9 @@ class DistortionFunction:
     # --- norms of h' ---------------------------------------------------
 
     def q_norm(self, q: float) -> float:
-        """||h'||_q; math.inf is accepted for the sup norm."""
+        """||h'||_q for q in [1, inf]; math.inf gives the sup norm."""
+        if not q >= 1.0:
+            raise ValueError(f"norm exponent must be >= 1, got {q}")
         return self.centered_norm_objective(0.0, q)
 
     def centered_norm_objective(self, x: float, q: float) -> float:
@@ -80,11 +77,12 @@ class DistortionFunction:
         raise NotImplementedError
 
     def centered_q_norm(self, q: float) -> float:
-        """[h]_q = min over constants x of ||h' - x||_q."""
-        if q == math.inf:
-            lo, hi = self.derivative_range()
-            return (hi - lo) / 2.0
+        """[h]_q = min over constants x of ||h' - x||_q, for q in [1, inf]."""
+        if not q >= 1.0:
+            raise ValueError(f"norm exponent must be >= 1, got {q}")
         lo, hi = self.derivative_range()
+        if q == math.inf:
+            return (hi - lo) / 2.0
         if hi - lo < 1e-15:
             return 0.0
         res = minimize_scalar(
@@ -96,54 +94,6 @@ class DistortionFunction:
         # the objective is convex in x; guard with the bracket endpoints
         return float(min(res.fun, self.centered_norm_objective(lo, q),
                          self.centered_norm_objective(hi, q)))
-
-
-def _atoms_norm(slopes: np.ndarray, lengths: np.ndarray, x: float, q: float) -> float:
-    """||h' - x||_q when h' is piecewise constant with the given slopes."""
-    if q == math.inf:
-        return float(np.max(np.abs(slopes - x)))
-    return float(np.sum(lengths * np.abs(slopes - x) ** q) ** (1.0 / q))
-
-
-@dataclass(frozen=True)
-class ESDeviation(DistortionFunction):
-    """h(s) = min(s / (1 - alpha), 1) - s, the tail-average deviation at level alpha."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.minimum(t / (1.0 - self.alpha), 1.0) - t
-
-    def left_derivative(self, s: float) -> float:
-        if s <= 0.0:
-            raise ValueError(f"left derivative needs s in (0, 1], got {s}")
-        if s <= 1.0 - self.alpha:
-            return 1.0 / (1.0 - self.alpha) - 1.0
-        return -1.0
-
-    def quantile_weight(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.where(u >= self.alpha, 1.0 / (1.0 - self.alpha), 0.0) - 1.0
-
-    def kink_points(self) -> tuple[float, ...]:
-        return (1.0 - self.alpha,)
-
-    def centered_norm_objective(self, x: float, q: float) -> float:
-        a = self.alpha
-        slopes = np.array([a / (1.0 - a), -1.0])
-        lengths = np.array([1.0 - a, a])
-        return _atoms_norm(slopes, lengths, x, q)
-
-    def derivative_range(self) -> tuple[float, float]:
-        return (-1.0, self.alpha / (1.0 - self.alpha))
-
-    def spec(self) -> dict:
-        return {"kind": "es_dev", "alpha": self.alpha}
 
 
 @dataclass(frozen=True)
@@ -165,47 +115,17 @@ class Gini(DistortionFunction):
     def centered_norm_objective(self, x: float, q: float) -> float:
         if q == math.inf:
             return max(abs(1.0 - x), abs(1.0 + x))
-        val, _ = quad(lambda t: abs(1.0 - 2.0 * t - x) ** q, 0.0, 1.0,
-                      points=[min(max((1.0 - x) / 2.0, 0.0), 1.0)], limit=200)
-        return val ** (1.0 / q)
+        # h'(t) - x = w runs over [-1 - x, 1 - x] at speed 2, and the
+        # integral of |w|^q from 0 to b is sign(b) |b|^(q+1) / (q+1)
+        a, b = 1.0 + x, 1.0 - x
+        total = math.copysign(abs(a) ** (q + 1.0), a) + math.copysign(abs(b) ** (q + 1.0), b)
+        return (total / (2.0 * (q + 1.0))) ** (1.0 / q)
 
     def derivative_range(self) -> tuple[float, float]:
         return (-1.0, 1.0)
 
     def spec(self) -> dict:
         return {"kind": "gini"}
-
-
-@dataclass(frozen=True)
-class MeanAbsDevHalf(DistortionFunction):
-    """h(t) = min(t, 1 - t); half the mean absolute deviation."""
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.minimum(t, 1.0 - t)
-
-    def left_derivative(self, s: float) -> float:
-        if s <= 0.0:
-            raise ValueError(f"left derivative needs s in (0, 1], got {s}")
-        return 1.0 if s <= 0.5 else -1.0
-
-    def quantile_weight(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.where(u >= 0.5, 1.0, -1.0)
-
-    def kink_points(self) -> tuple[float, ...]:
-        return (0.5,)
-
-    def centered_norm_objective(self, x: float, q: float) -> float:
-        slopes = np.array([1.0, -1.0])
-        lengths = np.array([0.5, 0.5])
-        return _atoms_norm(slopes, lengths, x, q)
-
-    def derivative_range(self) -> tuple[float, float]:
-        return (-1.0, 1.0)
-
-    def spec(self) -> dict:
-        return {"kind": "mad_half"}
 
 
 @dataclass(frozen=True)
@@ -239,7 +159,12 @@ class RangeDistortion(DistortionFunction):
 
 @dataclass(frozen=True)
 class PiecewiseLinearDistortion(DistortionFunction):
-    """Concave piecewise-linear h given by knots t (including 0 and 1) and values."""
+    """Concave piecewise-linear h given by knots t (including 0 and 1) and values.
+
+    h' is piecewise constant, so every evaluation is a lookup of a segment
+    slope.  ESDeviation and MeanAbsDevHalf are instances with one interior
+    knot.
+    """
 
     t: tuple
     h: tuple
@@ -260,55 +185,72 @@ class PiecewiseLinearDistortion(DistortionFunction):
             raise ValueError("h must be concave: segment slopes must be non-increasing")
         object.__setattr__(self, "t", tuple(float(v) for v in t))
         object.__setattr__(self, "h", tuple(float(v) for v in h))
-
-    def _arrays(self):
-        return np.asarray(self.t), np.asarray(self.h)
-
-    def _slopes(self):
-        t, h = self._arrays()
-        return np.diff(h) / np.diff(t), np.diff(t)
+        object.__setattr__(self, "_knots", t)
+        object.__setattr__(self, "_values", h)
+        object.__setattr__(self, "_slopes", slopes)
+        object.__setattr__(self, "_lengths", np.diff(t))
+        # the same segments seen from u = 1 - s, in increasing u; each u-side
+        # knot is the smallest float u with u >= 1 - t[i] exactly, so the
+        # lookup in u is exact for every float u
+        u_knots = [1.0 - v for v in self.t[::-1]]
+        u_knots = [math.nextafter(c, 2.0) if math.fsum((c, v, -1.0)) < 0.0 else c
+                   for c, v in zip(u_knots, self.t[::-1])]
+        object.__setattr__(self, "_u_knots", np.array(u_knots))
+        object.__setattr__(self, "_u_slopes", slopes[::-1])
 
     def __call__(self, s):
-        t, h = self._arrays()
-        return np.interp(np.asarray(s, dtype=float), t, h)
+        return np.interp(np.asarray(s, dtype=float), self._knots, self._values)
 
     def left_derivative(self, s: float) -> float:
         if s <= 0.0:
             raise ValueError(f"left derivative needs s in (0, 1], got {s}")
-        t, _ = self._arrays()
-        slopes, _ = self._slopes()
         # segment whose half-open interval (t[i], t[i+1]] contains s
-        i = int(np.searchsorted(t, s, side="left")) - 1
-        return float(slopes[min(max(i, 0), slopes.size - 1)])
+        i = int(np.searchsorted(self._knots, s, side="left")) - 1
+        return float(self._slopes[min(max(i, 0), self._slopes.size - 1)])
 
     def quantile_weight(self, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.array([self.left_derivative(max(1.0 - v, 1e-17)) for v in u])
-        return out if out.size > 1 else float(out[0])
+        # segment whose half-open interval [1 - t[i+1], 1 - t[i]) contains u
+        i = np.searchsorted(self._u_knots, np.asarray(u, dtype=float), side="right") - 1
+        weight = self._u_slopes[np.clip(i, 0, self._u_slopes.size - 1)]
+        return float(weight) if np.ndim(weight) == 0 else weight
 
     def kink_points(self) -> tuple[float, ...]:
-        return tuple(v for v in self.t[1:-1])
+        return self.t[1:-1]
 
     def centered_norm_objective(self, x: float, q: float) -> float:
-        slopes, lengths = self._slopes()
-        return _atoms_norm(slopes, lengths, x, q)
+        deviations = np.abs(self._slopes - x)
+        if q == math.inf:
+            return float(np.max(deviations))
+        return float(np.sum(self._lengths * deviations ** q) ** (1.0 / q))
 
     def derivative_range(self) -> tuple[float, float]:
-        slopes, _ = self._slopes()
-        return (float(np.min(slopes)), float(np.max(slopes)))
+        return (float(np.min(self._slopes)), float(np.max(self._slopes)))
 
     def spec(self) -> dict:
         return {"kind": "piecewise_linear", "t": list(self.t), "h": list(self.h)}
 
 
-@dataclass(frozen=True)
-class ChoquetNorms:
-    l2_norm: float
-    centered_q_norm: float
+class ESDeviation(PiecewiseLinearDistortion):
+    """h(s) = min(s / (1 - alpha), 1) - s, the tail-average deviation at level alpha."""
+
+    def __init__(self, alpha: float):
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
+        super().__init__(t=(0.0, 1.0 - alpha, 1.0), h=(0.0, alpha, 0.0))
+
+    def spec(self) -> dict:
+        return {"kind": "es_dev", "alpha": self.alpha}
 
 
-def left_derivative_h(h: DistortionFunction, s: float) -> float:
-    return h.left_derivative(s)
+class MeanAbsDevHalf(PiecewiseLinearDistortion):
+    """h(t) = min(t, 1 - t); half the mean absolute deviation."""
+
+    def __init__(self):
+        super().__init__(t=(0.0, 0.5, 1.0), h=(0.0, 0.5, 0.0))
+
+    def spec(self) -> dict:
+        return {"kind": "mad_half"}
 
 
 def choquet_deviation(h: DistortionFunction, x: StateVector) -> float:
@@ -327,20 +269,6 @@ def choquet_deviation(h: DistortionFunction, x: StateVector) -> float:
     return float(np.dot(np.asarray(h(levels), dtype=float), gaps))
 
 
-def q_norm(h: DistortionFunction, q: float) -> float:
-    """||h'||_q for q in [1, inf]."""
-    if q != math.inf and q < 1.0:
-        raise ValueError(f"norm exponent must be >= 1, got {q}")
-    return h.q_norm(q)
-
-
-def h_norms(h: DistortionFunction, q: float) -> ChoquetNorms:
-    """The 2-norm of h' together with the centered q-norm [h]_q."""
-    if q != math.inf and q < 1.0:
-        raise ValueError(f"norm exponent must be >= 1, got {q}")
-    return ChoquetNorms(l2_norm=h.q_norm(2.0), centered_q_norm=h.centered_q_norm(q))
-
-
 def is_range_normalized(h: DistortionFunction) -> bool:
     """True iff the left derivative of h at 1 equals -1 (tight coherence constant)."""
     d = h.left_derivative(1.0)
@@ -352,14 +280,17 @@ def distortion_from_spec(spec: dict) -> DistortionFunction:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("distortion spec must be an object with a 'kind' field")
     kind = spec["kind"]
-    if kind == "es_dev":
-        return ESDeviation(alpha=float(spec["alpha"]))
-    if kind == "gini":
-        return Gini()
-    if kind == "mad_half":
-        return MeanAbsDevHalf()
-    if kind == "range":
-        return RangeDistortion()
-    if kind == "piecewise_linear":
-        return PiecewiseLinearDistortion(t=tuple(spec["t"]), h=tuple(spec["h"]))
+    try:
+        if kind == "es_dev":
+            return ESDeviation(alpha=float(spec["alpha"]))
+        if kind == "gini":
+            return Gini()
+        if kind == "mad_half":
+            return MeanAbsDevHalf()
+        if kind == "range":
+            return RangeDistortion()
+        if kind == "piecewise_linear":
+            return PiecewiseLinearDistortion(t=tuple(spec["t"]), h=tuple(spec["h"]))
+    except KeyError as exc:
+        raise ValueError(f"distortion spec of kind {kind!r} is missing the field {exc}") from None
     raise ValueError(f"unknown distortion kind: {kind!r}")

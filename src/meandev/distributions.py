@@ -330,10 +330,13 @@ def model_from_spec(spec: dict) -> ParametricModel:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("model spec must be an object with a 'kind' field")
     kind = spec["kind"]
-    if kind == "normal":
-        return Normal(mu=float(spec.get("mu", 0.0)), sd=float(spec.get("sd", 1.0)))
-    if kind == "lomax":
-        return Lomax(theta=float(spec["theta"]))
-    if kind == "exponential":
-        return Exponential(rate=float(spec["beta"]))
+    try:
+        if kind == "normal":
+            return Normal(mu=float(spec.get("mu", 0.0)), sd=float(spec.get("sd", 1.0)))
+        if kind == "lomax":
+            return Lomax(theta=float(spec["theta"]))
+        if kind == "exponential":
+            return Exponential(rate=float(spec["beta"]))
+    except KeyError as exc:
+        raise ValueError(f"model spec of kind {kind!r} is missing the field {exc}") from None
     raise ValueError(f"unknown model kind: {kind!r}")

@@ -25,7 +25,6 @@ __all__ = [
     "es_alpha_ru",
     "expectile",
     "md_eval",
-    "md_value",
     "adjusted_es_identity_gap",
 ]
 
@@ -120,13 +119,27 @@ def expectile(x: StateVector, alpha: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _grid_sup(objective, grid: np.ndarray) -> float:
+    """Supremum of a scalar function over the span of an increasing grid.
+
+    The best grid point is refined by bounded scalar maximization between
+    its two grid neighbours.
+    """
+    values = np.array([objective(x) for x in grid])
+    best = int(np.argmax(values))
+    sup = float(values[best])
+    lo = grid[max(best - 1, 0)]
+    hi = grid[min(best + 1, grid.size - 1)]
+    if hi > lo:
+        res = minimize_scalar(lambda x: -objective(x), bounds=(lo, hi),
+                              method="bounded", options={"xatol": 1e-10})
+        sup = max(sup, float(-res.fun))
+    return sup
+
+
 def md_eval(m: MDMeasure, x: StateVector) -> float:
     """g(D_h(x)) + mean(x)."""
     return float(m.g(choquet_deviation(m.h, x))) + x.mean()
-
-
-def md_value(g: RiskWeightFunction, h: DistortionFunction, x: StateVector) -> float:
-    return md_eval(MDMeasure(g, h), x)
 
 
 def adjusted_es_identity_gap(
@@ -164,16 +177,6 @@ def adjusted_es_identity_gap(
         y = ((1.0 - alpha) * gamma) / (alpha * (1.0 - gamma))
         return y * es + (1.0 - y) * mean - conjugate(g, y)
 
-    grid = np.linspace(0.0, alpha, grid_size)
-    values = np.array([dual_objective(gamma) for gamma in grid])
-    best = int(np.argmax(values))
-    sup = float(values[best])
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid_size - 1)]
-    if hi > lo:
-        res = minimize_scalar(lambda gamma: -dual_objective(gamma), bounds=(lo, hi),
-                              method="bounded", options={"xatol": 1e-10})
-        sup = max(sup, float(-res.fun))
-
+    sup = _grid_sup(dual_objective, np.linspace(0.0, alpha, grid_size))
     md = float(g(es - mean)) + mean
     return abs(sup - md)

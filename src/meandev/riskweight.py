@@ -26,9 +26,6 @@ __all__ = [
     "ParetoCapWeight",
     "PiecewiseLinearWeight",
     "GClassification",
-    "g_eval",
-    "g_left_derivative",
-    "classify_g",
     "conjugate",
     "smallest_coherent_multiplier",
     "g_from_spec",
@@ -270,18 +267,6 @@ class PiecewiseLinearWeight(RiskWeightFunction):
                 "slopes": list(self.slopes)}
 
 
-def g_eval(g: RiskWeightFunction, x: float) -> float:
-    return float(g(float(x)))
-
-
-def g_left_derivative(g: RiskWeightFunction, x: float) -> float:
-    return g.left_derivative(x)
-
-
-def classify_g(g: RiskWeightFunction) -> GClassification:
-    return g.classify()
-
-
 def conjugate(g: RiskWeightFunction, y: float) -> float:
     """g*(y) = sup over x >= 0 of x*y - g(x).
 
@@ -322,16 +307,19 @@ def g_from_spec(spec: dict) -> RiskWeightFunction:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("risk-weight spec must be an object with a 'kind' field")
     kind = spec["kind"]
-    if kind == "linear":
-        return LinearWeight(lam=float(spec["lambda"]))
-    if kind in ("exp_shortfall", "gbeta"):
-        return ExpShortfallWeight(beta=float(spec["beta"]))
-    if kind == "pareto_shortfall":
-        return ParetoShortfallWeight(theta=float(spec["theta"]))
-    if kind == "exp_cap":
-        return ExpCapWeight(beta=float(spec["beta"]))
-    if kind == "pareto_cap":
-        return ParetoCapWeight(theta=float(spec["theta"]))
-    if kind == "piecewise_linear":
-        return PiecewiseLinearWeight(knots=tuple(spec["knots"]), slopes=tuple(spec["slopes"]))
+    try:
+        if kind == "linear":
+            return LinearWeight(lam=float(spec["lambda"]))
+        if kind in ("exp_shortfall", "gbeta"):
+            return ExpShortfallWeight(beta=float(spec["beta"]))
+        if kind == "pareto_shortfall":
+            return ParetoShortfallWeight(theta=float(spec["theta"]))
+        if kind == "exp_cap":
+            return ExpCapWeight(beta=float(spec["beta"]))
+        if kind == "pareto_cap":
+            return ParetoCapWeight(theta=float(spec["theta"]))
+        if kind == "piecewise_linear":
+            return PiecewiseLinearWeight(knots=tuple(spec["knots"]), slopes=tuple(spec["slopes"]))
+    except KeyError as exc:
+        raise ValueError(f"risk-weight spec of kind {kind!r} is missing the field {exc}") from None
     raise ValueError(f"unknown risk-weight kind: {kind!r}")

@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .distortion import DistortionFunction, choquet_deviation
 from .distributions import StateVector
+from .measures import _grid_sup
 from .riskweight import RiskWeightFunction
 
 __all__ = [
@@ -99,12 +99,4 @@ def worstcase_wasserstein(
         spread = eps * math.sqrt(max(1.0 - t * t, 0.0)) * norm
         return float(g(spread + nominal_dev)) + t * eps + mean
 
-    grid = np.linspace(-1.0, 1.0, _GRID_SIZE)
-    values = np.array([objective(t) for t in grid])
-    best = int(np.argmax(values))
-    sup = float(values[best])
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, _GRID_SIZE - 1)]
-    res = minimize_scalar(lambda t: -objective(t), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-10})
-    return max(sup, float(-res.fun))
+    return _grid_sup(objective, np.linspace(-1.0, 1.0, _GRID_SIZE))

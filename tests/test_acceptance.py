@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from meandev.distortion import ESDeviation, Gini, h_norms
+from meandev.distortion import ESDeviation, Gini
 from meandev.distributions import Lomax, Normal, StateVector
 from meandev.estimation import md_true, monte_carlo, sigma_g_squared
 from meandev.measures import MDMeasure, adjusted_es_identity_gap, md_eval
@@ -28,7 +28,6 @@ from meandev.riskweight import (
     ExpShortfallWeight,
     LinearWeight,
     PiecewiseLinearWeight,
-    classify_g,
 )
 from meandev.robust import WassersteinUncertainty, worstcase_wasserstein
 
@@ -110,11 +109,11 @@ def test_criterion_4_axiom_suites():
                 m = MDMeasure(g, h)
                 assert md_eval(m, x) <= md_eval(m, y) + 1e-12
 
-    # convexity iff classify_g(g).is_convex; scaled comonotone pairs are the
+    # convexity iff g.classify().is_convex; scaled comonotone pairs are the
     # witness family for concave g
     for g in weights:
         m = MDMeasure(g, H09)
-        convex = classify_g(g).is_convex
+        convex = g.classify().is_convex
         violated = False
         for _ in range(500):
             x = _random_states(rng)
@@ -132,7 +131,7 @@ def test_criterion_4_axiom_suites():
     # star-shapedness iff classified so; positive homogeneity iff linear
     for g in weights:
         m = MDMeasure(g, H09)
-        cls = classify_g(g)
+        cls = g.classify()
         ss_violation = ph_violation = False
         for _ in range(500):
             x = _random_states(rng)
@@ -186,13 +185,13 @@ def test_criterion_5_adjusted_es_identity():
 
 
 def test_criterion_6_robust_closed_forms():
-    assert h_norms(H09, 2.0).l2_norm == pytest.approx(3.0, abs=1e-9)
-    assert h_norms(Gini(), 2.0).l2_norm == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
+    assert H09.q_norm(2.0) == pytest.approx(3.0, abs=1e-9)
+    assert Gini().q_norm(2.0) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
     for alpha in (0.9, 0.95):
         for p in (1.5, 2.0):
             q = 1.0 / (1.0 - 1.0 / p)
             closed = alpha * (alpha ** p * (1 - alpha) + alpha * (1 - alpha) ** p) ** (-1.0 / p)
-            assert h_norms(ESDeviation(alpha), q).centered_q_norm == pytest.approx(
+            assert ESDeviation(alpha).centered_q_norm(q) == pytest.approx(
                 closed, abs=1e-9)
 
     center = Normal().sample(5000, 55)

@@ -76,6 +76,20 @@ class TestExitCodes:
                        "--h", '{"kind":"gini"}', "--data", "/nonexistent.csv")
         assert proc.returncode == 1
 
+    def test_non_finite_json_number_exits_one(self, sample_csv):
+        # json.loads alone accepts NaN and used to print "md": NaN with exit 0
+        proc = run_cli("eval", "--g", '{"kind":"exp_shortfall","beta":NaN}',
+                       "--h", '{"kind":"gini"}', "--data", sample_csv)
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"meandev: error:") and proc.stderr.count(b"\n") == 1
+
+    def test_missing_spec_field_exits_one(self):
+        proc = run_cli("classify", "--g", '{"kind":"linear"}')
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(b"meandev: error:") and proc.stderr.count(b"\n") == 1
+        assert b"'lambda'" in proc.stderr
+
 
 class TestOutputs:
     def test_eval_fields(self, sample_csv):

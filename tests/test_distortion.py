@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,10 +13,7 @@ from meandev.distortion import (
     RangeDistortion,
     choquet_deviation,
     distortion_from_spec,
-    h_norms,
     is_range_normalized,
-    left_derivative_h,
-    q_norm,
 )
 from meandev.distributions import StateVector
 from meandev.measures import es_alpha
@@ -31,28 +29,64 @@ def half_gini_piecewise(points: int = 21) -> PiecewiseLinearDistortion:
 
 class TestLeftDerivative:
     def test_gini_midpoint(self):
-        assert left_derivative_h(Gini(), 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert Gini().left_derivative(0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_es_dev_slopes(self):
         h = ESDeviation(0.9)
-        assert left_derivative_h(h, 0.05) == pytest.approx(9.0, rel=1e-12)
-        assert left_derivative_h(h, 1.0) == -1.0
+        assert h.left_derivative(0.05) == pytest.approx(9.0, rel=1e-12)
+        assert h.left_derivative(1.0) == -1.0
 
     def test_es_dev_matches_finite_difference(self):
         h = ESDeviation(0.9)
         for s in (0.05, 0.5, 0.95):
             fd = (h(s) - h(s - 1e-7)) / 1e-7
-            assert left_derivative_h(h, s) == pytest.approx(fd, abs=1e-5)
+            assert h.left_derivative(s) == pytest.approx(fd, abs=1e-5)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            left_derivative_h(Gini(), 0.0)
+            Gini().left_derivative(0.0)
 
     @pytest.mark.parametrize("h", ALL_H)
     def test_decreasing_in_s(self, h):
         grid = np.linspace(0.05, 1.0, 40)
         d = [h.left_derivative(s) for s in grid]
         assert np.all(np.diff(d) <= 1e-12)
+
+
+def loop_quantile_weight(h, u) -> np.ndarray:
+    """Per-element reference: the left derivative at s = 1 - u, one node at a time."""
+    return np.array([h.left_derivative(max(1.0 - v, 1e-17)) for v in np.atleast_1d(u)])
+
+
+PIECEWISE_H = [half_gini_piecewise(), ESDeviation(0.9), MeanAbsDevHalf()]
+
+
+class TestQuantileWeight:
+    @pytest.mark.parametrize("h", PIECEWISE_H)
+    def test_matches_per_element_loop(self, h):
+        kinks = [1.0 - s for s in h.kink_points()]
+        u = np.unique(np.concatenate([np.linspace(0.0, 1.0, 1001), [0.0, 1.0], kinks]))
+        assert np.array_equal(h.quantile_weight(u), loop_quantile_weight(h, u))
+
+    @pytest.mark.parametrize("h", PIECEWISE_H)
+    def test_scalar_returns_float(self, h):
+        for u in (0.0, 0.3, 1.0):
+            w = h.quantile_weight(u)
+            assert type(w) is float
+            assert w == loop_quantile_weight(h, u)[0]
+
+    @pytest.mark.parametrize("h", PIECEWISE_H + [ESDeviation(0.3), half_gini_piecewise(101)])
+    def test_exact_in_u_next_to_kinks(self, h):
+        # the slope of the segment holding s = 1 - u, decided in exact
+        # rational arithmetic; computing 1 - u in floats misplaces some of
+        # these u by one segment
+        knots = [Fraction(s) for s in h.t]
+        slopes = [(b - a) / (d - c) for a, b, c, d in zip(h.h, h.h[1:], h.t, h.t[1:])]
+        for s in h.kink_points():
+            c = 1.0 - s
+            for u in (np.nextafter(c, -1.0), c, np.nextafter(c, 2.0)):
+                exact = next(i for i in range(len(slopes)) if 1 - Fraction(u) <= knots[i + 1])
+                assert h.quantile_weight(u) == slopes[exact]
 
 
 class TestConcavityAndEndpoints:
@@ -170,35 +204,49 @@ def numeric_q_norm(h, q: float, n: int = 200001) -> float:
 
 class TestNorms:
     def test_es_dev_l2_closed_form(self):
-        norms = h_norms(ESDeviation(0.9), 2.0)
-        assert norms.l2_norm == pytest.approx(3.0, abs=1e-9)
-        assert norms.l2_norm == pytest.approx(numeric_q_norm(ESDeviation(0.9), 2.0), rel=1e-4)
+        l2_norm = ESDeviation(0.9).q_norm(2.0)
+        assert l2_norm == pytest.approx(3.0, abs=1e-9)
+        assert l2_norm == pytest.approx(numeric_q_norm(ESDeviation(0.9), 2.0), rel=1e-4)
 
     def test_gini_l2(self):
-        norms = h_norms(Gini(), 2.0)
-        assert norms.l2_norm == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
-        assert norms.l2_norm == pytest.approx(numeric_q_norm(Gini(), 2.0), rel=1e-4)
+        l2_norm = Gini().q_norm(2.0)
+        assert l2_norm == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
+        assert l2_norm == pytest.approx(numeric_q_norm(Gini(), 2.0), rel=1e-4)
 
     @pytest.mark.parametrize("alpha", [0.9, 0.95])
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_es_dev_centered_closed_form(self, alpha, p):
         q = 1.0 / (1.0 - 1.0 / p)
         expected = alpha * (alpha ** p * (1 - alpha) + alpha * (1 - alpha) ** p) ** (-1.0 / p)
-        assert h_norms(ESDeviation(alpha), q).centered_q_norm == pytest.approx(expected, abs=1e-9)
+        assert ESDeviation(alpha).centered_q_norm(q) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("h", ALL_H + [half_gini_piecewise()])
     @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
     def test_centering_shrinks(self, h, q):
-        norms = h_norms(h, q)
-        assert norms.centered_q_norm <= q_norm(h, q) + 1e-12
+        assert h.centered_q_norm(q) <= h.q_norm(q) + 1e-12
 
     def test_range_rejects(self):
         with pytest.raises(ValueError):
-            h_norms(RangeDistortion(), 2.0)
+            RangeDistortion().q_norm(2.0)
+
+    @pytest.mark.parametrize("x", [-1.5, -0.3, 0.0, 0.7, 1.2])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 3.0])
+    def test_gini_centered_objective_closed_form(self, x, q):
+        # midpoint rule for the integral of |1 - 2t - x|^q over (0, 1)
+        t = (np.arange(200000) + 0.5) / 200000
+        numeric = float(np.mean(np.abs(1.0 - 2.0 * t - x) ** q)) ** (1.0 / q)
+        assert Gini().centered_norm_objective(x, q) == pytest.approx(numeric, rel=1e-8)
+
+    @pytest.mark.parametrize("q", [0.5, -1.0, math.nan])
+    def test_exponent_below_one_rejected(self, q):
+        with pytest.raises(ValueError):
+            Gini().q_norm(q)
+        with pytest.raises(ValueError):
+            ESDeviation(0.9).centered_q_norm(q)
 
     def test_mad_half_unit_norms(self):
         for q in (1.0, 2.0, 4.0, math.inf):
-            assert q_norm(MeanAbsDevHalf(), q) == pytest.approx(1.0, abs=1e-12)
+            assert MeanAbsDevHalf().q_norm(q) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRangeNormalization:

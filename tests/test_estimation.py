@@ -162,13 +162,18 @@ class TestMonteCarlo:
 
 class TestPiecewiseDistortionEquivalence:
     def test_matches_named_family_through_quadrature(self):
-        # chord representation of the level-0.5 tail distortion
+        # chord representations of the level-0.5 and level-0.9 tail distortions
         from meandev.distortion import PiecewiseLinearDistortion
-        h_named = ESDeviation(0.5)
-        h_pw = PiecewiseLinearDistortion(t=(0.0, 0.5, 1.0), h=(0.0, 0.5, 0.0))
-        for model in (Normal(), Lomax(4.0)):
-            a = MDMeasure(ExpShortfallWeight(1.0), h_named)
-            b = MDMeasure(ExpShortfallWeight(1.0), h_pw)
-            assert md_true(model, b) == pytest.approx(md_true(model, a), abs=1e-10)
-            assert sigma_g_squared(model, b) == pytest.approx(
-                sigma_g_squared(model, a), rel=1e-9)
+        cases = [
+            (ESDeviation(0.5), PiecewiseLinearDistortion(t=(0.0, 0.5, 1.0), h=(0.0, 0.5, 0.0)),
+             (Normal(), Lomax(4.0))),
+            (ESDeviation(0.9), PiecewiseLinearDistortion(t=(0.0, 0.1, 1.0), h=(0.0, 0.9, 0.0)),
+             (Lomax(4.0),)),
+        ]
+        for h_named, h_pw, models in cases:
+            for model in models:
+                a = MDMeasure(ExpShortfallWeight(1.0), h_named)
+                b = MDMeasure(ExpShortfallWeight(1.0), h_pw)
+                assert md_true(model, b) == pytest.approx(md_true(model, a), abs=1e-10)
+                assert sigma_g_squared(model, b) == pytest.approx(
+                    sigma_g_squared(model, a), rel=1e-9)

@@ -13,7 +13,6 @@ from meandev.measures import (
     es_alpha_ru,
     expectile,
     md_eval,
-    md_value,
     var_alpha,
 )
 from meandev.riskweight import (
@@ -196,10 +195,3 @@ class TestAdjustedESIdentity:
         x = StateVector([0.0, 1.0])
         with pytest.raises(ValueError):
             adjusted_es_identity_gap(LinearWeight(0.5), 0.9, x)
-
-
-class TestMdValueHelper:
-    def test_matches_md_eval(self, rng):
-        x = StateVector(rng.normal(size=12))
-        g, h = ExpShortfallWeight(2.0), Gini()
-        assert md_value(g, h, x) == md_eval(MDMeasure(g, h), x)

@@ -10,11 +10,8 @@ from meandev.riskweight import (
     ParetoCapWeight,
     ParetoShortfallWeight,
     PiecewiseLinearWeight,
-    classify_g,
     conjugate,
-    g_eval,
     g_from_spec,
-    g_left_derivative,
     smallest_coherent_multiplier,
 )
 
@@ -38,16 +35,16 @@ GRID = np.concatenate([[0.0], np.geomspace(1e-4, 1e3, 10000)])
 class TestEvaluation:
     def test_exp_shortfall_value(self):
         x = 1.755
-        assert g_eval(ExpShortfallWeight(1.0), x) == pytest.approx(x + math.exp(-x) - 1.0,
+        assert ExpShortfallWeight(1.0)(x) == pytest.approx(x + math.exp(-x) - 1.0,
                                                                    rel=1e-12)
 
     def test_exp_cap_value(self):
         x = 1.755
-        assert g_eval(ExpCapWeight(1.0), x) == pytest.approx(1.0 - math.exp(-x), rel=1e-12)
+        assert ExpCapWeight(1.0)(x) == pytest.approx(1.0 - math.exp(-x), rel=1e-12)
 
     @pytest.mark.parametrize("g", ALL_G)
     def test_zero_at_zero(self, g):
-        assert g_eval(g, 0.0) == 0.0
+        assert g(0.0) == 0.0
 
     @pytest.mark.parametrize("g", ALL_G)
     def test_bounded_by_identity(self, g):
@@ -57,7 +54,7 @@ class TestEvaluation:
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            g_eval(ExpShortfallWeight(1.0), -0.1)
+            ExpShortfallWeight(1.0)(-0.1)
 
 
 class TestMembershipInvariants:
@@ -75,50 +72,50 @@ class TestMembershipInvariants:
         # g(d + a) - g(d) <= a on a grid of gaps
         for d in (0.0, 0.3, 2.0, 10.0):
             for a in (1e-3, 0.1, 1.0, 5.0):
-                assert g_eval(g, d + a) - g_eval(g, d) <= a + 1e-12
+                assert g(d + a) - g(d) <= a + 1e-12
 
 
 class TestLeftDerivative:
     def test_linear(self):
-        assert g_left_derivative(LinearWeight(0.7), 5.0) == 0.7
+        assert LinearWeight(0.7).left_derivative(5.0) == 0.7
 
     def test_exp_shortfall_closed_form_and_fd(self):
         g = ExpShortfallWeight(2.0)
         x = 1.0
-        assert g_left_derivative(g, x) == pytest.approx(1.0 - math.exp(-2.0), rel=1e-12)
-        fd = (g_eval(g, x + 5e-7) - g_eval(g, x - 5e-7)) / 1e-6
-        assert g_left_derivative(g, x) == pytest.approx(fd, abs=1e-6)
+        assert g.left_derivative(x) == pytest.approx(1.0 - math.exp(-2.0), rel=1e-12)
+        fd = (g(x + 5e-7) - g(x - 5e-7)) / 1e-6
+        assert g.left_derivative(x) == pytest.approx(fd, abs=1e-6)
 
     def test_piecewise_left_slope_at_kink(self):
         g = PiecewiseLinearWeight(knots=(1.0,), slopes=(1.0, 0.0))
-        assert g_left_derivative(g, 1.0) == 1.0
-        assert g_left_derivative(g, 1.0001) == 0.0
+        assert g.left_derivative(1.0) == 1.0
+        assert g.left_derivative(1.0001) == 0.0
 
     @pytest.mark.parametrize("g", ALL_G)
     def test_in_unit_interval(self, g):
         for x in (0.01, 0.5, 1.0, 7.0):
-            assert 0.0 <= g_left_derivative(g, x) <= 1.0
+            assert 0.0 <= g.left_derivative(x) <= 1.0
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            g_left_derivative(LinearWeight(1.0), 0.0)
+            LinearWeight(1.0).left_derivative(0.0)
 
 
 class TestClassification:
     def test_linear(self):
-        c = classify_g(LinearWeight(0.7))
+        c = LinearWeight(0.7).classify()
         assert c.is_linear and c.is_convex and c.is_star_shaped and c.is_concave
         assert c.asymptotic_slope == 0.7
         assert c.sup_ratio == 0.7
 
     def test_exp_shortfall(self):
-        c = classify_g(ExpShortfallWeight(1.0))
+        c = ExpShortfallWeight(1.0).classify()
         assert c.is_convex and not c.is_linear and c.is_star_shaped and not c.is_concave
         assert c.asymptotic_slope == 1.0
         assert c.sup_ratio == 1.0
 
     def test_exp_cap(self):
-        c = classify_g(ExpCapWeight(1.0))
+        c = ExpCapWeight(1.0).classify()
         assert c.is_concave and not c.is_convex and not c.is_linear
         # concave and non-linear: scaling down can only raise g(x)/x
         assert not c.is_star_shaped
@@ -126,18 +123,18 @@ class TestClassification:
         assert c.asymptotic_slope == 0.0
 
     def test_piecewise_convex(self):
-        c = classify_g(PiecewiseLinearWeight(knots=(1.0,), slopes=(0.0, 1.0)))
+        c = PiecewiseLinearWeight(knots=(1.0,), slopes=(0.0, 1.0)).classify()
         assert c.is_convex and c.is_star_shaped and not c.is_linear
         assert c.asymptotic_slope == 1.0
 
     def test_piecewise_concave_not_star(self):
-        c = classify_g(PiecewiseLinearWeight(knots=(1.0,), slopes=(1.0, 0.25)))
+        c = PiecewiseLinearWeight(knots=(1.0,), slopes=(1.0, 0.25)).classify()
         assert c.is_concave and not c.is_convex and not c.is_star_shaped
         assert c.sup_ratio == 1.0 and c.asymptotic_slope == 0.25
 
     @pytest.mark.parametrize("g", ALL_G)
     def test_implication_chain(self, g):
-        c = classify_g(g)
+        c = g.classify()
         if c.is_linear:
             assert c.is_convex
         if c.is_convex:
@@ -151,7 +148,7 @@ class TestClassification:
         xs = np.geomspace(1e-3, 1e3, 500)
         ratios = np.asarray(g(xs)) / xs
         empirically_star = bool(np.all(np.diff(ratios) >= -1e-10))
-        assert classify_g(g).is_star_shaped == empirically_star
+        assert g.classify().is_star_shaped == empirically_star
 
 
 def conjugate_oracle(g, y: float) -> float:
@@ -186,15 +183,15 @@ class TestConjugate:
                                    ParetoShortfallWeight(4.0),
                                    PiecewiseLinearWeight(knots=(1.0,), slopes=(0.0, 1.0))])
     def test_fenchel_inequality(self, g):
-        a = classify_g(g).asymptotic_slope
+        a = g.classify().asymptotic_slope
         for x in np.geomspace(1e-3, 50.0, 25):
             for y in np.linspace(0.0, a, 9):
-                assert x * y <= g_eval(g, x) + conjugate(g, y) + 1e-8
+                assert x * y <= g(x) + conjugate(g, y) + 1e-8
 
     @pytest.mark.parametrize("g", [ExpShortfallWeight(1.0), ExpShortfallWeight(3.0),
                                    ParetoShortfallWeight(4.0)])
     def test_biconjugation(self, g):
-        a = classify_g(g).asymptotic_slope
+        a = g.classify().asymptotic_slope
         ys = np.linspace(0.0, a, 2001)
         stars = np.array([conjugate(g, y) for y in ys])
         step = ys[1] - ys[0]
@@ -202,7 +199,7 @@ class TestConjugate:
             coarse = ys[int(np.argmax(ys * x - stars))]
             fine = np.linspace(max(coarse - step, 0.0), min(coarse + step, a), 201)
             recovered = float(np.max(fine * x - np.array([conjugate(g, y) for y in fine])))
-            assert recovered == pytest.approx(g_eval(g, x), abs=1e-6)
+            assert recovered == pytest.approx(g(x), abs=1e-6)
 
 
 class TestDuality:
@@ -211,14 +208,14 @@ class TestDuality:
         lhs = ExpShortfallWeight(beta)
         rhs = ExpCapWeight(beta)
         for x in np.linspace(0.0, 20.0, 41):
-            assert g_eval(lhs, x) + g_eval(rhs, x) == pytest.approx(x, abs=1e-12)
+            assert lhs(x) + rhs(x) == pytest.approx(x, abs=1e-12)
 
     @pytest.mark.parametrize("theta", [1.0, 2.5, 4.0])
     def test_pareto_pair_sums_to_identity(self, theta):
         lhs = ParetoShortfallWeight(theta)
         rhs = ParetoCapWeight(theta)
         for x in np.linspace(0.0, 20.0, 41):
-            assert g_eval(lhs, x) + g_eval(rhs, x) == pytest.approx(x, abs=1e-12)
+            assert lhs(x) + rhs(x) == pytest.approx(x, abs=1e-12)
 
 
 class TestSmallestCoherentMultiplier:

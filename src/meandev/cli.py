@@ -9,10 +9,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from functools import partial
 
 import numpy as np
 
+from ._spec import spec_field
 from .distortion import choquet_deviation, distortion_from_spec
 from .distributions import StateVector, model_from_spec
 from .estimation import NumericsError, md_true, monte_carlo, sigma_g_squared
@@ -49,12 +52,16 @@ def emit_json(obj) -> None:
 
 
 def _json_arg(text: str, what: str) -> dict:
-    def reject_constant(name: str):
-        # json.loads accepts NaN and +-Infinity, which are not RFC 8259 JSON
-        raise ValueError(f"bad JSON for {what}: {name} is not a finite number")
+    def finite(text: str) -> float:
+        # json.loads accepts NaN and +-Infinity, which are not RFC 8259 JSON,
+        # and turns literals like 1e400 into inf
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"bad JSON for {what}: {text} is not a finite number")
+        return value
 
     try:
-        value = json.loads(text, parse_constant=reject_constant)
+        value = json.loads(text, parse_constant=finite, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad JSON for {what}: {exc}") from exc
     if not isinstance(value, dict):
@@ -62,14 +69,26 @@ def _json_arg(text: str, what: str) -> dict:
     return value
 
 
-def _parse_sweep(text: str) -> np.ndarray:
+def _finite_float(text: str) -> float:
+    """argparse type for a finite float; float() alone accepts nan and inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _sweep(text: str) -> np.ndarray:
+    """argparse type for start:stop:count, with finite bounds and count >= 2."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError("sweep must look like start:stop:count")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        raise argparse.ArgumentTypeError("sweep must look like start:stop:count")
+    count = int(parts[2])
     if count < 2:
-        raise ValueError("sweep count must be >= 2")
-    return np.linspace(start, stop, count)
+        raise argparse.ArgumentTypeError("sweep count must be >= 2")
+    return np.linspace(_finite_float(parts[0]), _finite_float(parts[1]), count)
 
 
 def _write_sweep(parameters, values) -> None:
@@ -132,11 +151,10 @@ def _cmd_mc(args) -> int:
 def _cmd_robust_moment(args) -> int:
     g = g_from_spec(_json_arg(args.g, "--g"))
     h = distortion_from_spec(_json_arg(args.h, "--h"))
-    if args.sweep:
-        levels = _parse_sweep(args.sweep)
+    if args.sweep is not None:
         values = [worstcase_moment(g, h, MomentUncertainty(args.m, v, args.order))
-                  for v in levels]
-        _write_sweep(levels, values)
+                  for v in args.sweep]
+        _write_sweep(args.sweep, values)
         return 0
     u = MomentUncertainty(m=args.m, v=args.v, a_order=args.order)
     emit_json({
@@ -152,11 +170,10 @@ def _cmd_robust_wasserstein(args) -> int:
     h = distortion_from_spec(_json_arg(args.h, "--h"))
     center = StateVector.from_csv(args.data)
     nominal = md_eval(MDMeasure(g, h), center)
-    if args.sweep:
-        radii = _parse_sweep(args.sweep)
+    if args.sweep is not None:
         values = [worstcase_wasserstein(g, h, WassersteinUncertainty(center, eps))
-                  for eps in radii]
-        _write_sweep(radii, values)
+                  for eps in args.sweep]
+        _write_sweep(args.sweep, values)
         return 0
     u = WassersteinUncertainty(center=center, epsilon=args.eps)
     emit_json({
@@ -170,13 +187,14 @@ def _cmd_robust_wasserstein(args) -> int:
 def _cmd_backtest(args) -> int:
     panel = ingest_prices(args.prices)
     spec = _json_arg(args.config, "--config") if args.config else {}
+    field = partial(spec_field, spec, "--config")
     cfg = BacktestConfig(
-        window=int(spec.get("window", 500)),
+        window=field("window", int, 500),
         rebalance=spec.get("rebalance", "monthly"),
-        alpha=float(spec.get("alpha", 0.9)),
+        alpha=field("alpha", default=0.9),
         g_spec=g_from_spec(spec.get("g", {"kind": "gbeta", "beta": 10.0})),
-        risk_free_rate=float(spec.get("risk_free_rate", 0.0213)),
-        initial_wealth=float(spec.get("initial_wealth", 1.0)),
+        risk_free_rate=field("risk_free_rate", default=0.0213),
+        initial_wealth=field("initial_wealth", default=1.0),
     )
     report = run_backtest(panel, cfg)
     if args.wealth_csv:
@@ -246,18 +264,18 @@ def _build_parser() -> argparse.ArgumentParser:
     q = robust_sub.add_parser("moment", help="mean and central-moment uncertainty")
     q.add_argument("--g", required=True)
     q.add_argument("--h", required=True)
-    q.add_argument("--m", type=float, required=True, help="mean")
-    q.add_argument("--v", type=float, default=1.0, help="dispersion level")
-    q.add_argument("--order", type=float, default=2.0, help="central-moment order")
-    q.add_argument("--sweep", help="start:stop:count over v; emits CSV")
+    q.add_argument("--m", type=_finite_float, required=True, help="mean")
+    q.add_argument("--v", type=_finite_float, default=1.0, help="dispersion level")
+    q.add_argument("--order", type=_finite_float, default=2.0, help="central-moment order")
+    q.add_argument("--sweep", type=_sweep, help="start:stop:count over v; emits CSV")
     q.set_defaults(func=_cmd_robust_moment)
 
     q = robust_sub.add_parser("wasserstein", help="type-2 Wasserstein ball")
     q.add_argument("--g", required=True)
     q.add_argument("--h", required=True)
-    q.add_argument("--eps", type=float, default=0.0, help="ball radius")
+    q.add_argument("--eps", type=_finite_float, default=0.0, help="ball radius")
     q.add_argument("--data", required=True, help="baseline sample CSV")
-    q.add_argument("--sweep", help="start:stop:count over eps; emits CSV")
+    q.add_argument("--sweep", type=_sweep, help="start:stop:count over eps; emits CSV")
     q.set_defaults(func=_cmd_robust_wasserstein)
 
     p = sub.add_parser("backtest", help="monthly-rebalanced backtest on a price CSV")

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from ._spec import float_tuple, spec_field
 from .distributions import StateVector
 
 __all__ = [
@@ -280,17 +282,16 @@ def distortion_from_spec(spec: dict) -> DistortionFunction:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("distortion spec must be an object with a 'kind' field")
     kind = spec["kind"]
-    try:
-        if kind == "es_dev":
-            return ESDeviation(alpha=float(spec["alpha"]))
-        if kind == "gini":
-            return Gini()
-        if kind == "mad_half":
-            return MeanAbsDevHalf()
-        if kind == "range":
-            return RangeDistortion()
-        if kind == "piecewise_linear":
-            return PiecewiseLinearDistortion(t=tuple(spec["t"]), h=tuple(spec["h"]))
-    except KeyError as exc:
-        raise ValueError(f"distortion spec of kind {kind!r} is missing the field {exc}") from None
+    field = partial(spec_field, spec, "distortion spec")
+
+    if kind == "es_dev":
+        return ESDeviation(alpha=field("alpha"))
+    if kind == "gini":
+        return Gini()
+    if kind == "mad_half":
+        return MeanAbsDevHalf()
+    if kind == "range":
+        return RangeDistortion()
+    if kind == "piecewise_linear":
+        return PiecewiseLinearDistortion(t=field("t", float_tuple), h=field("h", float_tuple))
     raise ValueError(f"unknown distortion kind: {kind!r}")

@@ -11,10 +11,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Union
 
 import numpy as np
 from scipy.special import ndtr, ndtri
+
+from ._spec import spec_field
 
 __all__ = [
     "StateVector",
@@ -330,13 +333,12 @@ def model_from_spec(spec: dict) -> ParametricModel:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("model spec must be an object with a 'kind' field")
     kind = spec["kind"]
-    try:
-        if kind == "normal":
-            return Normal(mu=float(spec.get("mu", 0.0)), sd=float(spec.get("sd", 1.0)))
-        if kind == "lomax":
-            return Lomax(theta=float(spec["theta"]))
-        if kind == "exponential":
-            return Exponential(rate=float(spec["beta"]))
-    except KeyError as exc:
-        raise ValueError(f"model spec of kind {kind!r} is missing the field {exc}") from None
+    field = partial(spec_field, spec, "model spec")
+
+    if kind == "normal":
+        return Normal(mu=field("mu", default=0.0), sd=field("sd", default=1.0))
+    if kind == "lomax":
+        return Lomax(theta=field("theta"))
+    if kind == "exponential":
+        return Exponential(rate=field("beta"))
     raise ValueError(f"unknown model kind: {kind!r}")

@@ -1,14 +1,14 @@
 """Portfolio selection minimizing g(ES-deviation) + mean, with backtesting.
 
-The per-period program replaces the tail average by its variational form,
-
-    min over w in the simplex, x real:
-        mean(L w) + g(x + mean((L w - x)+) / (1 - alpha) - mean(L w)),
-
-which is jointly convex in (w, x) for convex g.  The solver is a projected
-subgradient method on (w, x) with diminishing steps and a deterministic
-equal-weight start; the exact objective (with x optimized out through the
-sample tail average) is tracked every iteration and the best iterate wins.
+With m(w) = mean(L w) and d(w) = ES_alpha(L w) - m(w) on the window's
+losses L, the per-period program min over the simplex of m(w) + g(d(w)) is
+solved exactly through the LP value psi(s) = min over the simplex of
+m(w) + s d(w): one LP at s = lambda for linear g; for convex g, where the
+optimum minimizes psi at s* = g'(d(w*)), a breakpoint search over the
+vertices of psi.  The certificate is the duality gap f(w) - [psi(s) - g*(s)]
+against a lower bound on the optimum that holds for every s, as
+g(d) >= s d - g*(s); at s = g'(d0), d0 = d(w), the bound is
+g(d0) - s d0 + psi(s).
 
 Backtests rebalance on the first trading day of each calendar month using
 the trailing window of losses, compound wealth by exp(-w . loss) daily, and
@@ -20,10 +20,15 @@ import csv
 import datetime as dt
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
+from scipy.optimize import linprog
 
-from .riskweight import ExpShortfallWeight, RiskWeightFunction
+from .distributions import StateVector
+from .estimation import NumericsError
+from .measures import es_alpha
+from .riskweight import ExpShortfallWeight, RiskWeightFunction, conjugate
 
 __all__ = [
     "LossPanel",
@@ -42,8 +47,9 @@ __all__ = [
 ]
 
 TRADING_DAYS_PER_YEAR = 252
-_SUBGRADIENT_ITERATIONS = 5000
-_SUBGRADIENT_STEP = 0.5
+_GAP_TOLERANCE = 1e-9  # in units of the largest absolute loss, as is the next
+_EDGE_TOLERANCE = 1e-12
+_MAX_LP_SOLVES = 100  # every LP of the breakpoint search finds a new vertex of psi
 _MARKOWITZ_ITERATIONS = 2000
 
 
@@ -82,6 +88,8 @@ class LossPanel:
 @dataclass(frozen=True)
 class PortfolioWeights:
     w: np.ndarray
+    gap: float | None = None  # set by optimize_md: its duality gap and LP count
+    lp_solves: int | None = None
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -205,76 +213,109 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _es_deviation_and_mean(portfolio_losses: np.ndarray, alpha: float) -> tuple[float, float]:
-    """(ES_alpha - mean, mean) of a loss sample via the exact staircase tail."""
-    xs = np.sort(portfolio_losses)
-    n = xs.size
-    mean = float(np.mean(xs))
-    k = int(math.ceil(n * alpha))
-    lower = float(np.sum(xs[: k - 1])) / n + xs[k - 1] * (alpha - (k - 1) / n)
-    es = (mean - lower) / (1.0 - alpha)
-    return es - mean, mean
+def _mean_and_deviation(portfolio_losses: np.ndarray, alpha: float) -> tuple[float, float]:
+    x = StateVector(portfolio_losses)
+    mean = x.mean()
+    return mean, es_alpha(x, alpha) - mean
 
 
 def portfolio_objective(
     window: np.ndarray, w: np.ndarray, g: RiskWeightFunction, alpha: float
 ) -> float:
     """Exact per-period objective: g(ES-deviation of L w) + mean(L w)."""
-    dev, mean = _es_deviation_and_mean(np.asarray(window) @ np.asarray(w), alpha)
+    mean, dev = _mean_and_deviation(np.asarray(window) @ np.asarray(w), alpha)
     return float(g(max(dev, 0.0))) + mean
 
 
-def optimize_md(window: np.ndarray, cfg: BacktestConfig) -> PortfolioWeights:
-    """Minimize the per-period objective over the simplex.
+@dataclass(frozen=True)
+class _Vertex:
+    """An optimal w of the tail LP at s.  Its line mean + t dev supports psi
+    at s, with mean = psi - s dev exactly even where w is optimal only to the
+    LP's tolerance."""
 
-    Projected subgradient on (w, x) jointly: normalized joint subgradient,
-    step c / sqrt(k), 5000 iterations, equal-weight start.  Every iterate
-    is scored with the exact objective (x optimized out via the sample tail
-    average, the polish step) and the best one is returned.
+    s: float
+    psi: float
+    w: np.ndarray
+    dev: float
+    mean: float
+
+
+def _tail_lp(window: np.ndarray, alpha: float, s: float, scale: float) -> _Vertex:
+    """psi(s) = max eta s.t. eta <= (1 - s) m_j + s q . L_j for every asset j,
+    with q in [0, 1/((1 - alpha) n)]^n and sum q = 1, and an optimal vertex.
+
+    The LP runs on L / scale, since the solver's tolerances are absolute.
+    """
+    n, k = window.shape
+    unit = window / scale
+    res = linprog(np.append(np.zeros(n), -1.0),
+                  A_ub=np.hstack([-s * unit.T, np.ones((k, 1))]),
+                  b_ub=(1.0 - s) * unit.mean(axis=0),
+                  A_eq=np.append(np.ones(n), 0.0)[None, :], b_eq=[1.0],
+                  bounds=[(0.0, 1.0 / ((1.0 - alpha) * n))] * n + [(None, None)],
+                  method="highs", options={"dual_feasibility_tolerance": 1e-10,
+                                           "primal_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise NumericsError(f"tail LP at s = {s:.6g} failed: {res.message}")
+    w = np.maximum(-res.ineqlin.marginals, 0.0)
+    w = w / np.sum(w)
+    psi, dev = -scale * float(res.fun), _mean_and_deviation(window @ w, alpha)[1]
+    return _Vertex(s, psi, w, dev, psi - s * dev)
+
+
+def optimize_md(window: np.ndarray, cfg: BacktestConfig) -> PortfolioWeights:
+    """Minimize the per-period objective over the simplex, with a certificate.
+
+    s -> g'(d(w_s)) is nonincreasing, so g' at equal weights and its image
+    bracket s*.  An LP where the lines of the two ends cross either finds a
+    vertex between them, which replaces the end on its side of s*, or shows
+    them adjacent; then m + s d = psi(s) on their edge, and the optimum is the
+    edge point minimizing g(d) - s d.  Raises NumericsError when an LP fails
+    or the duality gap exceeds its tolerance.
     """
     window = np.asarray(window, dtype=float)
     if window.ndim != 2 or window.shape[0] < 2:
         raise ValueError("need a 2-D loss window with at least two rows")
     g = cfg.g_spec
     if not g.classify().is_convex:
-        raise ValueError(
-            "the per-period program is jointly convex only for convex "
-            "risk-weighting functions; got a non-convex one"
-        )
-    n_obs, n_assets = window.shape
-    if n_assets == 1:
-        return PortfolioWeights(np.array([1.0]))
+        raise ValueError("the per-period program is convex only for convex "
+                         "risk-weighting functions; got a non-convex one")
+    if window.shape[1] == 1:
+        return PortfolioWeights(np.array([1.0]), gap=0.0, lp_solves=0)
 
     alpha = cfg.alpha
-    mu = window.mean(axis=0)
-    w = np.full(n_assets, 1.0 / n_assets)
-    portfolio = window @ w
-    x = float(np.quantile(portfolio, alpha))
+    scale = float(np.max(np.abs(window))) or 1.0
+    tol = _EDGE_TOLERANCE * scale
+    vertex = cache(lambda s: _tail_lp(window, alpha, s, scale))
 
-    best_w = w.copy()
-    best_value = portfolio_objective(window, w, g, alpha)
+    def slope(d: float) -> float:
+        return g.left_derivative(max(d, 1e-12))  # a left derivative needs d > 0
 
-    for k in range(1, _SUBGRADIENT_ITERATIONS + 1):
-        portfolio = window @ w
-        excess = portfolio > x
-        z = x + float(np.mean(np.maximum(portfolio - x, 0.0))) / (1.0 - alpha) - float(
-            np.mean(portfolio)
-        )
-        slope = g.left_derivative(z) if z > 0.0 else g.left_derivative(1e-12)
-        grad_w = mu + slope * (window.T @ excess / (n_obs * (1.0 - alpha)) - mu)
-        grad_x = slope * (1.0 - float(np.mean(excess)) / (1.0 - alpha))
-        norm = math.sqrt(float(np.dot(grad_w, grad_w)) + grad_x * grad_x)
-        if norm < 1e-15:
+    first = vertex(slope(_mean_and_deviation(window.mean(axis=1), alpha)[1]))
+    lo, hi = sorted((first, vertex(slope(first.dev))), key=lambda v: v.s)
+    for _ in range(_MAX_LP_SOLVES):
+        if lo.dev - hi.dev <= tol:
+            w, d = lo.w, lo.dev
             break
-        step = _SUBGRADIENT_STEP / (math.sqrt(k) * norm)
-        w = project_simplex(w - step * grad_w)
-        x = x - step * grad_x
-        value = portfolio_objective(window, w, g, alpha)
-        if value < best_value:
-            best_value = value
-            best_w = w.copy()
-
-    return PortfolioWeights(best_w)
+        s = min(max((hi.mean - lo.mean) / (lo.dev - hi.dev), lo.s), hi.s)
+        mid = vertex(s)
+        if mid.psi >= lo.mean + s * lo.dev - tol:  # adjacent: bisect on g'(d) <= s
+            d, d_hi = (lo.dev, lo.dev) if slope(lo.dev) <= s else (hi.dev, lo.dev)
+            while d < 0.5 * (d + d_hi) < d_hi:
+                d_mid = 0.5 * (d + d_hi)
+                d, d_hi = (d_mid, d_hi) if slope(d_mid) <= s else (d, d_mid)
+            w = lo.w + (lo.dev - d) / (lo.dev - hi.dev) * (hi.w - lo.w)
+            break
+        lo, hi = (mid, hi) if slope(mid.dev) >= s else (lo, mid)
+    else:
+        raise NumericsError(f"breakpoint search still open after {_MAX_LP_SOLVES} LPs")
+    if not hi.dev < d < lo.dev:  # inside an edge the kink s is in the subdifferential
+        s = slope(d)
+    mean, dev = _mean_and_deviation(window @ w, alpha)
+    gap = mean + float(g(max(dev, 0.0))) - vertex(s).psi + conjugate(g, s)
+    if not abs(gap) <= _GAP_TOLERANCE * scale:
+        raise NumericsError(f"portfolio solve not certified: duality gap {gap:.3g}")
+    return PortfolioWeights(w, gap=gap, lp_solves=vertex.cache_info().misses)
 
 
 def _month_starts(dates) -> list[int]:

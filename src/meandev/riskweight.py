@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+
+from ._spec import float_tuple, spec_field
 
 __all__ = [
     "RiskWeightFunction",
@@ -307,19 +310,19 @@ def g_from_spec(spec: dict) -> RiskWeightFunction:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("risk-weight spec must be an object with a 'kind' field")
     kind = spec["kind"]
-    try:
-        if kind == "linear":
-            return LinearWeight(lam=float(spec["lambda"]))
-        if kind in ("exp_shortfall", "gbeta"):
-            return ExpShortfallWeight(beta=float(spec["beta"]))
-        if kind == "pareto_shortfall":
-            return ParetoShortfallWeight(theta=float(spec["theta"]))
-        if kind == "exp_cap":
-            return ExpCapWeight(beta=float(spec["beta"]))
-        if kind == "pareto_cap":
-            return ParetoCapWeight(theta=float(spec["theta"]))
-        if kind == "piecewise_linear":
-            return PiecewiseLinearWeight(knots=tuple(spec["knots"]), slopes=tuple(spec["slopes"]))
-    except KeyError as exc:
-        raise ValueError(f"risk-weight spec of kind {kind!r} is missing the field {exc}") from None
+    field = partial(spec_field, spec, "risk-weight spec")
+
+    if kind == "linear":
+        return LinearWeight(lam=field("lambda"))
+    if kind in ("exp_shortfall", "gbeta"):
+        return ExpShortfallWeight(beta=field("beta"))
+    if kind == "pareto_shortfall":
+        return ParetoShortfallWeight(theta=field("theta"))
+    if kind == "exp_cap":
+        return ExpCapWeight(beta=field("beta"))
+    if kind == "pareto_cap":
+        return ParetoCapWeight(theta=field("theta"))
+    if kind == "piecewise_linear":
+        return PiecewiseLinearWeight(knots=field("knots", float_tuple),
+                                     slopes=field("slopes", float_tuple))
     raise ValueError(f"unknown risk-weight kind: {kind!r}")

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from meandev.cli import dispatch
 from meandev.distributions import Normal
 
 
@@ -89,6 +90,55 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert proc.stderr.startswith(b"meandev: error:") and proc.stderr.count(b"\n") == 1
         assert b"'lambda'" in proc.stderr
+
+
+LINEAR_G = '{"kind":"linear","lambda":1.0}'
+GINI_H = '{"kind":"gini"}'
+
+
+class TestInputValidation:
+    # float() accepts nan and inf; each used to reach a "NaN" or "Infinity" on stdout
+    @pytest.mark.parametrize("flags", [
+        ["robust", "moment", "--g", LINEAR_G, "--h", GINI_H, "--m", "nan"],
+        ["robust", "moment", "--g", LINEAR_G, "--h", GINI_H, "--m", "0", "--v", "inf",
+         "--order", "2"],
+        ["robust", "wasserstein", "--g", LINEAR_G, "--h", GINI_H, "--eps=-inf",
+         "--data", "unused.csv"],
+        ["robust", "moment", "--g", LINEAR_G, "--h", GINI_H, "--m", "0", "--sweep", "0:inf:3"],
+    ], ids=["mean", "moment-levels", "eps", "sweep-bounds"])
+    def test_non_finite_flag_is_usage_error(self, flags, capsys):
+        assert dispatch(flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected a finite number" in captured.err
+
+    @pytest.mark.parametrize("spec", [
+        '{"kind":"linear","lambda":null}',
+        '{"kind":"piecewise_linear","knots":5,"slopes":[1]}',
+    ])
+    def test_wrong_typed_spec_field_exits_one(self, spec):
+        # both used to end in a TypeError traceback
+        proc = run_cli("classify", "--g", spec)
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"meandev: error:") and proc.stderr.count(b"\n") == 1
+
+    @pytest.mark.parametrize("argv, field", [
+        (["eval", "--g", LINEAR_G, "--h", '{"kind":"es_dev","alpha":[0.9]}',
+          "--data", "unused.csv"], "'alpha'"),
+        (["asymvar", "--model", '{"kind":"normal","sd":null}', "--g", LINEAR_G,
+          "--h", GINI_H], "'sd'"),
+        (["classify", "--g", '{"kind":"exp_shortfall","beta":1e400}'], "finite"),
+        (["classify", "--g", '{"kind":"exp_shortfall","beta":1%s}' % ("0" * 400)], "'beta'"),
+        (["backtest", "--prices", None, "--config", '{"window":null}'], "'window'"),
+    ], ids=["distortion", "model", "overflowing-float", "overflowing-int", "backtest-config"])
+    def test_bad_spec_value_names_it(self, argv, field, prices_csv, capsys):
+        argv = [prices_csv if a is None else a for a in argv]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("meandev: error:") and captured.err.count("\n") == 1
+        assert field in captured.err
 
 
 class TestOutputs:

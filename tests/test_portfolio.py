@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from meandev.distributions import StateVector
+from meandev.measures import es_alpha
 from meandev.portfolio import (
     BacktestConfig,
     LossPanel,
@@ -16,7 +19,13 @@ from meandev.portfolio import (
     run_backtest,
     wealth_from_periods,
 )
-from meandev.riskweight import ExpCapWeight, ExpShortfallWeight, LinearWeight
+from meandev.riskweight import (
+    ExpCapWeight,
+    ExpShortfallWeight,
+    LinearWeight,
+    ParetoShortfallWeight,
+    PiecewiseLinearWeight,
+)
 
 
 def trading_dates(n: int, start=dt.date(2020, 1, 1)):
@@ -162,6 +171,71 @@ class TestOptimizeMD:
             assert f_mid <= 0.5 * (f_star + f_r) + 1e-9
 
 
+def primal_lp_min(window, alpha, pieces):
+    """min over the simplex of mean(L w) + max_i (a_i + b_i d(w)), all b_i >= 0.
+
+    d(w) = ES_alpha(L w) - mean(L w) in the primal Rockafellar-Uryasev form:
+    variables (w, u, z, tau) with u >= L w - z, u >= 0 and
+    tau >= a_i + b_i (z + sum(u) / ((1 - alpha) n) - mean(L) . w).
+    """
+    n, k = window.shape
+    mu = window.mean(axis=0)
+    rows = [np.hstack([window, -np.eye(n), -np.ones((n, 1)), np.zeros((n, 1))])]
+    rhs = [np.zeros(n)]
+    for a, b in pieces:
+        rows.append(np.concatenate([-b * mu, np.full(n, b / ((1 - alpha) * n)), [b, -1.0]]))
+        rhs.append([-a])
+    res = linprog(np.concatenate([mu, np.zeros(n), [0.0, 1.0]]),
+                  A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
+                  A_eq=np.concatenate([np.ones(k), np.zeros(n + 2)])[None, :], b_eq=[1.0],
+                  bounds=[(0.0, None)] * (k + n) + [(None, None)] * 2, method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def lower_bound_pieces(g, d0):
+    """Affine minorants of g: all pieces of a piecewise-linear g, else its tangent at d0."""
+    if isinstance(g, LinearWeight):
+        return [(0.0, g.lam)]
+    if isinstance(g, PiecewiseLinearWeight):
+        edges = np.array((0.0, *g.knots))
+        return list(zip(np.asarray(g(edges)) - np.array(g.slopes) * edges, g.slopes))
+    s = g.left_derivative(max(d0, 1e-12))
+    return [(float(g(d0)) - s * d0, s)]
+
+
+class TestCertificate:
+    # the piecewise g has its optimum at its kink d = 0.008 on the first window
+    @pytest.mark.parametrize("g", [
+        ExpShortfallWeight(3.0),
+        ParetoShortfallWeight(2.0),
+        PiecewiseLinearWeight(knots=(0.008,), slopes=(0.1, 0.9)),
+        LinearWeight(0.5),
+    ], ids=["exp_shortfall", "pareto_shortfall", "piecewise", "linear"])
+    @pytest.mark.parametrize("shape", [(500, 10, 5), (300, 6, 9)])
+    def test_gap_against_primal_lp(self, g, shape):
+        n_days, n_assets, seed = shape
+        window = synthetic_panel(n_days, n_assets, seed=seed).losses
+        res = optimize_md(window, BacktestConfig(window=n_days, alpha=0.9, g_spec=g))
+        assert -1e-12 <= res.gap <= 1e-9
+        f = portfolio_objective(window, res.w, g, 0.9)
+        losses = StateVector(window @ res.w)
+        d0 = max(0.0, es_alpha(losses, 0.9) - losses.mean())
+        bound = primal_lp_min(window, 0.9, lower_bound_pieces(g, d0))
+        assert -1e-9 <= f - bound <= 1e-9
+
+    def test_linear_g_is_one_lp(self):
+        window = synthetic_panel(500, 10, seed=5).losses
+        for lam in (0.5, 1.0):
+            res = optimize_md(window, BacktestConfig(window=500, alpha=0.9,
+                                                     g_spec=LinearWeight(lam)))
+            assert res.lp_solves == 1
+
+    def test_single_asset_needs_no_lp(self):
+        res = optimize_md(np.zeros((10, 1)), CFG)
+        assert res.gap == 0.0 and res.lp_solves == 0
+
+
 class TestBacktest:
     def test_constant_loss_single_asset(self):
         n = 300
@@ -215,8 +289,9 @@ class TestBacktest:
         assert big_beta.wealth[-1] == pytest.approx(pure_es.wealth[-1], rel=1e-3)
 
     def test_deviation_monotone_in_beta(self):
-        # larger beta weights the deviation more; tendency check: >= 4 of the
-        # 4 adjacent pairs plus the endpoint pair must be ordered
+        # phi(d) + g_beta(d) is strictly convex in d and g_beta' increases with
+        # beta, so the optimal deviation is nonincreasing in beta: all 4
+        # adjacent pairs plus the endpoint pair must be ordered
         window = synthetic_panel(500, 10, seed=5).losses
         devs = []
         for beta in (1.0, 3.0, 10.0, 30.0, 100.0):
@@ -229,7 +304,7 @@ class TestBacktest:
             devs.append(es_alpha(x, 0.9) - x.mean())
         pairs = list(zip(devs, devs[1:])) + [(devs[0], devs[-1])]
         ordered = sum(1 for a, b in pairs if b <= a + 1e-12)
-        assert ordered >= 4
+        assert ordered == 5
 
 
 class TestMarkowitz:
@@ -244,6 +319,10 @@ class TestMarkowitz:
         res = markowitz_baseline(self.exact_moment_window(1.0))
         assert res.weights.w == pytest.approx([0.5, 0.5], abs=1e-6)
         assert res.target_clamped
+
+    def test_carries_no_certificate(self):
+        res = markowitz_baseline(self.exact_moment_window(1.0))
+        assert res.weights.gap is None and res.weights.lp_solves is None
 
     def test_single_asset(self):
         res = markowitz_baseline(np.zeros((10, 1)))

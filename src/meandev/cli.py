@@ -18,7 +18,7 @@ import numpy as np
 from ._spec import spec_field
 from .distortion import choquet_deviation, distortion_from_spec
 from .distributions import StateVector, model_from_spec
-from .estimation import NumericsError, md_true, monte_carlo, sigma_g_squared
+from .estimation import NumericsError, gaussian_limit, monte_carlo
 from .measures import MDMeasure, md_eval
 from .portfolio import BacktestConfig, ingest_prices, run_backtest
 from .riskweight import g_from_spec, smallest_coherent_multiplier
@@ -30,6 +30,10 @@ from .robust import (
 )
 
 __all__ = ["main", "dispatch"]
+
+# a sweep evaluates one worst case per point
+_SWEEP_MAX_POINTS = 100_000
+_NOT_FINITE = "is not a finite number; nothing was written"
 
 
 def _round_floats(obj):
@@ -47,8 +51,14 @@ def _round_floats(obj):
     return obj
 
 
-def emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(_round_floats(obj), sort_keys=True, indent=2) + "\n")
+def emit_json(obj: dict) -> None:
+    obj = _round_floats(obj)
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        bad = [k for k, v in sorted(obj.items()) if isinstance(v, float) and not math.isfinite(v)]
+        raise NumericsError(f"{', '.join(bad) or 'a value'} {_NOT_FINITE}") from None
+    sys.stdout.write(text + "\n")
 
 
 def _json_arg(text: str, what: str) -> dict:
@@ -80,18 +90,22 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _sweep(text: str) -> np.ndarray:
-    """argparse type for start:stop:count, with finite bounds and count >= 2."""
+def _sweep(text: str) -> list[float]:
+    """argparse type for start:stop:count, with finite bounds and 2 <= count <= the cap."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("sweep must look like start:stop:count")
     count = int(parts[2])
-    if count < 2:
-        raise argparse.ArgumentTypeError("sweep count must be >= 2")
-    return np.linspace(_finite_float(parts[0]), _finite_float(parts[1]), count)
+    if not 2 <= count <= _SWEEP_MAX_POINTS:
+        raise argparse.ArgumentTypeError(f"sweep count must be in [2, {_SWEEP_MAX_POINTS}]")
+    # Python floats: an overflow in numpy scalars also prints a RuntimeWarning
+    return np.linspace(_finite_float(parts[0]), _finite_float(parts[1]), count).tolist()
 
 
 def _write_sweep(parameters, values) -> None:
+    bad = [p for p, v in zip(parameters, values) if not math.isfinite(v)]
+    if bad:
+        raise NumericsError(f"worst_case at parameter {bad[0]:.12g} {_NOT_FINITE}")
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["parameter", "worst_case"])
     for p, v in zip(parameters, values):
@@ -125,10 +139,8 @@ def _cmd_asymvar(args) -> int:
     model = model_from_spec(_json_arg(args.model, "--model"))
     m = MDMeasure(g_from_spec(_json_arg(args.g, "--g")),
                   distortion_from_spec(_json_arg(args.h, "--h")))
-    emit_json({
-        "md_true": md_true(model, m, args.quad_points),
-        "sigma2": sigma_g_squared(model, m, args.quad_points),
-    })
+    limit = gaussian_limit(model, m)
+    emit_json({"md_true": limit.center, "sigma2": limit.variance})
     return 0
 
 
@@ -136,8 +148,7 @@ def _cmd_mc(args) -> int:
     model = model_from_spec(_json_arg(args.model, "--model"))
     m = MDMeasure(g_from_spec(_json_arg(args.g, "--g")),
                   distortion_from_spec(_json_arg(args.h, "--h")))
-    report = monte_carlo(model, m, n=args.n, replications=args.reps, seed=args.seed,
-                         quad_points=args.quad_points)
+    report = monte_carlo(model, m, n=args.n, replications=args.reps, seed=args.seed)
     if args.estimates_csv:
         with open(args.estimates_csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -244,7 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model spec as JSON")
     p.add_argument("--g", required=True)
     p.add_argument("--h", required=True)
-    p.add_argument("--quad-points", type=int, default=200)
     p.set_defaults(func=_cmd_asymvar)
 
     p = sub.add_parser("mc", help="Monte Carlo check of the Gaussian limit")
@@ -254,7 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="sample size per replication")
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--quad-points", type=int, default=200)
     p.add_argument("--estimates-csv", help="write per-replication estimates here")
     p.set_defaults(func=_cmd_mc)
 

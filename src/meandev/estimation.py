@@ -5,27 +5,35 @@ asymptotic variance of the plug-in estimator is the double integral of
 
     (h'(1-s) g'(D) + 1)(h'(1-t) g'(D) + 1)(s^t - st) / (f~(s) f~(t)).
 
-Since s^t - st is the covariance kernel of the Brownian bridge, it factors
-as an integral over indicator residuals, which collapses the double
-integral to nested one-dimensional quadratures:
+Since s^t - st is the covariance kernel of the Brownian bridge, the double
+integral collapses to sigma^2 = integral over u of J(u)^2, where, with
+w(s) = h'(1-s) g'(D) + 1,
 
-    sigma^2 = integral over u of J(u)^2,
-    J(u)    = integral over s of w(s) (1{s >= u} - s) / f~(s),
+    J(u) = integral over s of w(s) (1{s >= u} - s) / f~(s) = C(u) - B(u),
+    B(u) = integral over (0, u) of w(s) s / f~(s),
+    C(u) = integral over (u, 1) of w(s) (1 - s) / f~(s).
 
-with w(s) = h'(1-s) g'(D) + 1.  Both levels use exponential substitutions
-at the endpoints (u = e^-t and u = 1 - e^-t), which keeps the tail factors
-exact and detects non-integrable tails by comparing truncations.
+Each piece is integrable at its own endpoint, so B and C are running sums
+on the nodes that then integrate J^2: one pass, not nested quadrature.
+
+Both integrals use one fixed grid: 32-point Gauss-Legendre panels of width
+at most 3 in the substitutions u = e^-t and u = 1 - e^-t over t in
+[log 2, 36], split at the kinks of h' and at t = 30.  Within a panel a
+running sum is the Legendre integration matrix applied to the node values.
+Beyond t = 36 the level 1 - e^-t rounds to 1, so the grid stops there; an
+integral whose last window, t in [30, 36], holds more than 1e-3 of its
+total decays too slowly to trust the truncation, and it raises
+NumericsError, as does a non-finite total.
 """
 from __future__ import annotations
 
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from numpy.polynomial import legendre
 from scipy.stats import kstest
 
 from .distributions import ParametricModel
@@ -44,15 +52,14 @@ __all__ = [
 ]
 
 _LOG_HALF = math.log(2.0)
-# Beyond t = 36 the level 1 - e^-t is no longer distinguishable from 1.0 in
-# float64, so integration stops there; a convergent tail must have negligible
-# mass in the last resolvable window [30, 36].
 _TAIL_CUTOFF = 36.0
 _TAIL_CHECK = 30.0
+# largest share of an integral allowed in the window [_TAIL_CHECK, _TAIL_CUTOFF]
+_TAIL_SHARE = 1e-3
 
 
 class NumericsError(RuntimeError):
-    """Raised when a population integral fails to converge under refinement."""
+    """Raised when a population integral is not finite or its tail decays too slowly."""
 
 
 @dataclass(frozen=True)
@@ -90,17 +97,13 @@ class MonteCarloReport:
         }
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-def _panel_quadrature(breaks: np.ndarray):
-    """Gauss-Legendre nodes/weights across consecutive panels of ``breaks``."""
-    los, his = breaks[:-1], breaks[1:]
-    half = 0.5 * (his - los)
-    mid = 0.5 * (his + los)
-    t = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return t, w
+_GL_NODES, _GL_WEIGHTS = legendre.leggauss(32)
+# _GL_PREFIX[i, j] is the weight of node j in the integral from -1 to node i;
+# column j of the Legendre coefficients below is node j's Lagrange polynomial
+_GL_PREFIX = legendre.legval(_GL_NODES, legendre.legint(
+    legendre.legvander(_GL_NODES, 31).T * _GL_WEIGHTS * (np.arange(32) + 0.5)[:, None],
+    lbnd=-1.0)).T
+_GL_SUFFIX = _GL_WEIGHTS - _GL_PREFIX
 
 
 def _tail_breaks(points_t, lo_t: float, hi_t: float, max_width: float = 3.0) -> np.ndarray:
@@ -115,142 +118,125 @@ def _tail_breaks(points_t, lo_t: float, hi_t: float, max_width: float = 3.0) -> 
     return np.asarray(out)
 
 
-def _half_integral(fn, upper: bool, points, limit: int, lo_t: float, hi_t: float) -> float:
-    """Integral of the substituted integrand over t in [lo_t, hi_t].
+@dataclass(frozen=True)
+class _Half:
+    """Gauss-Legendre nodes of one endpoint substitution, one row per panel.
 
-    The substitution is u = e^-t (lower half) or u = 1 - e^-t (upper half),
-    so the integrand is evaluated with the exact tail probability;
-    ``points`` are interior breakpoints of fn in the u domain.
+    The level is u = e^-t (lower half) or u = 1 - e^-t (upper half); ``eps``
+    holds e^-t, so evaluations near either endpoint stay exact.  Integrals
+    are of f(u) du with f given at the nodes.
     """
-    if upper:
-        def transformed(t: float) -> float:
-            eps = math.exp(-t)
-            return fn(1.0 - eps, eps) * eps
-    else:
-        def transformed(t: float) -> float:
-            eps = math.exp(-t)
-            return fn(eps, 1.0 - eps) * eps
 
-    mapped = []
-    for p in points:
-        frac = 1.0 - p if upper else p
-        if 0.0 < frac < 0.5:
-            t = -math.log(frac)
-            if lo_t < t < hi_t:
-                mapped.append(t)
-    with warnings.catch_warnings():
-        # slow-but-converging tails exhaust subdivisions without harming the
-        # estimate; actual divergence is caught by the tail-mass check
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(transformed, lo_t, hi_t, points=sorted(mapped) or None,
-                      limit=limit)
-    return val
+    upper: bool
+    eps: np.ndarray  # (panels, 32)
+    scale: np.ndarray  # (panels,) panel half-widths in t
+    tail: np.ndarray  # (panels,) True inside [_TAIL_CHECK, _TAIL_CUTOFF]
+
+    @property
+    def level(self) -> np.ndarray:
+        return 1.0 - self.eps if self.upper else self.eps
+
+    @property
+    def complement(self) -> np.ndarray:
+        return self.eps if self.upper else 1.0 - self.eps
+
+    def quantile(self, model: ParametricModel) -> np.ndarray:
+        return model.quantile_upper(self.eps) if self.upper else model.quantile(self.eps)
+
+    def density_quantile(self, model: ParametricModel) -> np.ndarray:
+        if self.upper:
+            return model.density_quantile_upper(self.eps)
+        return model.density_quantile(self.eps)
+
+    def panels(self, f: np.ndarray) -> np.ndarray:
+        """Integral over each panel."""
+        return self.scale * ((f * self.eps) @ _GL_WEIGHTS)
+
+    def running(self, f: np.ndarray, toward_end: bool) -> np.ndarray:
+        """Integral from each node to this half's endpoint, or else to u = 1/2."""
+        g = f * self.eps
+        panels = self.scale * (g @ _GL_WEIGHTS)
+        if toward_end:
+            rest, within = np.cumsum(np.r_[0.0, panels[:0:-1]])[::-1], _GL_SUFFIX
+        else:
+            rest, within = np.cumsum(np.r_[0.0, panels[:-1]]), _GL_PREFIX
+        return rest[:, None] + self.scale[:, None] * (g @ within.T)
 
 
-def _unit_integral(fn, points=(), limit: int = 200, check_tails: bool = False) -> float:
-    """Integral over (0, 1) of fn(u, 1 - u) with endpoint substitutions.
+def _grid(h) -> tuple[_Half, _Half]:
+    """The fixed grid: panels of width <= 3 split at the kinks of h' and at t = 30."""
+    kinks = [1.0 - s for s in h.kink_points()]
+    halves = []
+    for upper in (False, True):
+        fracs = [1.0 - p if upper else p for p in kinks]
+        points = [-math.log(f) for f in fracs if 0.0 < f < 0.5] + [_TAIL_CHECK]
+        breaks = _tail_breaks(points, _LOG_HALF, _TAIL_CUTOFF)
+        los, his = breaks[:-1], breaks[1:]
+        scale = 0.5 * (his - los)
+        t = 0.5 * (his + los)[:, None] + scale[:, None] * _GL_NODES
+        halves.append(_Half(upper, np.exp(-t), scale, los >= _TAIL_CHECK))
+    return halves[0], halves[1]
 
-    fn receives both the level and its complement so tail evaluations stay
-    exact.  With ``check_tails`` the far-tail extension pieces are computed
-    separately; non-negligible mass there flags a divergent tail.
-    """
-    lower = _half_integral(fn, False, points, limit, _LOG_HALF, _TAIL_CHECK)
-    upper = _half_integral(fn, True, points, limit, _LOG_HALF, _TAIL_CHECK)
-    lower_ext = _half_integral(fn, False, points, limit, _TAIL_CHECK, _TAIL_CUTOFF)
-    upper_ext = _half_integral(fn, True, points, limit, _TAIL_CHECK, _TAIL_CUTOFF)
-    total = lower + upper + lower_ext + upper_ext
-    if check_tails:
-        scale = max(abs(total), 1e-30)
-        if abs(lower_ext) + abs(upper_ext) > 1e-3 * scale:
-            raise NumericsError(
-                "integral does not converge under tail refinement: the "
-                "integrand decays too slowly near the endpoints (the model's "
-                "tails are too heavy for this functional)"
-            )
+
+def _integral(halves, values, what: str) -> float:
+    """Integral over (0, 1) from node values on both halves, with the tail rule."""
+    total = window = 0.0
+    for half, f in zip(halves, values):
+        panels = half.panels(f)
+        total += float(panels.sum())
+        window += abs(float(panels[half.tail].sum()))
     if not math.isfinite(total):
-        raise NumericsError("integral evaluated to a non-finite value")
+        raise NumericsError(f"{what} integral evaluated to a non-finite value")
+    share = window / max(abs(total), 1e-30)
+    if share > _TAIL_SHARE:
+        raise NumericsError(
+            f"{what} integral does not converge: the last tail window holds "
+            f"{share:.3g} of its total (the model's tails are too heavy for this "
+            "functional)"
+        )
     return total
 
 
-def deviation_true(model: ParametricModel, m: MDMeasure, quad_points: int = 200) -> float:
+def deviation_true(model: ParametricModel, m: MDMeasure) -> float:
     """Population Choquet deviation: integral of the quantile against h'(1 - u)."""
-    h = m.h
-
-    def fn(u: float, eps: float) -> float:
-        if eps < 0.5:
-            quantile = float(model.quantile_upper(eps))
-        else:
-            quantile = float(model.quantile(u))
-        return quantile * float(h.quantile_weight(u))
-
-    kinks = [1.0 - s for s in h.kink_points()]
-    return _unit_integral(fn, points=kinks, limit=quad_points, check_tails=True)
+    halves = _grid(m.h)
+    values = [m.h.quantile_weight(half.level) * half.quantile(model) for half in halves]
+    return _integral(halves, values, "population deviation")
 
 
-def md_true(model: ParametricModel, m: MDMeasure, quad_points: int = 200) -> float:
+def md_true(model: ParametricModel, m: MDMeasure) -> float:
     """Population value g(D(X)) + E[X]."""
     mean = model.mean()  # raises for heavy tails with no mean
-    dev = deviation_true(model, m, quad_points)
-    return float(m.g(dev)) + mean
+    return float(m.g(deviation_true(model, m))) + mean
 
 
-def sigma_g_squared(model: ParametricModel, m: MDMeasure, quad_points: int = 200) -> float:
-    """Asymptotic variance of the plug-in estimator of g(D) + mean."""
-    dev = deviation_true(model, m, quad_points)
+def _variance(model: ParametricModel, m: MDMeasure, dev: float) -> float:
+    """sigma^2 = integral of (C - B)^2 given the population deviation."""
     gprime = m.g.left_derivative(dev) if dev > 0.0 else m.g.left_derivative(1e-12)
-    h = m.h
-    kinks = [1.0 - s for s in h.kink_points()]
-    kinks_lower_t = [-math.log(p) for p in kinks if p < 0.5]
-    kinks_upper_t = [-math.log(1.0 - p) for p in kinks if p >= 0.5]
-
-    def residual_integral(u: float) -> float:
-        """J(u): integral over s of w(s) (1{s >= u} - s) / f~(s).
-
-        Evaluated with Gauss-Legendre panels in the substituted variable,
-        split at the indicator jump and the kinks of h', and vectorized
-        over the nodes.
-        """
-        total = 0.0
-        for upper in (False, True):
-            extra = []
-            frac = 1.0 - u if upper else u
-            if 0.0 < frac < 0.5:
-                extra.append(-math.log(frac))
-            base = kinks_upper_t if upper else kinks_lower_t
-            breaks = _tail_breaks(base + extra, _LOG_HALF, _TAIL_CUTOFF)
-            t, w = _panel_quadrature(breaks)
-            eps = np.exp(-t)
-            s = 1.0 - eps if upper else eps
-            density = model.density_quantile_upper(eps) if upper else model.density_quantile(s)
-            values = (
-                (np.asarray(h.quantile_weight(s), dtype=float) * gprime + 1.0)
-                * ((s >= u).astype(float) - s)
-                / density
-            ) * eps
-            total += float(np.dot(w, values))
-        return total
-
-    def outer(u: float, eps: float) -> float:
-        j = residual_integral(u)
-        return j * j
-
-    # fast-path divergence probe: the substituted upper-tail integrand of a
-    # convergent variance must not grow along the tail
-    probe = [outer(1.0 - math.exp(-t), math.exp(-t)) * math.exp(-t) for t in (24.0, 30.0)]
-    if probe[1] > 2.0 * probe[0] and probe[1] > 1e-12:
-        raise NumericsError(
-            "asymptotic-variance integral diverges: the tail of the quantile "
-            "density is too heavy for a finite-variance Gaussian limit"
-        )
-
-    return _unit_integral(outer, points=kinks, limit=quad_points, check_tails=True)
+    lower, upper = halves = _grid(m.h)
+    ratios = [(m.h.quantile_weight(half.level) * gprime + 1.0) / half.density_quantile(model)
+              for half in halves]
+    b_lower, b_upper = (r * half.level for r, half in zip(ratios, halves))
+    c_lower, c_upper = (r * half.complement for r, half in zip(ratios, halves))
+    # B(u) runs from u = 0 and C(u) from u = 1; past u = 1/2 each holds the
+    # whole of the other half
+    j_lower = (upper.panels(c_upper).sum() + lower.running(c_lower, toward_end=False)
+               - lower.running(b_lower, toward_end=True))
+    j_upper = (upper.running(c_upper, toward_end=True) - lower.panels(b_lower).sum()
+               - upper.running(b_upper, toward_end=False))
+    return _integral(halves, [j_lower ** 2, j_upper ** 2], "asymptotic-variance")
 
 
-def gaussian_limit(model: ParametricModel, m: MDMeasure, quad_points: int = 200) -> GaussianLimit:
-    return GaussianLimit(
-        center=md_true(model, m, quad_points),
-        variance=sigma_g_squared(model, m, quad_points),
-    )
+def sigma_g_squared(model: ParametricModel, m: MDMeasure) -> float:
+    """Asymptotic variance of the plug-in estimator of g(D) + mean."""
+    return _variance(model, m, deviation_true(model, m))
+
+
+def gaussian_limit(model: ParametricModel, m: MDMeasure) -> GaussianLimit:
+    """md_true and sigma_g_squared sharing one deviation integral."""
+    mean = model.mean()  # raises for heavy tails with no mean
+    dev = deviation_true(model, m)
+    return GaussianLimit(center=float(m.g(dev)) + mean, variance=_variance(model, m, dev))
 
 
 def worker_count() -> int:
@@ -266,7 +252,6 @@ def monte_carlo(
     n: int,
     replications: int,
     seed: int,
-    quad_points: int = 200,
 ) -> MonteCarloReport:
     """Sample `replications` estimates of g(D) + mean at sample size n.
 
@@ -279,7 +264,7 @@ def monte_carlo(
     if replications < 100:
         raise ValueError(f"replications must be >= 100, got {replications}")
 
-    limit = gaussian_limit(model, m, quad_points)
+    limit = gaussian_limit(model, m)
     children = np.random.SeedSequence(seed).spawn(replications)
 
     def one(child) -> float:

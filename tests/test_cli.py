@@ -140,6 +140,33 @@ class TestInputValidation:
         assert captured.err.startswith("meandev: error:") and captured.err.count("\n") == 1
         assert field in captured.err
 
+    def test_non_finite_result_exits_one(self):
+        # finite inputs whose worst case overflows used to print "Infinity" with exit 0
+        proc = run_cli("robust", "moment", "--g", '{"kind":"linear","lambda":1}',
+                       "--h", '{"kind":"es_dev","alpha":0.9}', "--m", "1e308", "--v", "1e308")
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr == b"meandev: error: worst_case is not a finite number; nothing was written\n"
+
+    def test_non_finite_sweep_point_writes_nothing(self, capsys):
+        # the first point (v = 1) is finite; nothing may be written before the second fails
+        argv = ["robust", "moment", "--g", LINEAR_G, "--h", '{"kind":"es_dev","alpha":0.9}',
+                "--m", "1e308", "--sweep", "1:1e308:2"]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("meandev: error: worst_case at parameter 1e+308 is not a "
+                                "finite number; nothing was written\n")
+
+    def test_sweep_count_is_capped(self, capsys):
+        # used to reach np.linspace and die allocating 74.5 GiB
+        argv = ["robust", "moment", "--g", LINEAR_G, "--h", GINI_H, "--m", "0",
+                "--sweep", "0:1:10000000000"]
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sweep count must be in [2, 100000]" in captured.err
+
 
 class TestOutputs:
     def test_eval_fields(self, sample_csv):

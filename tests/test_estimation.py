@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,17 @@ class TestAsymptoticVariance:
         oracle = sigma_es_restricted_oracle(model, 0.9)
         assert ours == pytest.approx(oracle, rel=0.005)
 
+    @pytest.mark.parametrize("theta", [4.0, 6.0])
+    def test_lomax_es_variance_closed_form(self, theta):
+        # with g linear, sigma^2 = (1/(b theta))^2 times the integral over
+        # (0, b]^2 of (min(x, y) - xy) (xy)^(-p), b = 1 - alpha, p = 1 + 1/theta;
+        # the grid stops at u = 1 - e^-36, which costs 3e-7 relative at theta = 4
+        b, p = 0.1, 1.0 + 1.0 / theta
+        exact = (2.0 * b ** (3.0 - 2.0 * p) / ((2.0 - p) * (3.0 - 2.0 * p))
+                 - b ** (4.0 - 2.0 * p) / (2.0 - p) ** 2) / (b * theta) ** 2
+        ours = sigma_g_squared(Lomax(theta), MDMeasure(LinearWeight(1.0), H09))
+        assert ours == pytest.approx(exact, rel=1e-6)
+
     def test_variance_monotone_in_slope(self):
         lams = [1.0, 0.8, 0.5, 0.2]
         sigmas = [sigma_g_squared(Normal(), MDMeasure(LinearWeight(lam), H09))
@@ -107,6 +119,28 @@ class TestAsymptoticVariance:
             sigma_g_squared(Lomax(2.0), MDMeasure(LinearWeight(1.0), H09))
         with pytest.raises(NumericsError):
             sigma_g_squared(Lomax(1.5), MDMeasure(LinearWeight(1.0), H09))
+        # 5e-3 of the variance integral lies in the last tail window
+        with pytest.raises(NumericsError):
+            sigma_g_squared(Lomax(2.5), MDMeasure(LinearWeight(1.0), H09))
+
+    def test_lomax3_is_finite(self):
+        # the tail window holds 3e-4 of the integral, inside the 1e-3 rule
+        value = sigma_g_squared(Lomax(3.0), MDMeasure(LinearWeight(1.0), H09))
+        assert math.isfinite(value) and value > 0.0
+
+    @pytest.mark.parametrize("rate", [1.0, 0.7])
+    def test_exponential_gini_closed_form(self, rate):
+        # Gini deviation of Exp(rate) is 1/(2 rate); with g = x/2 the center is
+        # 5/(4 rate) and the variance 19/(12 rate^2)
+        limit = gaussian_limit(Exponential(rate), MDMeasure(LinearWeight(0.5), Gini()))
+        assert limit.center == pytest.approx(1.25 / rate, rel=1e-9)
+        assert limit.variance == pytest.approx(19.0 / 12.0 / rate ** 2, rel=1e-9)
+
+    def test_no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gaussian_limit(Lomax(4.0), MDMeasure(ExpShortfallWeight(1.0), H09))
+            gaussian_limit(Normal(), MDMeasure(ExpCapWeight(1.0), Gini()))
 
     def test_nonnegative(self):
         limit = gaussian_limit(Exponential(1.0), MDMeasure(ExpShortfallWeight(1.0), H09))

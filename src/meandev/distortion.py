@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ._spec import float_tuple, spec_field
 from .distributions import StateVector
@@ -85,8 +84,13 @@ class DistortionFunction:
         lo, hi = self.derivative_range()
         if q == math.inf:
             return (hi - lo) / 2.0
+        if q == 2.0:
+            # the minimizer is the mean of h', which is h(1) - h(0) = 0
+            return self.q_norm(2.0)
         if hi - lo < 1e-15:
             return 0.0
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(
             lambda x: self.centered_norm_objective(x, q),
             bounds=(lo, hi),

@@ -15,7 +15,6 @@ from functools import partial
 from typing import Iterable, Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from ._spec import spec_field
 
@@ -206,6 +205,9 @@ def _check_prob(u) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Normal(ParametricModel):
+    """N(mu, sd^2).  Its methods import scipy.special themselves, so that
+    importing meandev does not load scipy."""
+
     mu: float = 0.0
     sd: float = 1.0
 
@@ -214,12 +216,18 @@ class Normal(ParametricModel):
             raise ValueError(f"sd must be > 0, got {self.sd}")
 
     def quantile(self, u):
+        from scipy.special import ndtri
+
         return self.mu + self.sd * ndtri(_check_prob(u))
 
     def quantile_upper(self, eps):
+        from scipy.special import ndtri
+
         return self.mu - self.sd * ndtri(_check_prob(eps))
 
     def cdf(self, x):
+        from scipy.special import ndtr
+
         return ndtr((np.asarray(x, dtype=float) - self.mu) / self.sd)
 
     def density(self, x):
@@ -227,10 +235,14 @@ class Normal(ParametricModel):
         return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
 
     def density_quantile(self, u):
+        from scipy.special import ndtri
+
         z = ndtri(_check_prob(u))
         return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
 
     def density_quantile_upper(self, eps):
+        from scipy.special import ndtri
+
         z = ndtri(_check_prob(eps))
         return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
 

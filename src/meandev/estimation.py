@@ -34,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.stats import kstest
 
-from .distributions import ParametricModel
+from .distributions import Normal, ParametricModel
 from .measures import MDMeasure, md_eval
 
 __all__ = [
@@ -239,6 +238,14 @@ def gaussian_limit(model: ParametricModel, m: MDMeasure) -> GaussianLimit:
     return GaussianLimit(center=float(m.g(dev)) + mean, variance=_variance(model, m, dev))
 
 
+def _ks_statistic(z: np.ndarray) -> float:
+    """One-sample Kolmogorov-Smirnov statistic of z against N(0, 1)."""
+    n = z.size
+    cdf = Normal().cdf(np.sort(z))
+    return float(max((np.arange(1.0, n + 1) / n - cdf).max(),
+                     (cdf - np.arange(0.0, n) / n).max()))
+
+
 def worker_count() -> int:
     env = os.environ.get("MEANDEV_THREADS")
     if env:
@@ -281,7 +288,7 @@ def monte_carlo(
 
     scaled_var = float(n * np.var(estimates, ddof=1))
     standardized = (estimates - limit.center) * math.sqrt(n / limit.variance)
-    ks = float(kstest(standardized, "norm").statistic)
+    ks = _ks_statistic(standardized)
     return MonteCarloReport(
         replications=replications,
         sample_size=n,

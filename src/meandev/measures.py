@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .distortion import DistortionFunction, choquet_deviation, is_range_normalized
 from .distributions import StateVector
@@ -131,6 +130,8 @@ def _grid_sup(objective, grid: np.ndarray) -> float:
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
     if hi > lo:
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(lambda x: -objective(x), bounds=(lo, hi),
                               method="bounded", options={"xatol": 1e-10})
         sup = max(sup, float(-res.fun))

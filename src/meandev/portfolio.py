@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .distributions import StateVector
 from .estimation import NumericsError
@@ -133,6 +132,8 @@ class BacktestReport:
     annualized_volatility: float
     sharpe_ratio: float
     periods: tuple  # (rebalance date, start row, end row, weight vector)
+    max_gap: float  # largest |duality gap| of the rebalance solves
+    lp_solves: int  # tail LPs over all rebalance solves
 
     def as_dict(self) -> dict:
         return {
@@ -246,6 +247,8 @@ def _tail_lp(window: np.ndarray, alpha: float, s: float, scale: float) -> _Verte
 
     The LP runs on L / scale, since the solver's tolerances are absolute.
     """
+    from scipy.optimize import linprog
+
     n, k = window.shape
     unit = window / scale
     res = linprog(np.append(np.zeros(n), -1.0),
@@ -349,11 +352,12 @@ def run_backtest(panel: LossPanel, cfg: BacktestConfig) -> BacktestReport:
     if not rebalance_rows:
         raise ValueError("insufficient history: no month start after the first window")
 
-    periods = []
+    periods, solves = [], []
     for j, start in enumerate(rebalance_rows):
         end = rebalance_rows[j + 1] if j + 1 < len(rebalance_rows) else panel.n_days
         weights = optimize_md(panel.losses[start - cfg.window : start], cfg)
         periods.append((panel.dates[start], start, end, weights.w))
+        solves.append(weights)
     periods = tuple(periods)
 
     wealth = wealth_from_periods(panel, periods, cfg.initial_wealth)
@@ -368,7 +372,11 @@ def run_backtest(panel: LossPanel, cfg: BacktestConfig) -> BacktestReport:
         av = 0.0  # all daily returns identical: volatility is exactly zero
     else:
         av = math.sqrt(TRADING_DAYS_PER_YEAR) * float(np.std(log_returns, ddof=1))
-    sr = math.inf if av == 0.0 else (ar - cfg.risk_free_rate) / av
+    excess = ar - cfg.risk_free_rate
+    if av > 0.0:
+        sr = excess / av
+    else:
+        sr = math.copysign(math.inf, excess) if excess else 0.0
     return BacktestReport(
         dates=dates,
         wealth=wealth,
@@ -376,6 +384,8 @@ def run_backtest(panel: LossPanel, cfg: BacktestConfig) -> BacktestReport:
         annualized_volatility=av,
         sharpe_ratio=sr,
         periods=periods,
+        max_gap=max(abs(weights.gap) for weights in solves),
+        lp_solves=sum(weights.lp_solves for weights in solves),
     )
 
 

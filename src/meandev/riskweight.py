@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ._spec import float_tuple, spec_field
 
@@ -273,22 +272,35 @@ class PiecewiseLinearWeight(RiskWeightFunction):
 def conjugate(g: RiskWeightFunction, y: float) -> float:
     """g*(y) = sup over x >= 0 of x*y - g(x).
 
-    Zero for y <= 0, +inf for y above the asymptotic slope, and otherwise
-    found by bracket expansion plus bounded scalar maximization.
+    Zero for y <= 0, +inf for y above the asymptotic slope, in closed form
+    for the linear, exponential-shortfall and piecewise-linear families, and
+    otherwise found by bracket expansion plus bounded scalar maximization.
     """
     if y <= 0.0:
         return 0.0
     a = g.classify().asymptotic_slope
     if y > a + 1e-15:
         return math.inf
-
-    def objective(x: float) -> float:
-        return x * y - float(g(x))
-
+    if isinstance(g, LinearWeight):
+        return 0.0
+    if isinstance(g, ExpShortfallWeight):
+        # the sup sits at e^(-beta x) = 1 - y, and runs off to x = inf at y = 1
+        if y >= 1.0:
+            return 1.0 / g.beta
+        return (y + (1.0 - y) * math.log1p(-y)) / g.beta
     if isinstance(g, PiecewiseLinearWeight):
         # the objective is linear on each segment, so the sup sits at a knot
         # (or at 0; the tail segment has slope y - a <= 0)
-        return float(max(objective(x) for x in (0.0, *g.knots)))
+        return float(max(x * y - float(g(x)) for x in (0.0, *g.knots)))
+    return _conjugate_search(g, y)
+
+
+def _conjugate_search(g: RiskWeightFunction, y: float) -> float:
+    """The conjugate's sup for 0 < y <= the asymptotic slope, found numerically."""
+    from scipy.optimize import minimize_scalar
+
+    def objective(x: float) -> float:
+        return x * y - float(g(x))
 
     # expand until the left derivative of the objective turns non-positive
     hi = 1.0

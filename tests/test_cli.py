@@ -158,6 +158,17 @@ class TestInputValidation:
         assert captured.err == ("meandev: error: worst_case at parameter 1e+308 is not a "
                                 "finite number; nothing was written\n")
 
+    def test_zero_volatility_backtest_exits_one(self, tmp_path, capsys):
+        # constant prices under the default positive risk-free rate: Sharpe is -inf
+        prices = tmp_path / "flat.csv"
+        rows = [f"{dt.date(2023, 1, 2) + dt.timedelta(days=i)},100.0,80.0" for i in range(80)]
+        prices.write_text("date,AAA,BBB\n" + "\n".join(rows) + "\n")
+        assert dispatch(["backtest", "--prices", str(prices), "--config", '{"window":40}']) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("meandev: error: sharpe_ratio is not a finite number; "
+                                "nothing was written\n")
+
     def test_sweep_count_is_capped(self, capsys):
         # used to reach np.linspace and die allocating 74.5 GiB
         argv = ["robust", "moment", "--g", LINEAR_G, "--h", GINI_H, "--m", "0",
@@ -230,6 +241,43 @@ class TestOutputs:
         assert out["final_wealth"] > 0.0
         assert wealth.read_text().splitlines()[0] == "date,wealth"
         assert weights.read_text().splitlines()[0] == "date,AAA,BBB"
+
+
+# runs `python -m meandev` and then reports every scipy module it loaded
+SCIPY_PROBE = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+    " file=sys.stderr))\n"
+    "sys.argv[0] = 'meandev'\n"
+    "runpy.run_module('meandev', run_name='__main__', alter_sys=True)\n"
+)
+
+
+class TestStartUp:
+    def test_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, meandev; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"[]\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--g", '{"kind":"pareto_cap","theta":4.0}'],
+        ["eval", "--g", '{"kind":"gbeta","beta":3.0}', "--h", '{"kind":"es_dev","alpha":0.9}',
+         "--data", None],
+        ["asymvar", "--model", '{"kind":"exponential","beta":1.0}',
+         "--g", '{"kind":"linear","lambda":0.5}', "--h", GINI_H],
+        ["ingest", "--prices", None],
+        ["robust", "moment", "--g", '{"kind":"exp_cap","beta":1.0}',
+         "--h", '{"kind":"es_dev","alpha":0.95}', "--m", "1.0", "--v", "0.5"],
+    ], ids=["classify", "eval", "asymvar", "ingest", "robust-moment"])
+    def test_subcommand_loads_no_scipy(self, argv, sample_csv, prices_csv):
+        argv = [(sample_csv if argv[0] == "eval" else prices_csv) if a is None else a
+                for a in argv]
+        proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout and proc.stderr == b"[]\n"
 
 
 class TestDeterminism:

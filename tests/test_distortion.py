@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import minimize_scalar
 
 from meandev.distortion import (
     ESDeviation,
@@ -225,9 +226,20 @@ class TestNorms:
     def test_centering_shrinks(self, h, q):
         assert h.centered_q_norm(q) <= h.q_norm(q) + 1e-12
 
+    @pytest.mark.parametrize("h", [ESDeviation(0.9), ESDeviation(0.95), MeanAbsDevHalf(),
+                                   Gini(), half_gini_piecewise()])
+    def test_centered_l2_is_the_l2_norm(self, h):
+        search = minimize_scalar(lambda x: h.centered_norm_objective(x, 2.0),
+                                 bounds=h.derivative_range(), method="bounded",
+                                 options={"xatol": 1e-12})
+        assert h.centered_q_norm(2.0) == pytest.approx(search.fun, abs=1e-12)
+
     def test_range_rejects(self):
         with pytest.raises(ValueError):
             RangeDistortion().q_norm(2.0)
+        for q in (1.5, 2.0, math.inf):
+            with pytest.raises(ValueError, match="norm undefined for the range distortion"):
+                RangeDistortion().centered_q_norm(q)
 
     @pytest.mark.parametrize("x", [-1.5, -0.3, 0.0, 0.7, 1.2])
     @pytest.mark.parametrize("q", [1.0, 1.5, 3.0])

@@ -4,11 +4,13 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import kstest
 
 from meandev.distortion import ESDeviation, Gini
 from meandev.distributions import Exponential, Lomax, Normal
 from meandev.estimation import (
     NumericsError,
+    _ks_statistic,
     deviation_true,
     gaussian_limit,
     md_true,
@@ -192,6 +194,23 @@ class TestMonteCarlo:
         monkeypatch.setenv("MEANDEV_THREADS", "4")
         parallel = monte_carlo(Normal(), m, n=500, replications=120, seed=33)
         assert np.array_equal(serial.estimates, parallel.estimates)
+
+
+def _ks_samples():
+    rng = np.random.Generator(np.random.PCG64(2718))
+    return {
+        "normal-100": rng.standard_normal(100),
+        "shifted-1000": rng.normal(0.3, 1.2, 1000),
+        "ties-100": np.round(rng.standard_normal(100), 1),
+        "student-t-500": rng.standard_t(4.0, 500),
+    }
+
+
+class TestNormalityStatistic:
+    @pytest.mark.parametrize("name", sorted(_ks_samples()))
+    def test_equals_scipy_kstest(self, name):
+        z = _ks_samples()[name]
+        assert _ks_statistic(z) == kstest(z, "norm").statistic
 
 
 class TestPiecewiseDistortionEquivalence:

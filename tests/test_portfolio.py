@@ -248,6 +248,22 @@ class TestBacktest:
         assert report.annualized_volatility == 0.0
         assert report.sharpe_ratio == math.inf
 
+    def test_zero_volatility_sharpe_takes_the_sign_of_the_excess(self):
+        # constant prices: zero return and volatility under a positive risk-free rate
+        panel = LossPanel(dates=trading_dates(80), tickers=("A", "B"), losses=np.zeros((80, 2)))
+        report = run_backtest(panel, BacktestConfig(window=40, risk_free_rate=0.0213))
+        assert report.annualized_volatility == 0.0
+        assert report.sharpe_ratio == -math.inf
+        flat = run_backtest(panel, BacktestConfig(window=40, risk_free_rate=0.0))
+        assert flat.sharpe_ratio == 0.0
+
+    def test_report_carries_the_certificate(self):
+        panel = synthetic_panel(300, 4, seed=21)
+        cfg = BacktestConfig(window=60, alpha=0.9, g_spec=ExpShortfallWeight(3.0))
+        report = run_backtest(panel, cfg)
+        assert 0.0 <= report.max_gap <= 1e-9 * float(np.max(np.abs(panel.losses)))
+        assert report.lp_solves >= len(report.periods)
+
     def test_deterministic(self):
         panel = synthetic_panel(300, 3, seed=21)
         cfg = BacktestConfig(window=60, alpha=0.9, g_spec=ExpShortfallWeight(3.0))

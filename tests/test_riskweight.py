@@ -10,6 +10,7 @@ from meandev.riskweight import (
     ParetoCapWeight,
     ParetoShortfallWeight,
     PiecewiseLinearWeight,
+    _conjugate_search,
     conjugate,
     g_from_spec,
     smallest_coherent_multiplier,
@@ -174,6 +175,14 @@ class TestConjugate:
             expected = (1.0 - y) * math.log(1.0 - y) + y
             assert conjugate(g, y) == pytest.approx(expected, abs=1e-9)
             assert conjugate(g, y) == pytest.approx(conjugate_oracle(g, y), abs=1e-6)
+
+    @pytest.mark.parametrize("g", [LinearWeight(1.0), ExpShortfallWeight(1.0),
+                                   ExpShortfallWeight(3.0)])
+    @pytest.mark.parametrize("y", [1e-9, 0.3, 0.9, 1.0 - 1e-6, 1.0])
+    def test_closed_form_matches_search(self, g, y):
+        # near y = 0 both routes cancel terms of order y down to about y^2 / 2,
+        # which leaves ~1e-25 of absolute rounding at y = 1e-9
+        assert conjugate(g, y) == pytest.approx(_conjugate_search(g, y), rel=1e-9, abs=1e-24)
 
     def test_above_slope_infinite(self):
         assert conjugate(ExpCapWeight(1.0), 0.5) == math.inf

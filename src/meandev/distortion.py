@@ -29,6 +29,7 @@ __all__ = [
     "RangeDistortion",
     "PiecewiseLinearDistortion",
     "choquet_deviation",
+    "staircase_weights",
     "is_range_normalized",
     "distortion_from_spec",
 ]
@@ -259,6 +260,11 @@ class MeanAbsDevHalf(PiecewiseLinearDistortion):
         return {"kind": "mad_half"}
 
 
+def staircase_weights(h: DistortionFunction, n: int) -> np.ndarray:
+    """h((n - i) / n) for i = 1..n-1: the weight of each sorted-sample gap in D_h."""
+    return np.asarray(h(np.arange(n - 1, 0, -1, dtype=float) / n), dtype=float)
+
+
 def choquet_deviation(h: DistortionFunction, x: StateVector) -> float:
     """Signed Choquet deviation of a sample: the order-statistic staircase sum.
 
@@ -267,12 +273,7 @@ def choquet_deviation(h: DistortionFunction, x: StateVector) -> float:
     homogeneous, and subadditive for concave h.
     """
     xs = x.sorted_values()
-    n = xs.size
-    if n == 1:
-        return 0.0
-    levels = np.arange(n - 1, 0, -1, dtype=float) / n  # (n-i)/n for i = 1..n-1
-    gaps = np.diff(xs)
-    return float(np.dot(np.asarray(h(levels), dtype=float), gaps))
+    return float(np.dot(staircase_weights(h, xs.size), np.diff(xs)))
 
 
 def is_range_normalized(h: DistortionFunction) -> bool:

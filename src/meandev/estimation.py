@@ -28,15 +28,14 @@ NumericsError, as does a non-finite total.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
 
+from .distortion import staircase_weights
 from .distributions import Normal, ParametricModel
-from .measures import MDMeasure, md_eval
+from .measures import MDMeasure
 
 __all__ = [
     "GaussianLimit",
@@ -247,10 +246,8 @@ def _ks_statistic(z: np.ndarray) -> float:
 
 
 def worker_count() -> int:
-    env = os.environ.get("MEANDEV_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """Always 1: `monte_carlo` is serial.  The benchmark's machine record reads it."""
+    return 1
 
 
 def monte_carlo(
@@ -263,8 +260,9 @@ def monte_carlo(
     """Sample `replications` estimates of g(D) + mean at sample size n.
 
     Per-replication generators come from spawning the master seed, so the
-    result does not depend on execution order; replications run on a thread
-    pool capped by MEANDEV_THREADS.
+    result does not depend on execution order.  The staircase weights depend
+    only on n, so they are built once; each estimate is the float that
+    `md_eval` gives on the same sample.
     """
     if n < 100:
         raise ValueError(f"sample size must be >= 100, got {n}")
@@ -272,19 +270,12 @@ def monte_carlo(
         raise ValueError(f"replications must be >= 100, got {replications}")
 
     limit = gaussian_limit(model, m)
-    children = np.random.SeedSequence(seed).spawn(replications)
-
-    def one(child) -> float:
-        return md_eval(m, model.sample(n, child))
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            estimates = np.fromiter(pool.map(one, children), dtype=float,
-                                    count=replications)
-    else:
-        estimates = np.fromiter((one(c) for c in children), dtype=float,
-                                count=replications)
+    weights = staircase_weights(m.h, n)
+    estimates = np.empty(replications)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(replications)):
+        x = model.sample(n, child)
+        deviation = float(np.dot(weights, np.diff(x.sorted_values())))
+        estimates[i] = float(m.g(deviation)) + x.mean()
 
     scaled_var = float(n * np.var(estimates, ddof=1))
     standardized = (estimates - limit.center) * math.sqrt(n / limit.variance)

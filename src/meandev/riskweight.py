@@ -287,6 +287,11 @@ def conjugate(g: RiskWeightFunction, y: float) -> float:
         # the sup sits at e^(-beta x) = 1 - y, and runs off to x = inf at y = 1
         if y >= 1.0:
             return 1.0 / g.beta
+        if y < 0.1:
+            # the closed form below cancels terms of order y down to y^2 / 2;
+            # its series, the sum over k >= 2 of y^k / (k (k - 1)), does not,
+            # and at y < 0.1 its terms past k = 19 fall below 1e-19 of the first
+            return math.fsum(y ** k / (k * (k - 1)) for k in range(2, 20)) / g.beta
         return (y + (1.0 - y) * math.log1p(-y)) / g.beta
     if isinstance(g, PiecewiseLinearWeight):
         # the objective is linear on each segment, so the sup sits at a knot

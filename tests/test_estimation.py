@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from meandev.distortion import ESDeviation, Gini
+from meandev.distortion import ESDeviation, Gini, PiecewiseLinearDistortion
 from meandev.distributions import Exponential, Lomax, Normal
 from meandev.estimation import (
     NumericsError,
@@ -17,7 +17,7 @@ from meandev.estimation import (
     monte_carlo,
     sigma_g_squared,
 )
-from meandev.measures import MDMeasure
+from meandev.measures import MDMeasure, md_eval
 from meandev.riskweight import ExpCapWeight, ExpShortfallWeight, LinearWeight
 
 H09 = ESDeviation(0.9)
@@ -187,13 +187,24 @@ class TestMonteCarlo:
         assert r.scaled_variance == pytest.approx(r.target_variance, rel=0.15)
         assert r.normality_statistic < 0.08
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
+    @pytest.mark.parametrize("model", [Normal(), Lomax(4.0)], ids=["normal", "lomax4"])
+    @pytest.mark.parametrize("h", [
+        H09, Gini(), PiecewiseLinearDistortion(t=(0.0, 0.2, 0.6, 1.0), h=(0.0, 0.5, 0.4, 0.0)),
+    ], ids=["es09", "gini", "piecewise3"])
+    def test_estimates_equal_md_eval(self, model, h):
+        # the hoisted staircase weights give exactly md_eval's float per sample
+        m = MDMeasure(ExpShortfallWeight(1.0), h)
+        report = monte_carlo(model, m, n=300, replications=100, seed=61)
+        children = np.random.SeedSequence(61).spawn(100)
+        expected = [md_eval(m, model.sample(300, c)) for c in children]
+        assert np.array_equal(report.estimates, expected)
+
+    def test_estimates_do_not_depend_on_order(self):
         m = MDMeasure(ExpShortfallWeight(1.0), H09)
-        monkeypatch.setenv("MEANDEV_THREADS", "1")
-        serial = monte_carlo(Normal(), m, n=500, replications=120, seed=33)
-        monkeypatch.setenv("MEANDEV_THREADS", "4")
-        parallel = monte_carlo(Normal(), m, n=500, replications=120, seed=33)
-        assert np.array_equal(serial.estimates, parallel.estimates)
+        forward = monte_carlo(Normal(), m, n=500, replications=120, seed=33).estimates
+        children = np.random.SeedSequence(33).spawn(120)
+        backward = [md_eval(m, Normal().sample(500, c)) for c in reversed(children)]
+        assert np.array_equal(forward, backward[::-1])
 
 
 def _ks_samples():

@@ -180,9 +180,21 @@ class TestConjugate:
                                    ExpShortfallWeight(3.0)])
     @pytest.mark.parametrize("y", [1e-9, 0.3, 0.9, 1.0 - 1e-6, 1.0])
     def test_closed_form_matches_search(self, g, y):
-        # near y = 0 both routes cancel terms of order y down to about y^2 / 2,
+        # near y = 0 the search cancels terms of order y down to about y^2 / 2,
         # which leaves ~1e-25 of absolute rounding at y = 1e-9
         assert conjugate(g, y) == pytest.approx(_conjugate_search(g, y), rel=1e-9, abs=1e-24)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("y", [1e-12, 1e-9, 1e-6, 1e-3, 0.5, 0.999])
+    def test_exp_shortfall_relative_accuracy(self, beta, y):
+        # reference: x* y - g(x*) at the maximizer x* = -log(1 - y) / beta,
+        # in 50-digit arithmetic, so the small-y cancellation cannot hide
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            b, v = mpmath.mpf(beta), mpmath.mpf(y)
+            x = -mpmath.log1p(-v) / b
+            expected = float(x * v - (x + mpmath.expm1(-b * x) / b))
+        assert conjugate(ExpShortfallWeight(beta), y) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_above_slope_infinite(self):
         assert conjugate(ExpCapWeight(1.0), 0.5) == math.inf

@@ -78,6 +78,10 @@ class DistortionFunction:
         """(min h', max h') over (0, 1); brackets the optimal centering."""
         raise NotImplementedError
 
+    def centering(self, q: float) -> float:
+        """The constant x minimizing ||h' - x||_q, for 1 <= q < inf."""
+        raise NotImplementedError
+
     def centered_q_norm(self, q: float) -> float:
         """[h]_q = min over constants x of ||h' - x||_q, for q in [1, inf]."""
         if not q >= 1.0:
@@ -88,19 +92,7 @@ class DistortionFunction:
         if q == 2.0:
             # the minimizer is the mean of h', which is h(1) - h(0) = 0
             return self.q_norm(2.0)
-        if hi - lo < 1e-15:
-            return 0.0
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(
-            lambda x: self.centered_norm_objective(x, q),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        # the objective is convex in x; guard with the bracket endpoints
-        return float(min(res.fun, self.centered_norm_objective(lo, q),
-                         self.centered_norm_objective(hi, q)))
+        return self.centered_norm_objective(self.centering(q), q)
 
 
 @dataclass(frozen=True)
@@ -130,6 +122,10 @@ class Gini(DistortionFunction):
 
     def derivative_range(self) -> tuple[float, float]:
         return (-1.0, 1.0)
+
+    def centering(self, q: float) -> float:
+        # h'(t) = 1 - 2t takes values symmetric about 0
+        return 0.0
 
     def spec(self) -> dict:
         return {"kind": "gini"}
@@ -232,6 +228,25 @@ class PiecewiseLinearDistortion(DistortionFunction):
 
     def derivative_range(self) -> tuple[float, float]:
         return (float(np.min(self._slopes)), float(np.max(self._slopes)))
+
+    def centering(self, q: float) -> float:
+        # ||h' - x||_q^q has the derivative -q F(x), where F(x), the sum over
+        # segments of l_i sign(s_i - x) |s_i - x|^(q-1), decreases in x; its
+        # sign change is bisected down to adjacent floats (at q = 1 it is the
+        # weighted median of the slopes).  F is summed in units of the slope
+        # range, so no power overflows at large q.
+        segments = list(zip(self._lengths.tolist(), self._slopes.tolist()))
+        lo, hi = self.derivative_range()
+        span = hi - lo
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            balance = math.fsum(
+                math.copysign(length * (abs(s - mid) / span) ** (q - 1.0), s - mid)
+                for length, s in segments if s != mid)
+            if balance == 0.0:
+                return mid
+            lo, hi = (mid, hi) if balance > 0.0 else (lo, mid)
+        return min((lo, hi), key=lambda x: self.centered_norm_objective(x, q))
 
     def spec(self) -> dict:
         return {"kind": "piecewise_linear", "t": list(self.t), "h": list(self.h)}

@@ -62,12 +62,6 @@ class StateVector:
     def mean(self) -> float:
         return float(np.mean(self.values))
 
-    def min(self) -> float:
-        return float(np.min(self.values))
-
-    def max(self) -> float:
-        return float(np.max(self.values))
-
     def sorted_values(self) -> np.ndarray:
         return np.sort(self.values)
 
@@ -240,11 +234,8 @@ class Normal(ParametricModel):
         z = ndtri(_check_prob(u))
         return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
 
-    def density_quantile_upper(self, eps):
-        from scipy.special import ndtri
-
-        z = ndtri(_check_prob(eps))
-        return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
+    # the density is symmetric about mu, so the level 1 - eps gives the same value
+    density_quantile_upper = density_quantile
 
     def mean(self) -> float:
         return self.mu

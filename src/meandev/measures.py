@@ -94,48 +94,49 @@ def es_alpha_ru(x: StateVector, alpha: float) -> tuple[float, float]:
 
 
 def expectile(x: StateVector, alpha: float) -> float:
-    """Root of alpha * E[(X - z)+] = (1 - alpha) * E[(z - X)+], by bisection."""
+    """Root of alpha * E[(X - z)+] = (1 - alpha) * E[(z - X)+], solved exactly.
+
+    The imbalance is decreasing and linear between sorted sample points: it
+    is evaluated at each of them through the prefix sums, and the root is
+    solved on the segment where it first turns non-positive.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    v = x.values
-
-    def imbalance(z: float) -> float:
-        return alpha * float(np.mean(np.maximum(v - z, 0.0))) - (1.0 - alpha) * float(
-            np.mean(np.maximum(z - v, 0.0))
-        )
-
-    lo, hi = x.min(), x.max()
-    if hi - lo == 0.0:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if imbalance(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-10 * max(1.0, abs(lo), abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+    xs, prefix = _sorted_with_prefix(x)
+    n, total = x.n, prefix[-1]
+    count = np.arange(1, n + 1)  # points at or below xs[j]
+    imbalance = (alpha * (total - prefix[1:] - xs * (n - count))
+                 - (1.0 - alpha) * (xs * count - prefix[1:]))
+    k = int(np.argmax(imbalance <= 0.0))
+    if k == 0:  # a constant sample
+        return float(xs[0])
+    # on [xs[k-1], xs[k]] the k smallest points lie below z and the rest above
+    return float((alpha * (total - prefix[k]) + (1.0 - alpha) * prefix[k])
+                 / (alpha * (n - k) + (1.0 - alpha) * k))
 
 
 def _grid_sup(objective, grid: np.ndarray) -> float:
     """Supremum of a scalar function over the span of an increasing grid.
 
-    The best grid point is refined by bounded scalar maximization between
-    its two grid neighbours.
+    The best grid point is refined by golden-section search between its two
+    grid neighbours, down to a bracket of 1e-10.
     """
-    values = np.array([objective(x) for x in grid])
+    values = [objective(x) for x in grid]
     best = int(np.argmax(values))
-    sup = float(values[best])
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
-    if hi > lo:
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(lambda x: -objective(x), bounds=(lo, hi),
-                              method="bounded", options={"xatol": 1e-10})
-        sup = max(sup, float(-res.fun))
-    return sup
+    a, b = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, grid.size - 1)])
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > 1e-10:
+        if fc >= fd:  # the larger interior value stays inside the bracket
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = objective(d)
+    return float(max(values[best], fc, fd))
 
 
 def md_eval(m: MDMeasure, x: StateVector) -> float:
@@ -156,8 +157,9 @@ def adjusted_es_identity_gap(
     a penalized mixture of the tail average and the mean.  (Parametrizing
     the mixture weight as y = (1-alpha) gamma / (alpha (1-gamma)) maps the
     dual variable to a tail level gamma in [0, alpha].)  The sup is taken
-    on a uniform gamma grid, refined around the best grid point, and the
-    returned value is the absolute difference from the direct evaluation.
+    on a uniform gamma grid, refined by golden-section search around the
+    best grid point (the dual objective is concave in y), and the returned
+    value is the absolute difference from the direct evaluation.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")

@@ -12,7 +12,7 @@ parameter always sum to x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -33,10 +33,6 @@ __all__ = [
     "g_from_spec",
 ]
 
-# conjugate bracket expansion stops here; beyond it the slope is treated as
-# having reached its limit
-_CONJUGATE_X_CAP = 1.0e6
-
 
 @dataclass(frozen=True)
 class GClassification:
@@ -48,14 +44,7 @@ class GClassification:
     sup_ratio: float
 
     def as_dict(self) -> dict:
-        return {
-            "is_linear": self.is_linear,
-            "is_convex": self.is_convex,
-            "is_star_shaped": self.is_star_shaped,
-            "is_concave": self.is_concave,
-            "asymptotic_slope": self.asymptotic_slope,
-            "sup_ratio": self.sup_ratio,
-        }
+        return asdict(self)
 
 
 class RiskWeightFunction:
@@ -270,11 +259,11 @@ class PiecewiseLinearWeight(RiskWeightFunction):
 
 
 def conjugate(g: RiskWeightFunction, y: float) -> float:
-    """g*(y) = sup over x >= 0 of x*y - g(x).
+    """g*(y) = sup over x >= 0 of x*y - g(x), in closed form for every family.
 
-    Zero for y <= 0, +inf for y above the asymptotic slope, in closed form
-    for the linear, exponential-shortfall and piecewise-linear families, and
-    otherwise found by bracket expansion plus bounded scalar maximization.
+    Zero for y <= 0 and +inf for y above the asymptotic slope (which covers
+    the cap families at any y > 0).  For the shortfall families the sup sits
+    where g'(x) = y, and at y = 1 it is the limit of x - g(x) as x -> inf.
     """
     if y <= 0.0:
         return 0.0
@@ -293,28 +282,28 @@ def conjugate(g: RiskWeightFunction, y: float) -> float:
             # and at y < 0.1 its terms past k = 19 fall below 1e-19 of the first
             return math.fsum(y ** k / (k * (k - 1)) for k in range(2, 20)) / g.beta
         return (y + (1.0 - y) * math.log1p(-y)) / g.beta
+    if isinstance(g, ParetoShortfallWeight):
+        # the sup sits at (1 + x)^(-theta) = 1 - y; with c = 1 - 1/theta it is
+        # -y - theta / (theta - 1) * ((1 - y)^c - 1), or -y - log(1 - y) at theta = 1
+        theta, c = g.theta, 1.0 - 1.0 / g.theta
+        if y >= 1.0:
+            return 1.0 / (theta - 1.0) if theta > 1.0 else math.inf
+        if y * max(1.0, (2.0 - c) / 3.0) < 0.1:
+            # the series sum over k >= 2 of a_k y^k, a_2 = 1 / (2 theta) and
+            # a_(k+1) = a_k (k - c) / (k + 1), has no cancellation; its term
+            # ratio is below 0.1 here, so the terms past k = 19 are negligible
+            terms = [y * y / (2.0 * theta)]
+            for k in range(2, 19):
+                terms.append(terms[-1] * y * (k - c) / (k + 1))
+            return math.fsum(terms)
+        if theta == 1.0:
+            return -y - math.log1p(-y)
+        return -y - theta / (theta - 1.0) * math.expm1(c * math.log1p(-y))
     if isinstance(g, PiecewiseLinearWeight):
         # the objective is linear on each segment, so the sup sits at a knot
         # (or at 0; the tail segment has slope y - a <= 0)
         return float(max(x * y - float(g(x)) for x in (0.0, *g.knots)))
-    return _conjugate_search(g, y)
-
-
-def _conjugate_search(g: RiskWeightFunction, y: float) -> float:
-    """The conjugate's sup for 0 < y <= the asymptotic slope, found numerically."""
-    from scipy.optimize import minimize_scalar
-
-    def objective(x: float) -> float:
-        return x * y - float(g(x))
-
-    # expand until the left derivative of the objective turns non-positive
-    hi = 1.0
-    while y > g.left_derivative(hi) and hi < _CONJUGATE_X_CAP:
-        hi *= 2.0
-    hi = min(hi, _CONJUGATE_X_CAP)
-    res = minimize_scalar(lambda x: -objective(x), bounds=(0.0, hi),
-                          method="bounded", options={"xatol": 1e-10})
-    return float(max(-res.fun, objective(0.0), objective(hi)))
+    raise TypeError(f"no conjugate for {type(g).__name__}")
 
 
 def smallest_coherent_multiplier(g: RiskWeightFunction) -> float:

@@ -79,8 +79,9 @@ def worstcase_wasserstein(
 
     The ball budget epsilon splits between a mean shift t*epsilon and a
     deviation inflation epsilon*sqrt(1-t^2)*||h'||_2 on top of the nominal
-    deviation; the supremum over t in [-1, 1] is located on a grid and
-    refined by bounded scalar maximization.
+    deviation.  The objective is even in t apart from the increasing shift,
+    so t < 0 never beats -t: the supremum over t in [0, 1] is located on a
+    grid and refined by golden-section search.
     """
     if wasserstein_order != 2.0:
         raise ValueError(
@@ -99,4 +100,4 @@ def worstcase_wasserstein(
         spread = eps * math.sqrt(max(1.0 - t * t, 0.0)) * norm
         return float(g(spread + nominal_dev)) + t * eps + mean
 
-    return _grid_sup(objective, np.linspace(-1.0, 1.0, _GRID_SIZE))
+    return _grid_sup(objective, np.linspace(0.0, 1.0, _GRID_SIZE))

@@ -271,9 +271,16 @@ class TestStartUp:
         ["ingest", "--prices", None],
         ["robust", "moment", "--g", '{"kind":"exp_cap","beta":1.0}',
          "--h", '{"kind":"es_dev","alpha":0.95}', "--m", "1.0", "--v", "0.5"],
-    ], ids=["classify", "eval", "asymvar", "ingest", "robust-moment"])
+        ["robust", "moment", "--g", '{"kind":"exp_shortfall","beta":1.0}',
+         "--h", '{"kind":"es_dev","alpha":0.9}', "--m", "1.0", "--v", "0.5", "--order", "1.5"],
+        ["robust", "wasserstein", "--g", '{"kind":"linear","lambda":1}',
+         "--h", '{"kind":"es_dev","alpha":0.9}', "--eps", "0.25", "--data", None],
+        ["robust", "wasserstein", "--g", '{"kind":"pareto_shortfall","theta":4.0}',
+         "--h", GINI_H, "--eps", "0.25", "--data", None],
+    ], ids=["classify", "eval", "asymvar", "ingest", "robust-moment", "robust-moment-order-1.5",
+            "robust-wasserstein-linear", "robust-wasserstein-pareto"])
     def test_subcommand_loads_no_scipy(self, argv, sample_csv, prices_csv):
-        argv = [(sample_csv if argv[0] == "eval" else prices_csv) if a is None else a
+        argv = [(prices_csv if argv[0] == "ingest" else sample_csv) if a is None else a
                 for a in argv]
         proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], capture_output=True)
         assert proc.returncode == 0, proc.stderr

@@ -234,6 +234,33 @@ class TestNorms:
                                  options={"xatol": 1e-12})
         assert h.centered_q_norm(2.0) == pytest.approx(search.fun, abs=1e-12)
 
+    @pytest.mark.parametrize("h", [ESDeviation(0.9), ESDeviation(0.95), MeanAbsDevHalf()])
+    @pytest.mark.parametrize("q", [1.5, 3.0, 7.0])
+    def test_one_kink_centered_closed_form(self, h, q):
+        # slopes a = alpha / (1 - alpha) on (0, 1 - alpha) and -1 after it; the
+        # first-order condition (1 - alpha)(a - x)^(q-1) = alpha (x + 1)^(q-1)
+        alpha = h.h[1]
+        a = alpha / (1.0 - alpha)
+        r = a ** (1.0 / (q - 1.0))
+        x = (a - r) / (1.0 + r)
+        expected = ((1.0 - alpha) * abs(a - x) ** q + alpha * abs(1.0 + x) ** q) ** (1.0 / q)
+        assert h.centered_q_norm(q) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("h", [ESDeviation(0.9), ESDeviation(0.95), MeanAbsDevHalf(),
+                                   half_gini_piecewise()])
+    def test_centered_l1_at_the_weighted_median(self, h):
+        slopes, lengths = np.diff(h.h) / np.diff(h.t), np.diff(h.t)
+        order = np.argsort(slopes)
+        median = slopes[order][np.searchsorted(np.cumsum(lengths[order]), 0.5)]
+        expected = float(np.sum(lengths * np.abs(slopes - median)))
+        assert h.centered_q_norm(1.0) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("h", [Gini(), half_gini_piecewise()])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 3.0, 7.0])
+    def test_antisymmetric_derivative_centers_at_zero(self, h, q):
+        # h'(s) = -h'(1 - s), so the minimizing constant is 0
+        assert h.centered_q_norm(q) == pytest.approx(h.q_norm(q), rel=1e-12)
+
     def test_range_rejects(self):
         with pytest.raises(ValueError):
             RangeDistortion().q_norm(2.0)

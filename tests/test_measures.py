@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,6 +100,23 @@ class TestESRockafellarUryasev:
             assert minimizer == var_alpha(x, alpha)
 
 
+def exact_expectile(values, alpha: float) -> Fraction:
+    """The expectile in rational arithmetic: the imbalance is linear between
+    consecutive distinct values, so interpolate across its sign change."""
+    a = Fraction(alpha)
+    xs = [Fraction(v) for v in values]
+
+    def imbalance(z):
+        return (a * sum(max(x - z, 0) for x in xs)
+                - (1 - a) * sum(max(z - x, 0) for x in xs))
+
+    points = sorted(set(xs))
+    for lo, hi in zip(points, points[1:]):
+        if imbalance(hi) <= 0:
+            return lo + imbalance(lo) * (hi - lo) / (imbalance(lo) - imbalance(hi))
+    return points[0]
+
+
 class TestExpectile:
     def test_half_is_mean(self, rng):
         x = StateVector(rng.normal(size=31))
@@ -106,7 +124,7 @@ class TestExpectile:
 
     def test_two_point_analytic(self):
         # alpha (1 - x) = (1 - alpha)(x + 1) solves to 2*alpha - 1
-        assert expectile(StateVector([-1.0, 1.0]), 0.9) == pytest.approx(0.8, abs=1e-9)
+        assert expectile(StateVector([-1.0, 1.0]), 0.9) == 0.8
 
     def test_constant(self):
         assert expectile(StateVector([2.5] * 4), 0.7) == 2.5
@@ -119,6 +137,16 @@ class TestExpectile:
             lhs = alpha * np.mean(np.maximum(v - e, 0.0))
             rhs = (1 - alpha) * np.mean(np.maximum(e - v, 0.0))
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.37, 0.5, 0.9, 0.99])
+    def test_matches_rational_arithmetic(self, rng, alpha):
+        # small integer samples, so ties are common and every sum is exact; a
+        # root near 0 cancels in the prefix sums, hence the absolute floor
+        for size in (1, 2, 3, 5, 8, 13, 21):
+            values = rng.integers(-4, 5, size=size).astype(float)
+            expected = exact_expectile(values, alpha)
+            got = expectile(StateVector(values), alpha)
+            assert got == pytest.approx(float(expected), rel=1e-15, abs=1e-15), values
 
 
 class TestMDEval:

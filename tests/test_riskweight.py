@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +11,6 @@ from meandev.riskweight import (
     ParetoCapWeight,
     ParetoShortfallWeight,
     PiecewiseLinearWeight,
-    _conjugate_search,
     conjugate,
     g_from_spec,
     smallest_coherent_multiplier,
@@ -158,6 +158,28 @@ def conjugate_oracle(g, y: float) -> float:
     return float(np.max(xs * y - np.asarray(g(xs))))
 
 
+def sup_at_maximizer(g, y: float) -> float:
+    """x* y - g(x*) in 50-digit arithmetic at the x* where g'(x*) = y.
+
+    At y = 1 the sup is the limit of x - g(x) as x -> inf, which is 1 / beta
+    for the exponential shortfall; for linear g the sup sits at x = 0.
+    """
+    if isinstance(g, LinearWeight):
+        return 0.0
+    with mpmath.workdps(50):
+        v = mpmath.mpf(y)
+        if isinstance(g, ExpShortfallWeight):
+            b = mpmath.mpf(g.beta)
+            if y == 1.0:
+                return float(1 / b)
+            x = -mpmath.log1p(-v) / b
+            return float(x * v - (x + mpmath.expm1(-b * x) / b))
+        t = mpmath.mpf(g.theta)
+        x = (1 - v) ** (-1 / t) - 1
+        gx = x - mpmath.log1p(x) if g.theta == 1.0 else x + ((1 + x) ** (1 - t) - 1) / (t - 1)
+        return float(x * v - gx)
+
+
 class TestConjugate:
     @pytest.mark.parametrize("g", ALL_G)
     def test_zero_at_zero(self, g):
@@ -180,21 +202,29 @@ class TestConjugate:
                                    ExpShortfallWeight(3.0)])
     @pytest.mark.parametrize("y", [1e-9, 0.3, 0.9, 1.0 - 1e-6, 1.0])
     def test_closed_form_matches_search(self, g, y):
-        # near y = 0 the search cancels terms of order y down to about y^2 / 2,
-        # which leaves ~1e-25 of absolute rounding at y = 1e-9
-        assert conjugate(g, y) == pytest.approx(_conjugate_search(g, y), rel=1e-9, abs=1e-24)
+        # the sup evaluated at its maximizer in 50-digit arithmetic
+        assert conjugate(g, y) == pytest.approx(sup_at_maximizer(g, y), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("y", [1e-12, 1e-9, 1e-6, 1e-3, 0.5, 0.999])
     def test_exp_shortfall_relative_accuracy(self, beta, y):
-        # reference: x* y - g(x*) at the maximizer x* = -log(1 - y) / beta,
-        # in 50-digit arithmetic, so the small-y cancellation cannot hide
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(50):
-            b, v = mpmath.mpf(beta), mpmath.mpf(y)
-            x = -mpmath.log1p(-v) / b
-            expected = float(x * v - (x + mpmath.expm1(-b * x) / b))
-        assert conjugate(ExpShortfallWeight(beta), y) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        # small y is where the closed form cancels terms of order y
+        g = ExpShortfallWeight(beta)
+        assert conjugate(g, y) == pytest.approx(sup_at_maximizer(g, y), rel=1e-12, abs=0.0)
+
+    # below theta = 1/2 the series hands over before y = 0.1, so 0.05 probes that switch
+    @pytest.mark.parametrize("theta", [0.05, 0.3, 0.5, 1.0, 2.0, 4.0, 10.0])
+    @pytest.mark.parametrize("y", [1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.3, 0.999])
+    def test_pareto_shortfall_relative_accuracy(self, theta, y):
+        g = ParetoShortfallWeight(theta)
+        assert conjugate(g, y) == pytest.approx(sup_at_maximizer(g, y), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 1.0, 2.0, 4.0])
+    def test_pareto_shortfall_at_one(self, theta):
+        # x - g(x) tends to 1 / (theta - 1) for theta > 1 and grows without
+        # bound otherwise
+        expected = 1.0 / (theta - 1.0) if theta > 1.0 else math.inf
+        assert conjugate(ParetoShortfallWeight(theta), 1.0) == expected
 
     def test_above_slope_infinite(self):
         assert conjugate(ExpCapWeight(1.0), 0.5) == math.inf

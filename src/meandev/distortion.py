@@ -115,10 +115,13 @@ class Gini(DistortionFunction):
         if q == math.inf:
             return max(abs(1.0 - x), abs(1.0 + x))
         # h'(t) - x = w runs over [-1 - x, 1 - x] at speed 2, and the
-        # integral of |w|^q from 0 to b is sign(b) |b|^(q+1) / (q+1)
+        # integral of |w|^q from 0 to b is sign(b) |b|^(q+1) / (q+1); the
+        # ends are taken in units of the larger one, so no power overflows
         a, b = 1.0 + x, 1.0 - x
-        total = math.copysign(abs(a) ** (q + 1.0), a) + math.copysign(abs(b) ** (q + 1.0), b)
-        return (total / (2.0 * (q + 1.0))) ** (1.0 / q)
+        top = max(abs(a), abs(b))
+        total = (math.copysign((abs(a) / top) ** (q + 1.0), a)
+                 + math.copysign((abs(b) / top) ** (q + 1.0), b))
+        return top ** (1.0 + 1.0 / q) * (total / (2.0 * (q + 1.0))) ** (1.0 / q)
 
     def derivative_range(self) -> tuple[float, float]:
         return (-1.0, 1.0)
@@ -222,9 +225,11 @@ class PiecewiseLinearDistortion(DistortionFunction):
 
     def centered_norm_objective(self, x: float, q: float) -> float:
         deviations = np.abs(self._slopes - x)
-        if q == math.inf:
-            return float(np.max(deviations))
-        return float(np.sum(self._lengths * deviations ** q) ** (1.0 / q))
+        top = float(np.max(deviations))
+        if q == math.inf or top == 0.0:
+            return top
+        # in units of the largest deviation, so no power under- or overflows
+        return top * float(np.sum(self._lengths * (deviations / top) ** q) ** (1.0 / q))
 
     def derivative_range(self) -> tuple[float, float]:
         return (float(np.min(self._slopes)), float(np.max(self._slopes)))
@@ -233,15 +238,15 @@ class PiecewiseLinearDistortion(DistortionFunction):
         # ||h' - x||_q^q has the derivative -q F(x), where F(x), the sum over
         # segments of l_i sign(s_i - x) |s_i - x|^(q-1), decreases in x; its
         # sign change is bisected down to adjacent floats (at q = 1 it is the
-        # weighted median of the slopes).  F is summed in units of the slope
-        # range, so no power overflows at large q.
+        # weighted median of the slopes).  F is summed in units of the largest
+        # |s_i - x|, so at large q no power overflows and not every one underflows.
         segments = list(zip(self._lengths.tolist(), self._slopes.tolist()))
         lo, hi = self.derivative_range()
-        span = hi - lo
         while lo < 0.5 * (lo + hi) < hi:
             mid = 0.5 * (lo + hi)
+            top = max(abs(s - mid) for _, s in segments)
             balance = math.fsum(
-                math.copysign(length * (abs(s - mid) / span) ** (q - 1.0), s - mid)
+                math.copysign(length * (abs(s - mid) / top) ** (q - 1.0), s - mid)
                 for length, s in segments if s != mid)
             if balance == 0.0:
                 return mid

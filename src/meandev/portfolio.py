@@ -10,6 +10,13 @@ against a lower bound on the optimum that holds for every s, as
 g(d) >= s d - g*(s); at s = g'(d0), d0 = d(w), the bound is
 g(d0) - s d0 + psi(s).
 
+Each psi(s) is an LP over the tail probabilities p of the window's days,
+with k + 1 rows for k assets, solved by an in-house bounded-variable simplex
+warm-started from the tail of the nearest solved w.  Its primal p and dual w
+bracket psi(s) between min_j (L^T p)_j and m(w) + s d(w); the lower end is
+the psi the certificate uses, and the LP raises NumericsError when the two
+ends lie further apart than the gap tolerance.
+
 Backtests rebalance on the first trading day of each calendar month using
 the trailing window of losses, compound wealth by exp(-w . loss) daily, and
 report annualized return, volatility, and the Sharpe ratio.
@@ -20,7 +27,6 @@ import csv
 import datetime as dt
 import math
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -241,28 +247,72 @@ class _Vertex:
     mean: float
 
 
-def _tail_lp(window: np.ndarray, alpha: float, s: float, scale: float) -> _Vertex:
-    """psi(s) = max eta s.t. eta <= (1 - s) m_j + s q . L_j for every asset j,
-    with q in [0, 1/((1 - alpha) n)]^n and sum q = 1, and an optimal vertex.
+def _tail_lp(window: np.ndarray, alpha: float, s: float, scale: float,
+             w0: np.ndarray) -> _Vertex:
+    """psi(s) = max eta s.t. eta <= (L^T p)_j for every asset j, sum p = 1 and
+    (1 - s)/n <= p_i <= (1 - s)/n + s/((1 - alpha) n), with its optimal w.
 
-    The LP runs on L / scale, since the solver's tolerances are absolute.
+    A bounded-variable primal simplex on L / scale over (p, eta, slacks), so
+    its tolerances are relative to max|L|.  It starts feasible at the tail
+    vertex of L w0 (p at its upper bound on the largest losses, one p basic),
+    solves x_B afresh every pivot, and prices by Dantzig's rule, or by
+    Bland's after a run of degenerate pivots.  w is the duals of the asset
+    rows; psi is the primal bound min_j (L^T p)_j, and the dual bound
+    mean + s dev of L w must lie within the gap tolerance above it.
     """
-    from scipy.optimize import linprog
-
     n, k = window.shape
-    unit = window / scale
-    res = linprog(np.append(np.zeros(n), -1.0),
-                  A_ub=np.hstack([-s * unit.T, np.ones((k, 1))]),
-                  b_ub=(1.0 - s) * unit.mean(axis=0),
-                  A_eq=np.append(np.ones(n), 0.0)[None, :], b_eq=[1.0],
-                  bounds=[(0.0, 1.0 / ((1.0 - alpha) * n))] * n + [(None, None)],
-                  method="highs", options={"dual_feasibility_tolerance": 1e-10,
-                                           "primal_feasibility_tolerance": 1e-10})
-    if res.status != 0:
-        raise NumericsError(f"tail LP at s = {s:.6g} failed: {res.message}")
-    w = np.maximum(-res.ineqlin.marginals, 0.0)
+    lo, width = (1.0 - s) / n, s / ((1.0 - alpha) * n)
+    lower = np.concatenate([np.full(n, lo), [-np.inf], np.zeros(k)])
+    upper = np.concatenate([np.full(n, lo + width), np.full(k + 1, np.inf)])
+    a = np.vstack([np.hstack([-window.T / scale, np.ones((k, 1)), np.eye(k)]),
+                   np.concatenate([np.ones(n), np.zeros(k + 1)])])
+    b = np.eye(k + 1)[k]
+    order = np.argsort(-(window @ w0), kind="stable")
+    tail, x = order[:min(int((1.0 - alpha) * n), n - 1)], lower.copy()
+    x[tail], x[n] = upper[tail], 0.0
+    f = int(order[tail.size])  # the one basic p, at the fraction that makes sum p = 1
+    x[f] = 1.0 - (np.sum(x[:n]) - x[f])
+    tightest = int(np.argmin(x[:n] @ window))  # eta sits on this row, its slack at 0
+    basis = np.array([n, f] + [n + 1 + j for j in range(k) if j != tightest])
+    degenerate, inverse = 0, None
+    for _ in range(10 * (n + k)):  # a warm start takes tens of pivots
+        if inverse is None:
+            inverse = np.linalg.inv(a[:, basis])
+        rest = x.copy()
+        rest[basis] = 0.0
+        x[basis] = xb = inverse @ (b - a @ rest)
+        y = inverse[0]  # the duals: eta is basis[0] and, being free, never leaves
+        d = -(y @ a)  # reduced costs off the basis, where the objective has no entry
+        gain = np.maximum(np.where(x < upper, d, 0.0), np.where(x > lower, -d, 0.0))
+        gain[basis] = 0.0
+        bland = degenerate > k
+        q = int(np.argmax(gain > _EDGE_TOLERANCE) if bland else np.argmax(gain))
+        if not gain[q] > _EDGE_TOLERANCE:
+            break
+        rate = -math.copysign(1.0, d[q]) * (inverse @ a[:, q])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(rate > _EDGE_TOLERANCE, (upper[basis] - xb) / rate,
+                            np.where(rate < -_EDGE_TOLERANCE, (lower[basis] - xb) / rate, np.inf))
+        room = np.maximum(room, 0.0)  # x_B may sit a rounding error outside its bounds
+        ties = np.flatnonzero(room == room.min())
+        r = int(ties[np.argmin(basis[ties])] if bland else ties[0])
+        flip = upper[q] - lower[q]
+        if math.isinf(min(flip, room[r])):
+            raise NumericsError(f"tail LP at s = {s:.6g} is unbounded")
+        if flip <= room[r]:  # q crosses its box before any basic variable blocks it
+            x[q] = upper[q] if d[q] > 0.0 else lower[q]
+        else:
+            x[basis[r]] = upper[basis[r]] if rate[r] > 0.0 else lower[basis[r]]
+            basis[r], inverse = q, None
+        degenerate = degenerate + 1 if min(flip, room[r]) <= _EDGE_TOLERANCE * width else 0
+    else:
+        raise NumericsError(f"tail LP at s = {s:.6g} still open after {10 * (n + k)} pivots")
+    w = np.maximum(y[:k], 0.0)
     w = w / np.sum(w)
-    psi, dev = -scale * float(res.fun), _mean_and_deviation(window @ w, alpha)[1]
+    psi = float(np.min(x[:n] @ window))
+    mean, dev = _mean_and_deviation(window @ w, alpha)
+    if not mean + s * dev - psi <= _GAP_TOLERANCE * scale:
+        raise NumericsError(f"tail LP at s = {s:.6g} not certified: gap {mean + s * dev - psi:.3g}")
     return _Vertex(s, psi, w, dev, psi - s * dev)
 
 
@@ -289,7 +339,15 @@ def optimize_md(window: np.ndarray, cfg: BacktestConfig) -> PortfolioWeights:
     alpha = cfg.alpha
     scale = float(np.max(np.abs(window))) or 1.0
     tol = _EDGE_TOLERANCE * scale
-    vertex = cache(lambda s: _tail_lp(window, alpha, s, scale))
+    solved: dict[float, _Vertex] = {}
+
+    def vertex(s: float) -> _Vertex:
+        # each LP starts from the tail of the nearest vertex solved so far
+        if s not in solved:
+            near = min(solved.values(), key=lambda v: abs(v.s - s), default=None)
+            w0 = np.full(window.shape[1], 1.0 / window.shape[1]) if near is None else near.w
+            solved[s] = _tail_lp(window, alpha, s, scale, w0)
+        return solved[s]
 
     def slope(d: float) -> float:
         return g.left_derivative(max(d, 1e-12))  # a left derivative needs d > 0
@@ -318,7 +376,7 @@ def optimize_md(window: np.ndarray, cfg: BacktestConfig) -> PortfolioWeights:
     gap = mean + float(g(max(dev, 0.0))) - vertex(s).psi + conjugate(g, s)
     if not abs(gap) <= _GAP_TOLERANCE * scale:
         raise NumericsError(f"portfolio solve not certified: duality gap {gap:.3g}")
-    return PortfolioWeights(w, gap=gap, lp_solves=vertex.cache_info().misses)
+    return PortfolioWeights(w, gap=gap, lp_solves=len(solved))
 
 
 def _month_starts(dates) -> list[int]:

@@ -16,7 +16,7 @@ import numpy as np
 from .distortion import DistortionFunction, choquet_deviation
 from .distributions import StateVector
 from .measures import _grid_sup
-from .riskweight import RiskWeightFunction
+from .riskweight import LinearWeight, RiskWeightFunction
 
 __all__ = [
     "MomentUncertainty",
@@ -81,7 +81,9 @@ def worstcase_wasserstein(
     deviation inflation epsilon*sqrt(1-t^2)*||h'||_2 on top of the nominal
     deviation.  The objective is even in t apart from the increasing shift,
     so t < 0 never beats -t: the supremum over t in [0, 1] is located on a
-    grid and refined by golden-section search.
+    grid and refined by golden-section search.  For linear g = lambda x it
+    is closed, lambda D + epsilon sqrt(1 + lambda^2 ||h'||_2^2) + mean, by
+    Cauchy-Schwarz in (t, sqrt(1 - t^2)).
     """
     if wasserstein_order != 2.0:
         raise ValueError(
@@ -95,6 +97,8 @@ def worstcase_wasserstein(
 
     norm = h.q_norm(2.0)
     eps = u.epsilon
+    if isinstance(g, LinearWeight):
+        return g.lam * nominal_dev + eps * math.hypot(1.0, g.lam * norm) + mean
 
     def objective(t: float) -> float:
         spread = eps * math.sqrt(max(1.0 - t * t, 0.0)) * norm

@@ -1,3 +1,4 @@
+import ast
 import datetime as dt
 import json
 import subprocess
@@ -94,6 +95,8 @@ class TestExitCodes:
 
 LINEAR_G = '{"kind":"linear","lambda":1.0}'
 GINI_H = '{"kind":"gini"}'
+PIECEWISE_5_H = ('{"kind":"piecewise_linear","t":[0,0.25,0.5,0.75,1],'
+                 '"h":[0,0.09375,0.125,0.09375,0]}')
 
 
 class TestInputValidation:
@@ -216,6 +219,22 @@ class TestOutputs:
         out = json.loads(proc.stdout)
         assert out["worst_case"] == pytest.approx(4.0, abs=1e-9)
 
+    @pytest.mark.parametrize("h, order, expected", [
+        # antisymmetric slopes +-0.375 and +-0.125 on equal lengths: centered at 0
+        (PIECEWISE_5_H, 1.001, lambda q: 0.375 * (0.5 + 0.5 * 3.0 ** -q) ** (1.0 / q)),
+        (PIECEWISE_5_H, 1.01, lambda q: 0.375 * (0.5 + 0.5 * 3.0 ** -q) ** (1.0 / q)),
+        ('{"kind":"es_dev","alpha":0.9}', 1.001,
+         lambda q: 0.9 * (0.9 ** (1 + 1 / (q - 1)) * 0.1 + 0.9 * 0.1 ** (1 + 1 / (q - 1)))
+         ** (-1.0 + 1.0 / q)),
+    ], ids=["piecewise-1.001", "piecewise-1.01", "es-1.001"])
+    def test_robust_moment_near_order_one(self, h, order, expected, capsys):
+        # q = 1001 once raised |h' - x| < 1 to 0 (printing 0.0) and 5 to inf (exit 1)
+        assert dispatch(["robust", "moment", "--g", LINEAR_G, "--h", h, "--m", "0",
+                         "--v", "1", "--order", str(order)]) == 0
+        q = 1.0 / (1.0 - 1.0 / order)
+        got = json.loads(capsys.readouterr().out)["worst_case"]
+        assert got == pytest.approx(expected(q), rel=1e-11)
+
     def test_robust_sweep_csv(self):
         proc = run_cli("robust", "moment", "--g", '{"kind":"linear","lambda":1.0}',
                        "--h", '{"kind":"gini"}', "--m", "0", "--sweep", "0.5:1.5:3")
@@ -257,7 +276,8 @@ class TestStartUp:
     def test_import_loads_no_scipy(self):
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, meandev; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+             "import sys, meandev, meandev.portfolio;"
+             " print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
             capture_output=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == b"[]\n"
@@ -277,14 +297,27 @@ class TestStartUp:
          "--h", '{"kind":"es_dev","alpha":0.9}', "--eps", "0.25", "--data", None],
         ["robust", "wasserstein", "--g", '{"kind":"pareto_shortfall","theta":4.0}',
          "--h", GINI_H, "--eps", "0.25", "--data", None],
+        ["backtest", "--prices", None,
+         "--config", '{"window":40,"g":{"kind":"gbeta","beta":3.0}}'],
     ], ids=["classify", "eval", "asymvar", "ingest", "robust-moment", "robust-moment-order-1.5",
-            "robust-wasserstein-linear", "robust-wasserstein-pareto"])
+            "robust-wasserstein-linear", "robust-wasserstein-pareto", "backtest"])
     def test_subcommand_loads_no_scipy(self, argv, sample_csv, prices_csv):
-        argv = [(prices_csv if argv[0] == "ingest" else sample_csv) if a is None else a
-                for a in argv]
+        argv = [(prices_csv if argv[0] in ("ingest", "backtest") else sample_csv)
+                if a is None else a for a in argv]
         proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], capture_output=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout and proc.stderr == b"[]\n"
+
+    def test_mc_on_a_non_normal_model_loads_only_scipy_special(self):
+        # the KS statistic takes the normal CDF, scipy.special.ndtr, whatever the model
+        proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, "mc",
+                               "--model", '{"kind":"exponential","beta":1.0}', "--g", LINEAR_G,
+                               "--h", GINI_H, "--n", "200", "--reps", "100", "--seed", "5"],
+                              capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = ast.literal_eval(proc.stderr.decode())
+        assert {m.split(".")[1] for m in loaded if "." in m} <= {
+            "special", "_lib", "_cyutility", "__config__", "_distributor_init", "version"}
 
 
 class TestDeterminism:

@@ -221,6 +221,21 @@ class TestNorms:
         expected = alpha * (alpha ** p * (1 - alpha) + alpha * (1 - alpha) ** p) ** (-1.0 / p)
         assert ESDeviation(alpha).centered_q_norm(q) == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("p", [1.01, 1.001, 1.0001, 1.00001])
+    def test_es_dev_centered_closed_form_near_order_one(self, p):
+        # q = p / (p - 1) up to 1e5: unscaled, |h' - x|^q overflowed at 5 and
+        # the centering's balance underflowed to 0
+        alpha, q = 0.9, 1.0 / (1.0 - 1.0 / p)
+        expected = alpha * (alpha ** p * (1 - alpha) + alpha * (1 - alpha) ** p) ** (-1.0 / p)
+        assert ESDeviation(alpha).centered_q_norm(q) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [1001.0, 1e5])
+    def test_gini_objective_at_large_q(self, q):
+        # at x = 0.5, h' - x runs over [-1.5, 0.5]; unscaled, 1.5^(q+1) overflowed
+        expected = math.exp((1.0 + 1.0 / q) * math.log(1.5) - math.log(2.0 * (q + 1.0)) / q
+                            + math.log1p(3.0 ** -(q + 1.0)) / q)
+        assert Gini().centered_norm_objective(0.5, q) == pytest.approx(expected, rel=1e-12)
+
     @pytest.mark.parametrize("h", ALL_H + [half_gini_piecewise()])
     @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
     def test_centering_shrinks(self, h, q):

@@ -18,6 +18,7 @@ from meandev.portfolio import (
     project_simplex,
     run_backtest,
     wealth_from_periods,
+    _tail_lp,
 )
 from meandev.riskweight import (
     ExpCapWeight,
@@ -234,6 +235,56 @@ class TestCertificate:
     def test_single_asset_needs_no_lp(self):
         res = optimize_md(np.zeros((10, 1)), CFG)
         assert res.gap == 0.0 and res.lp_solves == 0
+
+
+def highs_tail_lp(window, alpha, s):
+    """psi(s) and its w from HiGHS in the ES-dual form: max eta s.t.
+    eta <= (1 - s) mean(L_j) + s q . L_j, q in [0, 1/((1 - alpha) n)], sum q = 1."""
+    n, k = window.shape
+    scale = float(np.max(np.abs(window)))
+    unit = window / scale
+    res = linprog(np.append(np.zeros(n), -1.0),
+                  A_ub=np.hstack([-s * unit.T, np.ones((k, 1))]),
+                  b_ub=(1.0 - s) * unit.mean(axis=0),
+                  A_eq=np.append(np.ones(n), 0.0)[None, :], b_eq=[1.0],
+                  bounds=[(0.0, 1.0 / ((1.0 - alpha) * n))] * n + [(None, None)],
+                  method="highs", options={"dual_feasibility_tolerance": 1e-10,
+                                           "primal_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return -scale * res.fun, -res.ineqlin.marginals
+
+
+class TestTailLP:
+    @pytest.mark.parametrize("duplicate", [False, True], ids=["distinct", "duplicated-asset"])
+    @pytest.mark.parametrize("s", [0.0, 0.05, 0.5, 0.99])
+    @pytest.mark.parametrize("shape", [(500, 10, 5), (300, 6, 9)])
+    def test_matches_highs(self, shape, s, duplicate):
+        n_days, n_assets, seed = shape
+        window = synthetic_panel(n_days, n_assets, seed=seed).losses
+        if duplicate:  # a degenerate LP: asset 0's weight may split between its copies
+            window = np.column_stack([window, window[:, 0]])
+        k = window.shape[1]
+        mine = _tail_lp(window, 0.9, s, float(np.max(np.abs(window))), np.full(k, 1.0 / k))
+        psi, w = highs_tail_lp(window, 0.9, s)
+        assert mine.psi == pytest.approx(psi, rel=1e-12)
+        losses = StateVector(window @ mine.w)
+        dual_bound = losses.mean() + s * (es_alpha(losses, 0.9) - losses.mean())
+        assert dual_bound == pytest.approx(psi, rel=1e-12)
+        if duplicate:
+            mine_w, w = np.append(mine.w[1:-1], mine.w[0] + mine.w[-1]), np.append(w[1:-1], w[0] + w[-1])
+        else:
+            mine_w = mine.w
+        assert mine_w == pytest.approx(w, abs=1e-9)
+
+    @pytest.mark.parametrize("s", [1e-12, 1e-10, 0.5])
+    def test_small_s_is_exact(self, s):
+        # s enters only the bounds of p, so no s * L entry falls below a solver's
+        # matrix tolerance (HiGHS gave 0.00999999999997 at s = 1e-12)
+        window = np.full((30, 3), 0.01)
+        assert _tail_lp(window, 0.9, s, 0.01, np.full(3, 1.0 / 3.0)).psi == pytest.approx(
+            0.01, rel=1e-15)
+        res = optimize_md(window, BacktestConfig(window=30, g_spec=ExpShortfallWeight(3.0)))
+        assert abs(res.gap) <= 1e-15
 
 
 class TestBacktest:

@@ -85,6 +85,28 @@ class TestWassersteinWorstCase:
             assert worstcase_wasserstein(LinearWeight(1.0), h, u) == pytest.approx(
                 expected, abs=1e-8)
 
+    @pytest.mark.parametrize("lam", [0.3, 1.0])
+    def test_linear_closed_form_matches_the_grid_search(self, lam):
+        # the grid and golden-section search that every nonlinear g takes
+        from meandev.distortion import choquet_deviation
+        from meandev.measures import _grid_sup
+        h = Gini()
+        dev, mean, norm = choquet_deviation(h, self.center), self.center.mean(), h.q_norm(2.0)
+        for eps in (0.1, 1.0, 5.0):
+            searched = _grid_sup(
+                lambda t: lam * (eps * math.sqrt(1.0 - t * t) * norm + dev) + t * eps + mean,
+                np.linspace(0.0, 1.0, 200))
+            u = WassersteinUncertainty(self.center, eps)
+            assert worstcase_wasserstein(LinearWeight(lam), h, u) == pytest.approx(
+                searched, abs=1e-9)
+
+    def test_linear_closed_form_as_lambda_vanishes(self):
+        # lambda = 0 lies outside LinearWeight's (0, 1]; at its smallest float
+        # the whole budget shifts the mean (t = 1)
+        u = WassersteinUncertainty(self.center, 0.5)
+        assert worstcase_wasserstein(LinearWeight(math.ulp(0.0)), Gini(), u) == (
+            self.center.mean() + 0.5)
+
     def test_matches_brute_force_grid(self):
         g = ParetoShortfallWeight(1.0)  # x - log(1 + x)
         h = Gini()

@@ -220,20 +220,21 @@ class TestOutputs:
         assert out["worst_case"] == pytest.approx(4.0, abs=1e-9)
 
     @pytest.mark.parametrize("h, order, expected", [
-        # antisymmetric slopes +-0.375 and +-0.125 on equal lengths: centered at 0
-        (PIECEWISE_5_H, 1.001, lambda q: 0.375 * (0.5 + 0.5 * 3.0 ** -q) ** (1.0 / q)),
-        (PIECEWISE_5_H, 1.01, lambda q: 0.375 * (0.5 + 0.5 * 3.0 ** -q) ** (1.0 / q)),
+        # slopes +-0.375 and +-0.125 on equal lengths, antisymmetric, so centered
+        # at 0: [h]_q = 0.375 ((1 + 3^-q) / 2)^(1/q) with q = p / (p - 1)
+        (PIECEWISE_5_H, 1.001, lambda p: 0.375 * (0.5 + 0.5 * 3.0 ** (-p / (p - 1.0)))
+         ** (1.0 - 1.0 / p)),
+        (PIECEWISE_5_H, 1.01, lambda p: 0.375 * (0.5 + 0.5 * 3.0 ** (-p / (p - 1.0)))
+         ** (1.0 - 1.0 / p)),
         ('{"kind":"es_dev","alpha":0.9}', 1.001,
-         lambda q: 0.9 * (0.9 ** (1 + 1 / (q - 1)) * 0.1 + 0.9 * 0.1 ** (1 + 1 / (q - 1)))
-         ** (-1.0 + 1.0 / q)),
+         lambda p: 0.9 * (0.9 ** p * 0.1 + 0.9 * 0.1 ** p) ** (-1.0 / p)),
     ], ids=["piecewise-1.001", "piecewise-1.01", "es-1.001"])
     def test_robust_moment_near_order_one(self, h, order, expected, capsys):
         # q = 1001 once raised |h' - x| < 1 to 0 (printing 0.0) and 5 to inf (exit 1)
         assert dispatch(["robust", "moment", "--g", LINEAR_G, "--h", h, "--m", "0",
                          "--v", "1", "--order", str(order)]) == 0
-        q = 1.0 / (1.0 - 1.0 / order)
         got = json.loads(capsys.readouterr().out)["worst_case"]
-        assert got == pytest.approx(expected(q), rel=1e-11)
+        assert got == pytest.approx(expected(order), rel=1e-11)
 
     def test_robust_sweep_csv(self):
         proc = run_cli("robust", "moment", "--g", '{"kind":"linear","lambda":1.0}',

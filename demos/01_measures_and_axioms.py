@@ -20,7 +20,6 @@ from meandev import (
     es_alpha,
     expectile,
     md_eval,
-    smallest_coherent_multiplier,
     var_alpha,
 )
 
@@ -88,5 +87,5 @@ print("=" * 72)
 print("5. The tightest coherent measure dominating each weighting")
 print("=" * 72)
 for g in [LinearWeight(0.7), ExpShortfallWeight(2.0), ExpCapWeight(2.0)]:
-    mult = smallest_coherent_multiplier(g)
+    mult = g.classify().sup_ratio
     print(f"  {g.spec()['kind']:<15} -> {mult:.2f} * deviation + mean")

@@ -69,7 +69,6 @@ from .riskweight import (
     RiskWeightFunction,
     conjugate,
     g_from_spec,
-    smallest_coherent_multiplier,
 )
 from .robust import (
     MomentUncertainty,

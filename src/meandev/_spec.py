@@ -1,23 +1,84 @@
-"""Field access for the JSON-style specs that the ``*_from_spec`` builders read."""
+"""The JSON spec format, read and written in this module only.
+
+Each family keeps one table ``{kind: (class, fields)}``, where ``fields`` maps
+each JSON name to ``(attribute, reader)``; the backtest config is a bare
+``fields`` table with no kind.  A field is optional exactly when its class
+gives the attribute a default.  Every value passes through ``read``, so an
+unknown key, a missing field, or a value its reader refuses (a boolean, a
+string for a number, a non-number in a list, a fractional whole number) is a
+ValueError that names the field.
+"""
 from __future__ import annotations
 
-
-def spec_field(spec: dict, what: str, name: str, convert=float, default=None):
-    """convert(spec[name]), or ``default`` when one is given and the field is absent.
-
-    A missing field, or a value that ``convert`` rejects (wrong type, not a
-    number, too large for a float), is a ValueError that names the field.
-    """
-    if default is not None and name not in spec:
-        return default
-    try:
-        return convert(spec[name])
-    except KeyError:
-        raise ValueError(f"{what} of kind {spec.get('kind')!r} is missing the field "
-                         f"{name!r}") from None
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what} field {name!r} has a bad value: {spec[name]!r}") from None
+from dataclasses import MISSING, fields
 
 
-def float_tuple(values) -> tuple:
-    return tuple(float(v) for v in values)
+def number(value) -> float:
+    """A JSON number as a float; a boolean is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError
+    return float(value)
+
+
+def numbers(value) -> tuple:
+    """A JSON list of numbers as a tuple of floats."""
+    if not isinstance(value, list):
+        raise TypeError
+    return tuple(number(v) for v in value)
+
+
+def whole(value) -> int:
+    """A JSON number with no fractional part, as an int."""
+    if not number(value).is_integer():
+        raise TypeError
+    return int(value)
+
+
+def text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError
+    return value
+
+
+def read(cls, table: dict, spec: dict, what: str):
+    """cls(**the fields of spec), each converted by its reader in ``table``."""
+    for name in spec:
+        if name not in table:
+            raise ValueError(f"{what} has an unknown field {name!r}")
+    optional = {f.name for f in fields(cls)
+                if f.default is not MISSING or f.default_factory is not MISSING}
+    values = {}
+    for name, (attr, reader) in table.items():
+        if name in spec:
+            try:
+                values[attr] = reader(spec[name])
+            except (TypeError, OverflowError):
+                raise ValueError(f"{what} has a bad value for the field {name!r}: "
+                                 f"{spec[name]!r}") from None
+        elif attr not in optional:
+            raise ValueError(f"{what} is missing the field {name!r}")
+    return cls(**values)
+
+
+def build(spec, noun: str, kinds: dict):
+    """The object that a spec of one family describes, e.g. {"kind": "lomax", "theta": 4}."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ValueError(f"{noun} spec must be an object with a 'kind' field")
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError(f"unknown {noun} kind: {kind!r}")
+    cls, table = kinds[kind]
+    return read(cls, table, {k: v for k, v in spec.items() if k != "kind"},
+                f"{noun} spec of kind {kind!r}")
+
+
+def spec_of(obj, kinds: dict) -> dict:
+    """The spec that builds obj back; the first kind of its class wins over an alias."""
+    for kind, (cls, table) in kinds.items():
+        if type(obj) is cls:
+            spec = {"kind": kind}
+            for name, (attr, _) in table.items():
+                value = getattr(obj, attr)
+                spec[name] = list(value) if isinstance(value, tuple) else value
+            return spec
+    raise NotImplementedError(f"{type(obj).__name__} has no spec kind")

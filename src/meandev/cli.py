@@ -11,17 +11,17 @@ import csv
 import json
 import math
 import sys
-from functools import partial
+from dataclasses import asdict
 
 import numpy as np
 
-from ._spec import spec_field
+from ._spec import number, read, text, whole
 from .distortion import choquet_deviation, distortion_from_spec
 from .distributions import StateVector, model_from_spec
 from .estimation import NumericsError, gaussian_limit, monte_carlo
 from .measures import MDMeasure, md_eval
 from .portfolio import BacktestConfig, ingest_prices, run_backtest
-from .riskweight import g_from_spec, smallest_coherent_multiplier
+from .riskweight import g_from_spec
 from .robust import (
     MomentUncertainty,
     WassersteinUncertainty,
@@ -34,6 +34,15 @@ __all__ = ["main", "dispatch"]
 # a sweep evaluates one worst case per point
 _SWEEP_MAX_POINTS = 100_000
 _NOT_FINITE = "is not a finite number; nothing was written"
+# backtest --config: JSON name -> (BacktestConfig field, reader); every field is optional
+_CONFIG_FIELDS = {
+    "window": ("window", whole),
+    "rebalance": ("rebalance", text),
+    "alpha": ("alpha", number),
+    "g": ("g_spec", g_from_spec),
+    "risk_free_rate": ("risk_free_rate", number),
+    "initial_wealth": ("initial_wealth", number),
+}
 
 
 def _round_floats(obj):
@@ -114,8 +123,8 @@ def _write_sweep(parameters, values) -> None:
 
 def _cmd_classify(args) -> int:
     g = g_from_spec(_json_arg(args.g, "--g"))
-    out = {"g": g.spec(), **g.classify().as_dict(),
-           "smallest_coherent_multiplier": smallest_coherent_multiplier(g)}
+    c = g.classify()
+    out = {"g": g.spec(), **asdict(c), "smallest_coherent_multiplier": c.sup_ratio}
     emit_json(out)
     return 0
 
@@ -130,7 +139,7 @@ def _cmd_eval(args) -> int:
         "md": md_eval(m, x),
         "deviation": dev,
         "mean": x.mean(),
-        "classification": m.classification.as_dict(),
+        "classification": asdict(m.classification),
     })
     return 0
 
@@ -198,15 +207,7 @@ def _cmd_robust_wasserstein(args) -> int:
 def _cmd_backtest(args) -> int:
     panel = ingest_prices(args.prices)
     spec = _json_arg(args.config, "--config") if args.config else {}
-    field = partial(spec_field, spec, "--config")
-    cfg = BacktestConfig(
-        window=field("window", int, 500),
-        rebalance=spec.get("rebalance", "monthly"),
-        alpha=field("alpha", default=0.9),
-        g_spec=g_from_spec(spec.get("g", {"kind": "gbeta", "beta": 10.0})),
-        risk_free_rate=field("risk_free_rate", default=0.0213),
-        initial_wealth=field("initial_wealth", default=1.0),
-    )
+    cfg = read(BacktestConfig, _CONFIG_FIELDS, spec, "--config")
     report = run_backtest(panel, cfg)
     if args.wealth_csv:
         with open(args.wealth_csv, "w", newline="") as fh:

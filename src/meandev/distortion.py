@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from ._spec import float_tuple, spec_field
+from ._spec import build, number, numbers, spec_of
 from .distributions import StateVector
 
 __all__ = [
@@ -60,7 +59,7 @@ class DistortionFunction:
         return ()
 
     def spec(self) -> dict:
-        raise NotImplementedError
+        return spec_of(self, _KINDS)
 
     # --- norms of h' ---------------------------------------------------
 
@@ -130,9 +129,6 @@ class Gini(DistortionFunction):
         # h'(t) = 1 - 2t takes values symmetric about 0
         return 0.0
 
-    def spec(self) -> dict:
-        return {"kind": "gini"}
-
 
 @dataclass(frozen=True)
 class RangeDistortion(DistortionFunction):
@@ -158,9 +154,6 @@ class RangeDistortion(DistortionFunction):
 
     def derivative_range(self) -> tuple[float, float]:
         raise ValueError("norm undefined for the range distortion")
-
-    def spec(self) -> dict:
-        return {"kind": "range"}
 
 
 @dataclass(frozen=True)
@@ -253,9 +246,6 @@ class PiecewiseLinearDistortion(DistortionFunction):
             lo, hi = (mid, hi) if balance > 0.0 else (lo, mid)
         return min((lo, hi), key=lambda x: self.centered_norm_objective(x, q))
 
-    def spec(self) -> dict:
-        return {"kind": "piecewise_linear", "t": list(self.t), "h": list(self.h)}
-
 
 class ESDeviation(PiecewiseLinearDistortion):
     """h(s) = min(s / (1 - alpha), 1) - s, the tail-average deviation at level alpha."""
@@ -266,18 +256,12 @@ class ESDeviation(PiecewiseLinearDistortion):
         object.__setattr__(self, "alpha", alpha)
         super().__init__(t=(0.0, 1.0 - alpha, 1.0), h=(0.0, alpha, 0.0))
 
-    def spec(self) -> dict:
-        return {"kind": "es_dev", "alpha": self.alpha}
-
 
 class MeanAbsDevHalf(PiecewiseLinearDistortion):
     """h(t) = min(t, 1 - t); half the mean absolute deviation."""
 
     def __init__(self):
         super().__init__(t=(0.0, 0.5, 1.0), h=(0.0, 0.5, 0.0))
-
-    def spec(self) -> dict:
-        return {"kind": "mad_half"}
 
 
 def staircase_weights(h: DistortionFunction, n: int) -> np.ndarray:
@@ -302,21 +286,15 @@ def is_range_normalized(h: DistortionFunction) -> bool:
     return math.isfinite(d) and abs(d + 1.0) <= _RANGE_NORM_TOL
 
 
+_KINDS = {
+    "es_dev": (ESDeviation, {"alpha": ("alpha", number)}),
+    "gini": (Gini, {}),
+    "mad_half": (MeanAbsDevHalf, {}),
+    "range": (RangeDistortion, {}),
+    "piecewise_linear": (PiecewiseLinearDistortion, {"t": ("t", numbers), "h": ("h", numbers)}),
+}
+
+
 def distortion_from_spec(spec: dict) -> DistortionFunction:
     """Build a distortion from a JSON-style dict, e.g. {"kind": "es_dev", "alpha": 0.9}."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("distortion spec must be an object with a 'kind' field")
-    kind = spec["kind"]
-    field = partial(spec_field, spec, "distortion spec")
-
-    if kind == "es_dev":
-        return ESDeviation(alpha=field("alpha"))
-    if kind == "gini":
-        return Gini()
-    if kind == "mad_half":
-        return MeanAbsDevHalf()
-    if kind == "range":
-        return RangeDistortion()
-    if kind == "piecewise_linear":
-        return PiecewiseLinearDistortion(t=field("t", float_tuple), h=field("h", float_tuple))
-    raise ValueError(f"unknown distortion kind: {kind!r}")
+    return build(spec, "distortion", _KINDS)

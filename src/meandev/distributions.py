@@ -11,12 +11,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Union
 
 import numpy as np
 
-from ._spec import spec_field
+from ._spec import build, number, spec_of
 
 __all__ = [
     "StateVector",
@@ -187,7 +186,7 @@ class ParametricModel:
         return StateVector(self.quantile(u))
 
     def spec(self) -> dict:
-        raise NotImplementedError
+        return spec_of(self, _KINDS)
 
 
 def _check_prob(u) -> np.ndarray:
@@ -243,9 +242,6 @@ class Normal(ParametricModel):
     def variance(self) -> float:
         return self.sd ** 2
 
-    def spec(self) -> dict:
-        return {"kind": "normal", "mu": self.mu, "sd": self.sd}
-
 
 @dataclass(frozen=True)
 class Lomax(ParametricModel):
@@ -289,9 +285,6 @@ class Lomax(ParametricModel):
             raise ValueError(f"lomax variance is infinite for theta <= 2 (theta={self.theta})")
         return self.theta / ((self.theta - 1.0) ** 2 * (self.theta - 2.0))
 
-    def spec(self) -> dict:
-        return {"kind": "lomax", "theta": self.theta}
-
 
 @dataclass(frozen=True)
 class Exponential(ParametricModel):
@@ -327,21 +320,14 @@ class Exponential(ParametricModel):
     def variance(self) -> float:
         return 1.0 / self.rate ** 2
 
-    def spec(self) -> dict:
-        return {"kind": "exponential", "beta": self.rate}
+
+_KINDS = {
+    "normal": (Normal, {"mu": ("mu", number), "sd": ("sd", number)}),
+    "lomax": (Lomax, {"theta": ("theta", number)}),
+    "exponential": (Exponential, {"beta": ("rate", number)}),
+}
 
 
 def model_from_spec(spec: dict) -> ParametricModel:
     """Build a model from a JSON-style dict, e.g. {"kind": "lomax", "theta": 4.0}."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("model spec must be an object with a 'kind' field")
-    kind = spec["kind"]
-    field = partial(spec_field, spec, "model spec")
-
-    if kind == "normal":
-        return Normal(mu=field("mu", default=0.0), sd=field("sd", default=1.0))
-    if kind == "lomax":
-        return Lomax(theta=field("theta"))
-    if kind == "exponential":
-        return Exponential(rate=field("beta"))
-    raise ValueError(f"unknown model kind: {kind!r}")
+    return build(spec, "model", _KINDS)

@@ -12,12 +12,11 @@ parameter always sum to x.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from functools import partial
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._spec import float_tuple, spec_field
+from ._spec import build, number, numbers, spec_of
 
 __all__ = [
     "RiskWeightFunction",
@@ -29,7 +28,6 @@ __all__ = [
     "PiecewiseLinearWeight",
     "GClassification",
     "conjugate",
-    "smallest_coherent_multiplier",
     "g_from_spec",
 ]
 
@@ -42,9 +40,6 @@ class GClassification:
     is_concave: bool
     asymptotic_slope: float
     sup_ratio: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 class RiskWeightFunction:
@@ -71,7 +66,7 @@ class RiskWeightFunction:
         raise NotImplementedError
 
     def spec(self) -> dict:
-        raise NotImplementedError
+        return spec_of(self, _KINDS)
 
 
 @dataclass(frozen=True)
@@ -90,9 +85,6 @@ class LinearWeight(RiskWeightFunction):
 
     def classify(self) -> GClassification:
         return GClassification(True, True, True, True, self.lam, self.lam)
-
-    def spec(self) -> dict:
-        return {"kind": "linear", "lambda": self.lam}
 
 
 @dataclass(frozen=True)
@@ -113,9 +105,6 @@ class ExpShortfallWeight(RiskWeightFunction):
 
     def classify(self) -> GClassification:
         return GClassification(False, True, True, False, 1.0, 1.0)
-
-    def spec(self) -> dict:
-        return {"kind": "exp_shortfall", "beta": self.beta}
 
 
 @dataclass(frozen=True)
@@ -139,9 +128,6 @@ class ParetoShortfallWeight(RiskWeightFunction):
     def classify(self) -> GClassification:
         return GClassification(False, True, True, False, 1.0, 1.0)
 
-    def spec(self) -> dict:
-        return {"kind": "pareto_shortfall", "theta": self.theta}
-
 
 @dataclass(frozen=True)
 class ExpCapWeight(RiskWeightFunction):
@@ -162,9 +148,6 @@ class ExpCapWeight(RiskWeightFunction):
     def classify(self) -> GClassification:
         # concave and non-linear, hence g(lam*x) >= lam*g(x): not star-shaped
         return GClassification(False, False, False, True, 0.0, 1.0)
-
-    def spec(self) -> dict:
-        return {"kind": "exp_cap", "beta": self.beta}
 
 
 @dataclass(frozen=True)
@@ -187,9 +170,6 @@ class ParetoCapWeight(RiskWeightFunction):
 
     def classify(self) -> GClassification:
         return GClassification(False, False, False, True, 0.0, 1.0)
-
-    def spec(self) -> dict:
-        return {"kind": "pareto_cap", "theta": self.theta}
 
 
 @dataclass(frozen=True)
@@ -253,10 +233,6 @@ class PiecewiseLinearWeight(RiskWeightFunction):
             is_star = True
         return GClassification(is_linear, is_convex, is_star, is_concave, a, sup_ratio)
 
-    def spec(self) -> dict:
-        return {"kind": "piecewise_linear", "knots": list(self.knots),
-                "slopes": list(self.slopes)}
-
 
 def conjugate(g: RiskWeightFunction, y: float) -> float:
     """g*(y) = sup over x >= 0 of x*y - g(x), in closed form for every family.
@@ -306,29 +282,19 @@ def conjugate(g: RiskWeightFunction, y: float) -> float:
     raise TypeError(f"no conjugate for {type(g).__name__}")
 
 
-def smallest_coherent_multiplier(g: RiskWeightFunction) -> float:
-    """sup over x > 0 of g(x)/x: the factor of the tightest dominating coherent measure."""
-    return g.classify().sup_ratio
+# spec() writes the first kind of a class, so "gbeta" (the paper's g_beta) only builds
+_KINDS = {
+    "linear": (LinearWeight, {"lambda": ("lam", number)}),
+    "exp_shortfall": (ExpShortfallWeight, {"beta": ("beta", number)}),
+    "gbeta": (ExpShortfallWeight, {"beta": ("beta", number)}),
+    "pareto_shortfall": (ParetoShortfallWeight, {"theta": ("theta", number)}),
+    "exp_cap": (ExpCapWeight, {"beta": ("beta", number)}),
+    "pareto_cap": (ParetoCapWeight, {"theta": ("theta", number)}),
+    "piecewise_linear": (PiecewiseLinearWeight, {"knots": ("knots", numbers),
+                                                 "slopes": ("slopes", numbers)}),
+}
 
 
 def g_from_spec(spec: dict) -> RiskWeightFunction:
     """Build a risk-weighting function from a JSON-style dict."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("risk-weight spec must be an object with a 'kind' field")
-    kind = spec["kind"]
-    field = partial(spec_field, spec, "risk-weight spec")
-
-    if kind == "linear":
-        return LinearWeight(lam=field("lambda"))
-    if kind in ("exp_shortfall", "gbeta"):
-        return ExpShortfallWeight(beta=field("beta"))
-    if kind == "pareto_shortfall":
-        return ParetoShortfallWeight(theta=field("theta"))
-    if kind == "exp_cap":
-        return ExpCapWeight(beta=field("beta"))
-    if kind == "pareto_cap":
-        return ParetoCapWeight(theta=field("theta"))
-    if kind == "piecewise_linear":
-        return PiecewiseLinearWeight(knots=field("knots", float_tuple),
-                                     slopes=field("slopes", float_tuple))
-    raise ValueError(f"unknown risk-weight kind: {kind!r}")
+    return build(spec, "risk-weight", _KINDS)

@@ -134,7 +134,22 @@ class TestInputValidation:
         (["classify", "--g", '{"kind":"exp_shortfall","beta":1e400}'], "finite"),
         (["classify", "--g", '{"kind":"exp_shortfall","beta":1%s}' % ("0" * 400)], "'beta'"),
         (["backtest", "--prices", None, "--config", '{"window":null}'], "'window'"),
-    ], ids=["distortion", "model", "overflowing-float", "overflowing-int", "backtest-config"])
+        # each of these used to run, exit 0, with the value misread or the key ignored
+        (["robust", "moment", "--g", '{"kind":"exp_shortfall","beta":"inf"}', "--h", GINI_H,
+          "--m", "1"], "'beta'"),
+        (["robust", "moment", "--g", LINEAR_G,
+          "--h", '{"kind":"piecewise_linear","t":"01","h":[0,0]}', "--m", "1"], "'t'"),
+        (["classify", "--g", '{"kind":"linear","lambda":true}'], "'lambda'"),
+        (["classify", "--g", '{"kind":"piecewise_linear","knots":[true],"slopes":[0,1]}'],
+         "'knots'"),
+        (["backtest", "--prices", None, "--config", '{"window":40.7}'], "'window'"),
+        (["classify", "--g", '{"kind":"linear","lambda":1,"lamda":0.5}'], "'lamda'"),
+        (["asymvar", "--model", '{"kind":"lomax","theta":4,"sd":3}', "--g", LINEAR_G,
+          "--h", GINI_H], "'sd'"),
+        (["backtest", "--prices", None, "--config", '{"window":40,"windwo":60}'], "'windwo'"),
+    ], ids=["distortion", "model", "overflowing-float", "overflowing-int", "backtest-config",
+            "string-for-number", "string-for-list", "boolean", "boolean-in-list",
+            "fractional-window", "misspelled-key", "key-of-another-kind", "unknown-config-key"])
     def test_bad_spec_value_names_it(self, argv, field, prices_csv, capsys):
         argv = [prices_csv if a is None else a for a in argv]
         assert dispatch(argv) == 1

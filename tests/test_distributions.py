@@ -166,6 +166,13 @@ class TestSpecParsing:
         with pytest.raises(ValueError):
             model_from_spec({"kind": "cauchy"})
 
+    def test_fields_with_a_default_are_optional(self):
+        assert model_from_spec({"kind": "normal"}) == Normal()
+        assert model_from_spec({"kind": "normal", "sd": 2}) == Normal(0.0, 2.0)
+        assert model_from_spec({"kind": "exponential"}) == Exponential(1.0)
+        with pytest.raises(ValueError, match="missing the field 'theta'"):
+            model_from_spec({"kind": "lomax"})
+
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             model_from_spec({"kind": "normal", "mu": 0.0, "sd": -1.0})

@@ -21,7 +21,6 @@ from meandev.riskweight import (
     ExpShortfallWeight,
     LinearWeight,
     PiecewiseLinearWeight,
-    smallest_coherent_multiplier,
 )
 
 
@@ -184,7 +183,7 @@ class TestMDEval:
     def test_dominating_coherent_bound(self, rng):
         for g in (LinearWeight(0.7), ExpShortfallWeight(1.0), ExpCapWeight(1.0), relu_weight()):
             m = MDMeasure(g, ESDeviation(0.9))
-            mult = smallest_coherent_multiplier(g)
+            mult = g.classify().sup_ratio
             for _ in range(50):
                 x = StateVector(rng.normal(size=20))
                 bound = mult * choquet_deviation(m.h, x) + x.mean()

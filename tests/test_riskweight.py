@@ -13,7 +13,6 @@ from meandev.riskweight import (
     PiecewiseLinearWeight,
     conjugate,
     g_from_spec,
-    smallest_coherent_multiplier,
 )
 
 ALL_G = [
@@ -275,7 +274,7 @@ class TestSmallestCoherentMultiplier:
         return float(np.max(np.asarray(g(xs)) / xs))
 
     def test_linear(self):
-        assert smallest_coherent_multiplier(LinearWeight(0.7)) == 0.7
+        assert LinearWeight(0.7).classify().sup_ratio == 0.7
 
     @pytest.mark.parametrize("g,expected", [
         (ExpShortfallWeight(1.0), 1.0),
@@ -284,8 +283,8 @@ class TestSmallestCoherentMultiplier:
         (ParetoCapWeight(4.0), 1.0),
     ])
     def test_families(self, g, expected):
-        assert smallest_coherent_multiplier(g) == pytest.approx(expected, abs=1e-12)
-        assert smallest_coherent_multiplier(g) == pytest.approx(self.ratio_oracle(g), rel=1e-5)
+        assert g.classify().sup_ratio == pytest.approx(expected, abs=1e-12)
+        assert g.classify().sup_ratio == pytest.approx(self.ratio_oracle(g), rel=1e-5)
 
 
 class TestSpecParsing:
@@ -302,6 +301,10 @@ class TestSpecParsing:
         g = g_from_spec({"kind": "gbeta", "beta": 2.0})
         assert isinstance(g, ExpShortfallWeight)
         assert g.beta == 2.0
+
+    def test_gbeta_is_written_back_as_exp_shortfall(self):
+        assert g_from_spec({"kind": "gbeta", "beta": 2.0}).spec() == {"kind": "exp_shortfall",
+                                                                      "beta": 2.0}
 
     def test_slope_validation_is_hard_error(self):
         with pytest.raises(ValueError):

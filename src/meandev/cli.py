@@ -310,7 +310,7 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, NumericsError, FileNotFoundError) as exc:
+    except (ValueError, NumericsError, FileNotFoundError, csv.Error) as exc:
         sys.stderr.write(f"meandev: error: {exc}\n")
         return 1
 

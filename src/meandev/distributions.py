@@ -31,6 +31,7 @@ SeedLike = Union[int, np.random.SeedSequence]
 
 # Uniform draws are clipped away from {0, 1} so that quantile() stays finite.
 _UNIFORM_EPS = 2.0 ** -53
+_HALF_MAX = 0.5 * np.finfo(float).max  # n values below _HALF_MAX / n sum and differ finitely
 
 
 def _as_values(values: Iterable[float]) -> np.ndarray:
@@ -39,8 +40,10 @@ def _as_values(values: Iterable[float]) -> np.ndarray:
         raise ValueError("state vector values must be one-dimensional")
     if arr.size < 1:
         raise ValueError("state vector needs at least one state")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("state vector values must all be finite")
+    limit = _HALF_MAX / arr.size
+    if not (-limit <= arr.min() and arr.max() <= limit):
+        raise ValueError("state vector values must all be finite and at most "
+                         f"{limit:.6g} in absolute value")
     return arr
 
 

@@ -198,8 +198,9 @@ def _integral(halves, values, what: str) -> float:
 def deviation_true(model: ParametricModel, m: MDMeasure) -> float:
     """Population Choquet deviation: integral of the quantile against h'(1 - u)."""
     halves = _grid(m.h)
-    values = [m.h.quantile_weight(half.level) * half.quantile(model) for half in halves]
-    return _integral(halves, values, "population deviation")
+    with np.errstate(all="ignore"):  # _integral raises on a non-finite total
+        values = [m.h.quantile_weight(half.level) * half.quantile(model) for half in halves]
+        return _integral(halves, values, "population deviation")
 
 
 def md_true(model: ParametricModel, m: MDMeasure) -> float:
@@ -212,17 +213,18 @@ def _variance(model: ParametricModel, m: MDMeasure, dev: float) -> float:
     """sigma^2 = integral of (C - B)^2 given the population deviation."""
     gprime = m.g.left_derivative(dev) if dev > 0.0 else m.g.left_derivative(1e-12)
     lower, upper = halves = _grid(m.h)
-    ratios = [(m.h.quantile_weight(half.level) * gprime + 1.0) / half.density_quantile(model)
-              for half in halves]
-    b_lower, b_upper = (r * half.level for r, half in zip(ratios, halves))
-    c_lower, c_upper = (r * half.complement for r, half in zip(ratios, halves))
-    # B(u) runs from u = 0 and C(u) from u = 1; past u = 1/2 each holds the
-    # whole of the other half
-    j_lower = (upper.panels(c_upper).sum() + lower.running(c_lower, toward_end=False)
-               - lower.running(b_lower, toward_end=True))
-    j_upper = (upper.running(c_upper, toward_end=True) - lower.panels(b_lower).sum()
-               - upper.running(b_upper, toward_end=False))
-    return _integral(halves, [j_lower ** 2, j_upper ** 2], "asymptotic-variance")
+    with np.errstate(all="ignore"):  # _integral raises on a non-finite total
+        ratios = [(m.h.quantile_weight(half.level) * gprime + 1.0) / half.density_quantile(model)
+                  for half in halves]
+        b_lower, b_upper = (r * half.level for r, half in zip(ratios, halves))
+        c_lower, c_upper = (r * half.complement for r, half in zip(ratios, halves))
+        # B(u) runs from u = 0 and C(u) from u = 1; past u = 1/2 each holds the
+        # whole of the other half
+        j_lower = (upper.panels(c_upper).sum() + lower.running(c_lower, toward_end=False)
+                   - lower.running(b_lower, toward_end=True))
+        j_upper = (upper.running(c_upper, toward_end=True) - lower.panels(b_lower).sum()
+                   - upper.running(b_upper, toward_end=False))
+        return _integral(halves, [j_lower ** 2, j_upper ** 2], "asymptotic-variance")
 
 
 def sigma_g_squared(model: ParametricModel, m: MDMeasure) -> float:

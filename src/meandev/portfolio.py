@@ -52,10 +52,9 @@ __all__ = [
 ]
 
 TRADING_DAYS_PER_YEAR = 252
-_GAP_TOLERANCE = 1e-9  # in units of the largest absolute loss, as is the next
+_GAP_TOLERANCE = 1e-9  # relative to max|L| (Markowitz: max|2S| and unit weight), as is the next
 _EDGE_TOLERANCE = 1e-12
 _MAX_LP_SOLVES = 100  # every LP of the breakpoint search finds a new vertex of psi
-_MARKOWITZ_ITERATIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -157,6 +156,7 @@ class MarkowitzResult:
     weights: PortfolioWeights
     target_daily_return: float
     target_clamped: bool
+    kkt_residual: float  # the largest KKT violation of the weights: their certificate
 
 
 def parse_price_rows(rows, source: str = "<prices>") -> LossPanel:
@@ -198,7 +198,8 @@ def parse_price_rows(rows, source: str = "<prices>") -> LossPanel:
     if len(prices) < 2:
         raise ValueError(f"{source}: need at least two dates to form losses")
     matrix = np.asarray(prices, dtype=float)
-    losses = -np.log(matrix[1:] / matrix[:-1])
+    with np.errstate(all="ignore"):  # LossPanel rejects the non-finite losses of extreme prices
+        losses = -np.log(matrix[1:] / matrix[:-1])
     return LossPanel(dates=tuple(dates[1:]), tickers=tickers, losses=losses)
 
 
@@ -392,8 +393,8 @@ def wealth_from_periods(panel: LossPanel, periods, initial_wealth: float) -> np.
     chunks = []
     wealth = initial_wealth
     for _, start, end, w in periods:
-        factors = np.exp(-(panel.losses[start:end] @ w))
-        path = wealth * np.cumprod(factors)
+        with np.errstate(all="ignore"):  # wealth past the float range is inf or nan, no warning
+            path = wealth * np.cumprod(np.exp(-(panel.losses[start:end] @ w)))
         wealth = float(path[-1])
         chunks.append(path)
     return np.concatenate(chunks)
@@ -447,73 +448,71 @@ def run_backtest(panel: LossPanel, cfg: BacktestConfig) -> BacktestReport:
     )
 
 
-def _project_simplex_with_mean(v: np.ndarray, returns: np.ndarray, target: float) -> np.ndarray:
-    """Projection onto the simplex intersected with a mean-return constraint.
+def markowitz_baseline(window: np.ndarray, target_return: float = 0.10) -> MarkowitzResult:
+    """Minimum-variance weights at a fixed annualized expected log-return, exactly.
 
-    Shifts the point along the return vector before the simplex projection;
-    the achieved mean return is monotone in the shift, so bisection finds
-    the multiplier.  The target must already be feasible.
-    """
-    lo_val = float(np.min(returns))
-    hi_val = float(np.max(returns))
-    if hi_val - lo_val < 1e-15:
-        return project_simplex(v)
-
-    def achieved(tau: float) -> float:
-        return float(returns @ project_simplex(v + tau * returns))
-
-    lo, hi = -1.0, 1.0
-    for _ in range(80):
-        if achieved(lo) <= target:
-            break
-        lo *= 2.0
-    for _ in range(80):
-        if achieved(hi) >= target:
-            break
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if achieved(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return project_simplex(v + 0.5 * (lo + hi) * returns)
-
-
-def markowitz_baseline(
-    window: np.ndarray,
-    target_return: float = 0.10,
-    periods_per_year: int = TRADING_DAYS_PER_YEAR,
-) -> MarkowitzResult:
-    """Minimum-variance weights at a fixed annualized expected log-return.
-
-    Projected gradient with a fixed step from an equal-weight start; an
-    infeasible target is clamped to the nearest attainable daily mean
-    return and flagged.
+    A primal active-set method (Nocedal & Wright, Alg. 16.3) for min w'Sw over
+    the simplex with mu'w = target, S the sample covariance.  It starts from the
+    mix of the lowest- and highest-return assets that meets the target.  Each
+    pass solves the KKT system of the free weights F, [[2 S_FF, A_F'], [A_F, 0]],
+    by least squares, so a singular S still solves; it moves toward that solution
+    until a free weight hits 0 and binds it, or else frees the bound weight with
+    the most negative multiplier, and stops when none is negative.  A target
+    outside the assets' returns is clamped and flagged; at an end of their range
+    only the assets within the edge tolerance of it may hold weight.  The
+    certificate kkt_residual (stationarity, most negative multiplier,
+    infeasibility) must be at most the gap tolerance times max|2S|.
     """
     window = np.asarray(window, dtype=float)
     if window.ndim != 2 or window.shape[0] < 2:
         raise ValueError("need a 2-D loss window with at least two rows")
-    n_assets = window.shape[1]
-    if n_assets == 1:
-        return MarkowitzResult(PortfolioWeights(np.array([1.0])),
-                               float(-window.mean()), False)
-
+    k = window.shape[1]
     returns = -window.mean(axis=0)
-    target = target_return / periods_per_year
-    clamped = False
-    lo, hi = float(np.min(returns)), float(np.max(returns))
-    if target < lo:
-        target, clamped = lo, True
-    elif target > hi:
-        target, clamped = hi, True
+    requested = float(target_return) / TRADING_DAYS_PER_YEAR
+    lo, hi = int(np.argmin(returns)), int(np.argmax(returns))
+    target = min(max(requested, float(returns[lo])), float(returns[hi]))
+    hess = 2.0 * np.atleast_2d(np.cov(window, rowvar=False, ddof=1))
+    scale = float(np.max(np.abs(hess))) or 1.0
+    hess = hess / scale  # so that the multipliers, and the tolerances on them, are relative
 
-    cov = np.cov(window, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
-    eigmax = float(np.max(np.linalg.eigvalsh(cov)))
-    step = 1.0 / (2.0 * eigmax + 1e-12)
-
-    w = _project_simplex_with_mean(np.full(n_assets, 1.0 / n_assets), returns, target)
-    for _ in range(_MARKOWITZ_ITERATIONS):
-        w = _project_simplex_with_mean(w - step * (2.0 * cov @ w), returns, target)
-    return MarkowitzResult(PortfolioWeights(w), target, clamped)
+    w = np.zeros(k)
+    near = np.abs(returns - target) <= _EDGE_TOLERANCE * (float(np.max(np.abs(window))) or 1.0)
+    if near[lo] or near[hi]:
+        rows, b, allowed = np.ones((1, k)), np.ones(1), near
+        w[np.argmax(near)] = 1.0
+    else:  # the mean row in units of the return spread, so that it reads as a weight
+        spread = returns[hi] - returns[lo]
+        rows = np.vstack([np.ones(k), (returns - returns[lo]) / spread])
+        b, allowed = np.array([1.0, (target - returns[lo]) / spread]), np.ones(k, dtype=bool)
+        w[lo], w[hi] = 1.0 - b[1], b[1]
+    free = w > 0.0
+    for _ in range(10 * (k + 1)):  # each pass binds or frees one weight
+        f = np.flatnonzero(free)
+        kkt = np.block([[hess[np.ix_(f, f)], rows[:, f].T],
+                        [rows[:, f], np.zeros((len(rows), len(rows)))]])
+        solution = np.linalg.lstsq(kkt, np.r_[np.zeros(f.size), b], rcond=None)[0]
+        step = solution[: f.size] - w[f]
+        # a weight at 0 blocks only a step beyond rounding: at a degenerate
+        # vertex the solve returns it as a rounding error, and binding that
+        # would cycle
+        falling = np.flatnonzero((step < 0.0) & ((w[f] > 0.0) | (step < -_EDGE_TOLERANCE)))
+        ratios = w[f[falling]] / -step[falling]
+        if ratios.size and ratios.min() < 1.0:
+            w[f] = np.maximum(w[f] + ratios.min() * step, 0.0)
+            blocking = f[falling[np.argmin(ratios)]]
+            w[blocking], free[blocking] = 0.0, False
+            continue
+        w[f] = np.maximum(solution[: f.size], 0.0)
+        multipliers = hess @ w + rows.T @ solution[f.size :]
+        bound = np.flatnonzero(allowed & ~free)
+        worst = float(np.min(multipliers[bound], initial=0.0))
+        if worst >= -_EDGE_TOLERANCE:
+            break
+        free[bound[np.argmin(multipliers[bound])]] = True
+    else:
+        raise NumericsError(f"Markowitz active set still open after {10 * (k + 1)} passes")
+    residual = max(float(np.max(np.abs(multipliers[free]), initial=0.0)), -worst,
+                   float(np.max(np.abs(rows @ w - b))))
+    if not residual <= _GAP_TOLERANCE:
+        raise NumericsError(f"Markowitz solve not certified: KKT residual {scale * residual:.3g}")
+    return MarkowitzResult(PortfolioWeights(w), target, target != requested, scale * residual)

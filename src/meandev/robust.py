@@ -70,10 +70,7 @@ def worstcase_moment(
 
 
 def worstcase_wasserstein(
-    g: RiskWeightFunction,
-    h: DistortionFunction,
-    u: WassersteinUncertainty,
-    wasserstein_order: float = 2.0,
+    g: RiskWeightFunction, h: DistortionFunction, u: WassersteinUncertainty
 ) -> float:
     """Largest value of g(D_h) + mean over the Wasserstein ball.
 
@@ -85,11 +82,6 @@ def worstcase_wasserstein(
     is closed, lambda D + epsilon sqrt(1 + lambda^2 ||h'||_2^2) + mean, by
     Cauchy-Schwarz in (t, sqrt(1 - t^2)).
     """
-    if wasserstein_order != 2.0:
-        raise ValueError(
-            "unsupported Wasserstein order: the inner supremum has a closed "
-            "form only for order 2"
-        )
     nominal_dev = choquet_deviation(h, u.center)
     mean = u.center.mean()
     if u.epsilon == 0.0:

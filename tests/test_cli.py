@@ -166,6 +166,37 @@ class TestInputValidation:
         assert proc.stdout == b""
         assert proc.stderr == b"meandev: error: worst_case is not a finite number; nothing was written\n"
 
+    def test_extreme_model_error_is_one_line(self):
+        # numpy's overflow warnings used to print four lines ahead of the error
+        proc = run_cli("asymvar", "--model", '{"kind":"exponential","beta":1e-300}',
+                       "--g", LINEAR_G, "--h", '{"kind":"es_dev","alpha":0.9}')
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr == (b"meandev: error: asymptotic-variance integral evaluated to a "
+                               b"non-finite value\n")
+
+    def test_extreme_price_ratio_error_is_one_line(self, tmp_path):
+        # the price ratio 1e300 / 1e-300 overflows; its warning used to precede the error
+        prices = tmp_path / "extreme.csv"
+        prices.write_text("date,AAA\n2023-01-02,1e-300\n2023-01-03,1e300\n")
+        proc = run_cli("ingest", "--prices", str(prices))
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr == b"meandev: error: losses must all be finite\n"
+
+    @pytest.mark.parametrize("command", ["eval", "ingest"])
+    def test_oversized_csv_field_exits_one(self, command, tmp_path, capsys):
+        # the csv module's field limit used to end in a _csv.Error traceback
+        path = tmp_path / "oversized.csv"
+        path.write_text(("value\n" if command == "eval" else "date,AAA\n2023-01-02,")
+                        + "1" * 200_000 + "\n")
+        argv = {"eval": ["eval", "--g", LINEAR_G, "--h", GINI_H, "--data", str(path)],
+                "ingest": ["ingest", "--prices", str(path)]}[command]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "meandev: error: field larger than field limit (131072)\n"
+
     def test_non_finite_sweep_point_writes_nothing(self, capsys):
         # the first point (v = 1) is finite; nothing may be written before the second fails
         argv = ["robust", "moment", "--g", LINEAR_G, "--h", '{"kind":"es_dev","alpha":0.9}',

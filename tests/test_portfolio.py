@@ -1,4 +1,5 @@
 import datetime as dt
+import itertools
 import math
 
 import numpy as np
@@ -411,6 +412,75 @@ class TestMarkowitz:
         window = synthetic_panel(200, 3, seed=31).losses
         res = markowitz_baseline(window, target_return=10.0)  # absurdly high
         assert res.target_clamped
+
+    @staticmethod
+    def enumerated_minimum(window, target):
+        """The least variance over every support: each support's equality-
+        constrained KKT system, kept when its weights are nonnegative and meet
+        both rows.  The optimum is the solution on its own support."""
+        returns = -window.mean(axis=0)
+        cov = np.atleast_2d(np.cov(window, rowvar=False, ddof=1))
+        best = math.inf
+        for size in range(1, window.shape[1] + 1):
+            for support in map(list, itertools.combinations(range(window.shape[1]), size)):
+                rows = np.vstack([np.ones(size), returns[support]])
+                kkt = np.block([[2.0 * cov[np.ix_(support, support)], rows.T],
+                                [rows, np.zeros((2, 2))]])
+                w = np.linalg.lstsq(kkt, np.r_[np.zeros(size), 1.0, target], rcond=None)[0][:size]
+                feasible = np.allclose(rows @ w, [1.0, target], rtol=0.0, atol=1e-14)
+                if feasible and w.min() >= -1e-12:
+                    best = min(best, float(w @ cov[np.ix_(support, support)] @ w))
+        return best
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_enumerated_supports(self, seed):
+        # k = 2..6 assets; every fourth target lies above every asset's return
+        k = 2 + seed % 5
+        window = synthetic_panel(60 + 20 * k, k, seed=200 + seed).losses
+        returns = -window.mean(axis=0)
+        u = np.random.default_rng(seed).uniform(0.05, 0.95) if seed % 4 else 2.0
+        res = markowitz_baseline(window, target_return=252 * float(
+            returns.min() + u * (returns.max() - returns.min())))
+        assert res.target_clamped == (seed % 4 == 0)
+        w = res.weights.w
+        variance = float(w @ np.cov(window, rowvar=False, ddof=1) @ w)
+        assert variance == pytest.approx(self.enumerated_minimum(window, res.target_daily_return),
+                                         rel=1e-10)
+        assert float(returns @ w) == pytest.approx(res.target_daily_return, abs=1e-12)
+
+    def test_duplicated_asset(self):
+        # a repeated column makes the covariance singular: the split between the
+        # copies is free, but their sum and the variance are those without the copy
+        base = synthetic_panel(200, 4, seed=33).losses
+        returns = -base.mean(axis=0)
+        target = 252 * float(0.5 * returns.min() + 0.5 * returns.max())
+        single = markowitz_baseline(base, target_return=target)
+        twice = markowitz_baseline(np.column_stack([base, base[:, 1]]), target_return=target)
+        w = twice.weights.w
+        assert np.r_[w[0], w[1] + w[4], w[2:4]] == pytest.approx(single.weights.w, abs=1e-9)
+        assert twice.target_daily_return == single.target_daily_return
+        cov = np.cov(base, rowvar=False, ddof=1)
+        assert twice.kkt_residual <= 1e-9 * 2.0 * np.max(np.abs(cov))
+
+    def test_kkt_residual_certifies(self):
+        window = synthetic_panel(500, 10, seed=34).losses
+        res = markowitz_baseline(window)
+        scale = 2.0 * np.max(np.abs(np.cov(window, rowvar=False, ddof=1)))
+        assert 0.0 <= res.kkt_residual <= 1e-9 * scale
+
+    def test_single_asset_target_clamped(self):
+        # the asset's own daily return is 2^-9: any other target is clamped to it
+        window = np.array([[-2.0 ** -9 + 2.0 ** -8], [-2.0 ** -9 - 2.0 ** -8]])
+        res = markowitz_baseline(window)
+        assert res.target_clamped and res.target_daily_return == 2.0 ** -9
+        res = markowitz_baseline(window, target_return=252 * 2.0 ** -9)
+        assert not res.target_clamped and res.weights.w == pytest.approx([1.0])
+
+    def test_plain_python_fields(self):
+        res = markowitz_baseline(self.exact_moment_window(2.0))
+        assert type(res.target_daily_return) is float
+        assert type(res.target_clamped) is bool
+        assert type(res.kkt_residual) is float
 
 
 class TestPanelValidation:

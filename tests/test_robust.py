@@ -149,12 +149,6 @@ class TestWassersteinWorstCase:
             assert worstcase_moment(g, ESDeviation(0.9), u) <= worstcase_moment(
                 LinearWeight(1.0), ESDeviation(0.9), u) + 1e-12
 
-    def test_only_order_two_supported(self):
-        u = WassersteinUncertainty(self.center, 0.1)
-        with pytest.raises(ValueError):
-            worstcase_wasserstein(LinearWeight(1.0), ESDeviation(0.9), u,
-                                  wasserstein_order=1.0)
-
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             WassersteinUncertainty(self.center, -0.1)

@@ -18,7 +18,6 @@ from .distortion import (
     is_range_normalized,
 )
 from .distributions import (
-    EmpiricalDistribution,
     Exponential,
     Lomax,
     Normal,

@@ -3,11 +3,15 @@
 All numeric output is JSON on stdout with keys sorted and floats quantized
 to 12 significant digits, so a fixed seed yields byte-identical output
 across runs.  Usage errors exit 2; domain and numeric errors exit 1.
+Each command returns (stdout text, {path: file text}) and writes nothing;
+``dispatch`` writes them only once all are built, so an error writes nothing.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import datetime as dt
+import io
 import json
 import math
 import sys
@@ -60,14 +64,25 @@ def _round_floats(obj):
     return obj
 
 
-def emit_json(obj: dict) -> None:
+def _json(obj: dict) -> str:
     obj = _round_floats(obj)
     try:
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     except ValueError:
         bad = [k for k, v in sorted(obj.items()) if isinstance(v, float) and not math.isfinite(v)]
         raise NumericsError(f"{', '.join(bad) or 'a value'} {_NOT_FINITE}") from None
-    sys.stdout.write(text + "\n")
+    return text + "\n"
+
+
+def _csv(header, rows, end="\r\n") -> str:
+    """CSV text: str cells verbatim, dates in ISO form, numbers as repr(float)."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=end)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([c if isinstance(c, str) else c.isoformat() if isinstance(c, dt.date)
+                         else repr(float(c)) for c in row])
+    return out.getvalue()
 
 
 def _json_arg(text: str, what: str) -> dict:
@@ -111,81 +126,69 @@ def _sweep(text: str) -> list[float]:
     return np.linspace(_finite_float(parts[0]), _finite_float(parts[1]), count).tolist()
 
 
-def _write_sweep(parameters, values) -> None:
+def _sweep_csv(parameters, values) -> str:
     bad = [p for p, v in zip(parameters, values) if not math.isfinite(v)]
     if bad:
         raise NumericsError(f"worst_case at parameter {bad[0]:.12g} {_NOT_FINITE}")
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["parameter", "worst_case"])
-    for p, v in zip(parameters, values):
-        writer.writerow([f"{p:.12g}", f"{v:.12g}"])
+    rows = ([f"{p:.12g}", f"{v:.12g}"] for p, v in zip(parameters, values))
+    return _csv(["parameter", "worst_case"], rows, "\n")
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[str, dict]:
     g = g_from_spec(_json_arg(args.g, "--g"))
     c = g.classify()
-    out = {"g": g.spec(), **asdict(c), "smallest_coherent_multiplier": c.sup_ratio}
-    emit_json(out)
-    return 0
+    return _json({"g": g.spec(), **asdict(c), "smallest_coherent_multiplier": c.sup_ratio}), {}
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[str, dict]:
     g = g_from_spec(_json_arg(args.g, "--g"))
     h = distortion_from_spec(_json_arg(args.h, "--h"))
     x = StateVector.from_csv(args.data)
     m = MDMeasure(g, h)
     dev = choquet_deviation(h, x)
-    emit_json({
+    return _json({
         "md": md_eval(m, x),
         "deviation": dev,
         "mean": x.mean(),
         "classification": asdict(m.classification),
-    })
-    return 0
+    }), {}
 
 
-def _cmd_asymvar(args) -> int:
+def _cmd_asymvar(args) -> tuple[str, dict]:
     model = model_from_spec(_json_arg(args.model, "--model"))
     m = MDMeasure(g_from_spec(_json_arg(args.g, "--g")),
                   distortion_from_spec(_json_arg(args.h, "--h")))
     limit = gaussian_limit(model, m)
-    emit_json({"md_true": limit.center, "sigma2": limit.variance})
-    return 0
+    return _json({"md_true": limit.center, "sigma2": limit.variance}), {}
 
 
-def _cmd_mc(args) -> int:
+def _cmd_mc(args) -> tuple[str, dict]:
     model = model_from_spec(_json_arg(args.model, "--model"))
     m = MDMeasure(g_from_spec(_json_arg(args.g, "--g")),
                   distortion_from_spec(_json_arg(args.h, "--h")))
     report = monte_carlo(model, m, n=args.n, replications=args.reps, seed=args.seed)
+    files = {}
     if args.estimates_csv:
-        with open(args.estimates_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["estimate"])
-            for value in report.estimates:
-                writer.writerow([repr(float(value))])
-    emit_json(report.as_dict())
-    return 0
+        files[args.estimates_csv] = _csv(["estimate"], ([v] for v in report.estimates))
+    return _json(report.as_dict()), files
 
 
-def _cmd_robust_moment(args) -> int:
+def _cmd_robust_moment(args) -> tuple[str, dict]:
     g = g_from_spec(_json_arg(args.g, "--g"))
     h = distortion_from_spec(_json_arg(args.h, "--h"))
     if args.sweep is not None:
         values = [worstcase_moment(g, h, MomentUncertainty(args.m, v, args.order))
                   for v in args.sweep]
-        _write_sweep(args.sweep, values)
-        return 0
+        return _sweep_csv(args.sweep, values), {}
     u = MomentUncertainty(m=args.m, v=args.v, a_order=args.order)
-    emit_json({
+    return _json({
         "worst_case": worstcase_moment(g, h, u),
         "nominal": args.m,
         "uncertainty": {"kind": "moment", "m": args.m, "v": args.v, "order": args.order},
-    })
-    return 0
+    }), {}
 
 
-def _cmd_robust_wasserstein(args) -> int:
+def _cmd_robust_wasserstein(args) -> tuple[str, dict]:
     g = g_from_spec(_json_arg(args.g, "--g"))
     h = distortion_from_spec(_json_arg(args.h, "--h"))
     center = StateVector.from_csv(args.data)
@@ -193,45 +196,33 @@ def _cmd_robust_wasserstein(args) -> int:
     if args.sweep is not None:
         values = [worstcase_wasserstein(g, h, WassersteinUncertainty(center, eps))
                   for eps in args.sweep]
-        _write_sweep(args.sweep, values)
-        return 0
+        return _sweep_csv(args.sweep, values), {}
     u = WassersteinUncertainty(center=center, epsilon=args.eps)
-    emit_json({
+    return _json({
         "worst_case": worstcase_wasserstein(g, h, u),
         "nominal": nominal,
         "uncertainty": {"kind": "wasserstein", "eps": args.eps, "n": center.n},
-    })
-    return 0
+    }), {}
 
 
-def _cmd_backtest(args) -> int:
+def _cmd_backtest(args) -> tuple[str, dict]:
     panel = ingest_prices(args.prices)
     spec = _json_arg(args.config, "--config") if args.config else {}
     cfg = read(BacktestConfig, _CONFIG_FIELDS, spec, "--config")
     report = run_backtest(panel, cfg)
+    files = {}
     if args.wealth_csv:
-        with open(args.wealth_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", "wealth"])
-            for date, value in zip(report.dates, report.wealth):
-                writer.writerow([date.isoformat(), repr(float(value))])
+        files[args.wealth_csv] = _csv(["date", "wealth"], zip(report.dates, report.wealth))
     if args.weights_csv:
-        with open(args.weights_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", *panel.tickers])
-            for date, _, _, w in report.periods:
-                writer.writerow([date.isoformat(), *(repr(float(v)) for v in w)])
-    emit_json(report.as_dict())
-    return 0
+        files[args.weights_csv] = _csv(["date", *panel.tickers],
+                                       ([date, *w] for date, _, _, w in report.periods))
+    return _json(report.as_dict()), files
 
 
-def _cmd_ingest(args) -> int:
+def _cmd_ingest(args) -> tuple[str, dict]:
     panel = ingest_prices(args.prices)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["date", *panel.tickers])
-    for date, row in zip(panel.dates, panel.losses):
-        writer.writerow([date.isoformat(), *(repr(float(v)) for v in row)])
-    return 0
+    rows = ([date, *row] for date, row in zip(panel.dates, panel.losses))
+    return _csv(["date", *panel.tickers], rows, "\n"), {}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -309,10 +300,15 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except (ValueError, NumericsError, FileNotFoundError, csv.Error) as exc:
+        text, files = args.func(args)
+        for path, content in files.items():
+            with open(path, "w", newline="") as fh:
+                fh.write(content)
+    except (ValueError, NumericsError, OSError, csv.Error) as exc:
         sys.stderr.write(f"meandev: error: {exc}\n")
         return 1
+    sys.stdout.write(text)
+    return 0
 
 
 def main() -> None:

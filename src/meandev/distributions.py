@@ -1,8 +1,8 @@
-"""Sample vectors, empirical distributions, and parametric loss models.
+"""Sample vectors and parametric loss models.
 
 A loss random variable is represented either as a ``StateVector`` (values on
 n equiprobable states) or as one of three parametric families (normal,
-Lomax, exponential) with scipy-like quantile/density access.  Sampling is
+Lomax, exponential) with scipy-like quantile access.  Sampling is
 inverse-transform on a seeded PCG64 generator, so results are reproducible
 from the seed alone.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from ._spec import build, number, spec_of
 
 __all__ = [
     "StateVector",
-    "EmpiricalDistribution",
     "ParametricModel",
     "Normal",
     "Lomax",
@@ -34,19 +33,6 @@ _UNIFORM_EPS = 2.0 ** -53
 _HALF_MAX = 0.5 * np.finfo(float).max  # n values below _HALF_MAX / n sum and differ finitely
 
 
-def _as_values(values: Iterable[float]) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("state vector values must be one-dimensional")
-    if arr.size < 1:
-        raise ValueError("state vector needs at least one state")
-    limit = _HALF_MAX / arr.size
-    if not (-limit <= arr.min() and arr.max() <= limit):
-        raise ValueError("state vector values must all be finite and at most "
-                         f"{limit:.6g} in absolute value")
-    return arr
-
-
 @dataclass(frozen=True)
 class StateVector:
     """A random loss on n equiprobable states (each with probability 1/n)."""
@@ -54,8 +40,17 @@ class StateVector:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_values(self.values))
-        self.values.setflags(write=False)
+        arr = np.asarray(self.values, dtype=float)
+        if arr.ndim != 1:
+            raise ValueError("state vector values must be one-dimensional")
+        if arr.size < 1:
+            raise ValueError("state vector needs at least one state")
+        limit = _HALF_MAX / arr.size
+        if not (-limit <= arr.min() and arr.max() <= limit):
+            raise ValueError("state vector values must all be finite and at most "
+                             f"{limit:.6g} in absolute value")
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     @property
     def n(self) -> int:
@@ -111,46 +106,14 @@ class StateVector:
                 writer.writerow([repr(float(v))])
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Order statistics of a sample; quantiles use the left-continuous inverse."""
-
-    order_statistics: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_values(self.order_statistics)
-        if np.any(np.diff(arr) < 0):
-            raise ValueError("order statistics must be sorted ascending")
-        object.__setattr__(self, "order_statistics", arr)
-        self.order_statistics.setflags(write=False)
-
-    @classmethod
-    def from_state_vector(cls, x: StateVector) -> "EmpiricalDistribution":
-        return cls(x.sorted_values())
-
-    @property
-    def n(self) -> int:
-        return self.order_statistics.size
-
-    def quantile(self, u: float) -> float:
-        """Left quantile: the order statistic at index ceil(n*u)."""
-        if not 0.0 < u <= 1.0:
-            raise ValueError(f"quantile level must be in (0, 1], got {u}")
-        k = int(math.ceil(self.n * u))
-        return float(self.order_statistics[max(k, 1) - 1])
-
-    def cdf(self, x: float) -> float:
-        return float(np.searchsorted(self.order_statistics, x, side="right")) / self.n
-
-
 class ParametricModel:
     """Base for distributions with strictly increasing quantiles on (0, 1).
 
-    Subclasses supply ``quantile``, ``cdf``, ``density``, the composite
-    ``density_quantile`` (density evaluated at the quantile), and closed-form
-    moments.  ``*_upper`` variants take the upper-tail probability eps and
-    evaluate at level 1 - eps without cancellation, which matters when
-    integrating into the far tail.
+    Subclasses supply ``quantile``, ``cdf``, the composite ``density_quantile``
+    (the density evaluated at the quantile), and closed-form moments.
+    ``*_upper`` variants take the upper-tail probability eps and evaluate at
+    level 1 - eps without cancellation, which matters when integrating into
+    the far tail.
     """
 
     def quantile(self, u):
@@ -161,9 +124,6 @@ class ParametricModel:
         raise NotImplementedError
 
     def cdf(self, x):
-        raise NotImplementedError
-
-    def density(self, x):
         raise NotImplementedError
 
     def density_quantile(self, u):
@@ -226,10 +186,6 @@ class Normal(ParametricModel):
 
         return ndtr((np.asarray(x, dtype=float) - self.mu) / self.sd)
 
-    def density(self, x):
-        z = (np.asarray(x, dtype=float) - self.mu) / self.sd
-        return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
-
     def density_quantile(self, u):
         from scipy.special import ndtri
 
@@ -266,12 +222,6 @@ class Lomax(ParametricModel):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0.0, 0.0, 1.0 - (1.0 + np.maximum(x, 0.0)) ** (-self.theta))
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(
-            x < 0.0, 0.0, self.theta * (1.0 + np.maximum(x, 0.0)) ** (-self.theta - 1.0)
-        )
-
     def density_quantile(self, u):
         return self.theta * (1.0 - _check_prob(u)) ** (1.0 + 1.0 / self.theta)
 
@@ -306,10 +256,6 @@ class Exponential(ParametricModel):
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0.0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))
-
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0.0, 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)))
 
     def density_quantile(self, u):
         return self.rate * (1.0 - _check_prob(u))

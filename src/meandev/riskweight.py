@@ -274,7 +274,13 @@ def conjugate(g: RiskWeightFunction, y: float) -> float:
             return math.fsum(terms)
         if theta == 1.0:
             return -y - math.log1p(-y)
-        return -y - theta / (theta - 1.0) * math.expm1(c * math.log1p(-y))
+        if 0.5 <= theta <= 2.0:
+            # (theta - 1) / theta keeps c exact to rounding as theta -> 1
+            c = (theta - 1.0) / theta
+            return -y - math.expm1(c * math.log1p(-y)) / c
+        # with (1 - y)^c - 1 = (1 - y) expm1(-log(1 - y) / theta) - y the terms of
+        # order y / theta no longer cancel at large theta
+        return (y - theta * (1.0 - y) * math.expm1(-math.log1p(-y) / theta)) / (theta - 1.0)
     if isinstance(g, PiecewiseLinearWeight):
         # the objective is linear on each segment, so the sup sits at a knot
         # (or at 0; the tail segment has slope y - a <= 0)

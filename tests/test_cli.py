@@ -197,6 +197,17 @@ class TestInputValidation:
         assert captured.out == ""
         assert captured.err == "meandev: error: field larger than field limit (131072)\n"
 
+    @pytest.mark.parametrize("flag", ["--prices", "--wealth-csv"])
+    def test_directory_for_a_file_exits_one(self, flag, prices_csv, tmp_path, capsys):
+        # a directory in place of an input or output file ended in an IsADirectoryError traceback
+        paths = {"--prices": prices_csv, "--wealth-csv": str(tmp_path / "wealth.csv"),
+                 flag: str(tmp_path)}
+        argv = ["backtest", "--config", '{"window":40}', *(x for kv in paths.items() for x in kv)]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("meandev: error: ") and captured.err.count("\n") == 1
+
     def test_non_finite_sweep_point_writes_nothing(self, capsys):
         # the first point (v = 1) is finite; nothing may be written before the second fails
         argv = ["robust", "moment", "--g", LINEAR_G, "--h", '{"kind":"es_dev","alpha":0.9}',
@@ -307,6 +318,36 @@ class TestOutputs:
         assert out["final_wealth"] > 0.0
         assert wealth.read_text().splitlines()[0] == "date,wealth"
         assert weights.read_text().splitlines()[0] == "date,AAA,BBB"
+
+    @staticmethod
+    def overflowing_backtest(tmp_path, wealth, weights):
+        # one ticker climbing from 1e-300 to 1e300: the wealth path overflows to inf
+        days = [d for d in (dt.date(2023, 1, 2) + dt.timedelta(k) for k in range(63))
+                if d.weekday() < 5]
+        rows = [f"{d.isoformat()},{10.0 ** (-300 + 600 * i / 44)!r}" for i, d in enumerate(days)]
+        prices = tmp_path / "climb.csv"
+        prices.write_text("\n".join(["date,AAA", *rows]) + "\n")
+        proc = run_cli("backtest", "--prices", str(prices), "--config", '{"window":5}',
+                       "--wealth-csv", str(wealth), "--weights-csv", str(weights))
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr == b"meandev: error: final_wealth is not a finite number; " \
+                              b"nothing was written\n"
+
+    def test_failed_backtest_writes_no_file(self, tmp_path):
+        # the CSVs were once written before the report was checked, ending in inf rows
+        wealth, weights = tmp_path / "wealth.csv", tmp_path / "weights.csv"
+        self.overflowing_backtest(tmp_path, wealth, weights)
+        assert not wealth.exists()
+        assert not weights.exists()
+
+    def test_failed_backtest_keeps_existing_files(self, tmp_path):
+        wealth, weights = tmp_path / "wealth.csv", tmp_path / "weights.csv"
+        wealth.write_bytes(b"old wealth\r\n")
+        weights.write_bytes(b"old weights\r\n")
+        self.overflowing_backtest(tmp_path, wealth, weights)
+        assert wealth.read_bytes() == b"old wealth\r\n"
+        assert weights.read_bytes() == b"old weights\r\n"
 
 
 # runs `python -m meandev` and then reports every scipy module it loaded

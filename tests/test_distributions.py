@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from meandev.distributions import (
-    EmpiricalDistribution,
     Exponential,
     Lomax,
     Normal,
@@ -137,22 +136,6 @@ class TestStateVector:
         path.write_text("price\n1.0\n")
         with pytest.raises(ValueError):
             StateVector.from_csv(str(path))
-
-
-class TestEmpiricalDistribution:
-    def test_left_quantile_convention(self):
-        emp = EmpiricalDistribution.from_state_vector(StateVector([0.0, 2.0]))
-        assert emp.quantile(0.5) == 0.0
-        assert emp.quantile(0.51) == 2.0
-
-    def test_same_multiset(self, rng):
-        x = StateVector(rng.normal(size=25))
-        emp = EmpiricalDistribution.from_state_vector(x)
-        assert np.array_equal(np.sort(x.values), emp.order_statistics)
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            EmpiricalDistribution(np.array([2.0, 1.0]))
 
 
 class TestSpecParsing:

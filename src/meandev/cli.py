@@ -4,16 +4,18 @@ All numeric output is JSON on stdout with keys sorted and floats quantized
 to 12 significant digits, so a fixed seed yields byte-identical output
 across runs.  Usage errors exit 2; domain and numeric errors exit 1.
 Each command returns (stdout text, {path: file text}) and writes nothing;
-``dispatch`` writes them only once all are built, so an error writes nothing.
+``dispatch`` writes and renames them only once all are built: an error writes none.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import datetime as dt
+import errno
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -225,6 +227,25 @@ def _cmd_ingest(args) -> tuple[str, dict]:
     return _csv(["date", *panel.tickers], rows, "\n"), {}
 
 
+def _write_all(files: dict) -> None:
+    """Write every file or none: to temporary siblings, renamed once all are written."""
+    temps = {path: f"{path}.{os.getpid()}.tmp" for path in files}
+    try:
+        for path, content in files.items():
+            try:
+                if os.path.isdir(path):  # a rename onto it would fail after others were renamed
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                with open(temps[path], "w", newline="") as fh:
+                    fh.write(content)
+            except OSError as exc:  # name the requested file, not its temporary sibling
+                raise OSError(exc.errno, exc.strerror, path) from None
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in filter(os.path.exists, temps.values()):
+            os.remove(temp)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meandev",
@@ -301,9 +322,7 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         text, files = args.func(args)
-        for path, content in files.items():
-            with open(path, "w", newline="") as fh:
-                fh.write(content)
+        _write_all(files)
     except (ValueError, NumericsError, OSError, csv.Error) as exc:
         sys.stderr.write(f"meandev: error: {exc}\n")
         return 1

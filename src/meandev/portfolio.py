@@ -10,12 +10,12 @@ against a lower bound on the optimum that holds for every s, as
 g(d) >= s d - g*(s); at s = g'(d0), d0 = d(w), the bound is
 g(d0) - s d0 + psi(s).
 
-Each psi(s) is an LP over the tail probabilities p of the window's days,
-with k + 1 rows for k assets, solved by an in-house bounded-variable simplex
-warm-started from the tail of the nearest solved w.  Its primal p and dual w
-bracket psi(s) between min_j (L^T p)_j and m(w) + s d(w); the lower end is
-the psi the certificate uses, and the LP raises NumericsError when the two
-ends lie further apart than the gap tolerance.
+Each psi(s) is an LP over the tail probabilities p of the window's days, with
+k + 1 rows for k assets, solved by an in-house bounded-variable simplex: the
+first from the tail of L w0, later ones by a dual simplex from the nearest
+solved basis.  Its primal p and dual w bracket psi(s) between min_j (L^T p)_j
+and m(w) + s d(w); the lower end is the psi the certificate uses, and the LP
+raises NumericsError when the ends lie further apart than the gap tolerance.
 
 Backtests rebalance on the first trading day of each calendar month using
 the trailing window of losses, compound wealth by exp(-w . loss) daily, and
@@ -92,8 +92,9 @@ class LossPanel:
 @dataclass(frozen=True)
 class PortfolioWeights:
     w: np.ndarray
-    gap: float | None = None  # set by optimize_md: its duality gap and LP count
-    lp_solves: int | None = None
+    gap: float | None = None  # set by optimize_md: its duality gap, LP count
+    lp_solves: int | None = None  # and each LP's pivots (basis changes and flips)
+    pivots: tuple[int, ...] | None = None
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -139,6 +140,7 @@ class BacktestReport:
     periods: tuple  # (rebalance date, start row, end row, weight vector)
     max_gap: float  # largest |duality gap| of the rebalance solves
     lp_solves: int  # tail LPs over all rebalance solves
+    pivots: int  # their simplex pivots
 
     def as_dict(self) -> dict:
         return {
@@ -237,29 +239,33 @@ def portfolio_objective(
 
 @dataclass(frozen=True)
 class _Vertex:
-    """An optimal w of the tail LP at s.  Its line mean + t dev supports psi
-    at s, with mean = psi - s dev exactly even where w is optimal only to the
-    LP's tolerance."""
+    """An optimal w of the tail LP at s, and the basis and bound sides that
+    restart it at another s.  Its line mean + t dev supports psi at s, with
+    mean = psi - s dev exactly even where w is optimal only to its tolerance."""
 
     s: float
     psi: float
     w: np.ndarray
     dev: float
     mean: float
+    basis: np.ndarray
+    upper: np.ndarray
+    pivots: int
 
 
 def _tail_lp(window: np.ndarray, alpha: float, s: float, scale: float,
-             w0: np.ndarray) -> _Vertex:
+             start: np.ndarray | _Vertex) -> _Vertex:
     """psi(s) = max eta s.t. eta <= (L^T p)_j for every asset j, sum p = 1 and
     (1 - s)/n <= p_i <= (1 - s)/n + s/((1 - alpha) n), with its optimal w.
 
-    A bounded-variable primal simplex on L / scale over (p, eta, slacks), so
-    its tolerances are relative to max|L|.  It starts feasible at the tail
-    vertex of L w0 (p at its upper bound on the largest losses, one p basic),
-    solves x_B afresh every pivot, and prices by Dantzig's rule, or by
-    Bland's after a run of degenerate pivots.  w is the duals of the asset
-    rows; psi is the primal bound min_j (L^T p)_j, and the dual bound
-    mean + s dev of L w must lie within the gap tolerance above it.
+    A bounded-variable simplex on L / scale over (p, eta, slacks), so its
+    tolerances are relative to max|L|.  From weights w0 it starts feasible at
+    the tail vertex of L w0 (p at its upper bound on the largest losses, one p
+    basic); from a vertex at another s, a dual simplex repairs its basis (the
+    largest bound violation leaves, the least |d_j / alpha_rj| enters).  Then
+    Dantzig's rule prices, or Bland's after degenerate runs; x_B is solved
+    afresh each pivot.  w is the asset rows' duals; the primal bound psi =
+    min_j (L^T p)_j lies within the gap tolerance below the dual m + s d of L w.
     """
     n, k = window.shape
     lo, width = (1.0 - s) / n, s / ((1.0 - alpha) * n)
@@ -268,15 +274,18 @@ def _tail_lp(window: np.ndarray, alpha: float, s: float, scale: float,
     a = np.vstack([np.hstack([-window.T / scale, np.ones((k, 1)), np.eye(k)]),
                    np.concatenate([np.ones(n), np.zeros(k + 1)])])
     b = np.eye(k + 1)[k]
-    order = np.argsort(-(window @ w0), kind="stable")
-    tail, x = order[:min(int((1.0 - alpha) * n), n - 1)], lower.copy()
-    x[tail], x[n] = upper[tail], 0.0
-    f = int(order[tail.size])  # the one basic p, at the fraction that makes sum p = 1
-    x[f] = 1.0 - (np.sum(x[:n]) - x[f])
-    tightest = int(np.argmin(x[:n] @ window))  # eta sits on this row, its slack at 0
-    basis = np.array([n, f] + [n + 1 + j for j in range(k) if j != tightest])
-    degenerate, inverse = 0, None
-    for _ in range(10 * (n + k)):  # a warm start takes tens of pivots
+    dual, degenerate, inverse = isinstance(start, _Vertex), 0, None
+    if dual:
+        basis, x = start.basis.copy(), np.where(start.upper, upper, lower)
+    else:
+        order = np.argsort(-(window @ start), kind="stable")
+        tail, x = order[:min(int((1.0 - alpha) * n), n - 1)], lower.copy()
+        x[tail], x[n] = upper[tail], 0.0
+        f = int(order[tail.size])  # the one basic p, at the fraction that makes sum p = 1
+        x[f] = 1.0 - (np.sum(x[:n]) - x[f])
+        tightest = int(np.argmin(x[:n] @ window))  # eta sits on this row, its slack at 0
+        basis = np.array([n, f] + [n + 1 + j for j in range(k) if j != tightest])
+    for pivots in range(10 * (n + k)):  # a warm start takes tens of pivots
         if inverse is None:
             inverse = np.linalg.inv(a[:, basis])
         rest = x.copy()
@@ -284,6 +293,20 @@ def _tail_lp(window: np.ndarray, alpha: float, s: float, scale: float,
         x[basis] = xb = inverse @ (b - a @ rest)
         y = inverse[0]  # the duals: eta is basis[0] and, being free, never leaves
         d = -(y @ a)  # reduced costs off the basis, where the objective has no entry
+        if dual:
+            excess = np.maximum(lower[basis] - xb, xb - upper[basis])
+            r = int(np.argmax(excess))
+            dual = excess[r] > _EDGE_TOLERANCE / n  # relative to the mean p
+        if dual:  # x_B[r] leaves at the bound it breaks; raising x_j helps it where toward > 0
+            toward = math.copysign(1.0, xb[r] - lower[basis[r]]) * (inverse[r] @ a)
+            able = (x < upper) & (toward > _EDGE_TOLERANCE) | (x > lower) & (toward < -_EDGE_TOLERANCE)
+            able[basis] = False
+            ratio = np.divide(np.abs(d), np.abs(toward), out=np.full(d.size, np.inf), where=able)
+            if not able[q := int(np.argmin(ratio))]:
+                raise NumericsError(f"tail LP at s = {s:.6g} found no entering variable")
+            x[basis[r]] = np.clip(xb[r], lower[basis[r]], upper[basis[r]])
+            basis[r], inverse = q, None
+            continue
         gain = np.maximum(np.where(x < upper, d, 0.0), np.where(x > lower, -d, 0.0))
         gain[basis] = 0.0
         bland = degenerate > k
@@ -291,9 +314,8 @@ def _tail_lp(window: np.ndarray, alpha: float, s: float, scale: float,
         if not gain[q] > _EDGE_TOLERANCE:
             break
         rate = -math.copysign(1.0, d[q]) * (inverse @ a[:, q])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(rate > _EDGE_TOLERANCE, (upper[basis] - xb) / rate,
-                            np.where(rate < -_EDGE_TOLERANCE, (lower[basis] - xb) / rate, np.inf))
+        room = np.divide(np.where(rate > 0.0, upper[basis], lower[basis]) - xb, rate,
+                         out=np.full(rate.size, np.inf), where=np.abs(rate) > _EDGE_TOLERANCE)
         room = np.maximum(room, 0.0)  # x_B may sit a rounding error outside its bounds
         ties = np.flatnonzero(room == room.min())
         r = int(ties[np.argmin(basis[ties])] if bland else ties[0])
@@ -314,18 +336,19 @@ def _tail_lp(window: np.ndarray, alpha: float, s: float, scale: float,
     mean, dev = _mean_and_deviation(window @ w, alpha)
     if not mean + s * dev - psi <= _GAP_TOLERANCE * scale:
         raise NumericsError(f"tail LP at s = {s:.6g} not certified: gap {mean + s * dev - psi:.3g}")
-    return _Vertex(s, psi, w, dev, psi - s * dev)
+    return _Vertex(s, psi, w, dev, psi - s * dev, basis, x >= upper, pivots)
 
 
-def optimize_md(window: np.ndarray, cfg: BacktestConfig) -> PortfolioWeights:
+def optimize_md(window: np.ndarray, cfg: BacktestConfig,
+                w0: np.ndarray | None = None) -> PortfolioWeights:
     """Minimize the per-period objective over the simplex, with a certificate.
 
     s -> g'(d(w_s)) is nonincreasing, so g' at equal weights and its image
     bracket s*.  An LP where the lines of the two ends cross either finds a
     vertex between them, which replaces the end on its side of s*, or shows
     them adjacent; then m + s d = psi(s) on their edge, and the optimum is the
-    edge point minimizing g(d) - s d.  Raises NumericsError when an LP fails
-    or the duality gap exceeds its tolerance.
+    edge point minimizing g(d) - s d; the first LP starts at the tail of L w0.
+    Raises NumericsError when an LP fails or the duality gap exceeds its tolerance.
     """
     window = np.asarray(window, dtype=float)
     if window.ndim != 2 or window.shape[0] < 2:
@@ -335,19 +358,18 @@ def optimize_md(window: np.ndarray, cfg: BacktestConfig) -> PortfolioWeights:
         raise ValueError("the per-period program is convex only for convex "
                          "risk-weighting functions; got a non-convex one")
     if window.shape[1] == 1:
-        return PortfolioWeights(np.array([1.0]), gap=0.0, lp_solves=0)
+        return PortfolioWeights(np.array([1.0]), gap=0.0, lp_solves=0, pivots=())
 
     alpha = cfg.alpha
     scale = float(np.max(np.abs(window))) or 1.0
     tol = _EDGE_TOLERANCE * scale
+    w0 = np.full(window.shape[1], 1.0 / window.shape[1]) if w0 is None else w0
     solved: dict[float, _Vertex] = {}
 
     def vertex(s: float) -> _Vertex:
-        # each LP starts from the tail of the nearest vertex solved so far
         if s not in solved:
             near = min(solved.values(), key=lambda v: abs(v.s - s), default=None)
-            w0 = np.full(window.shape[1], 1.0 / window.shape[1]) if near is None else near.w
-            solved[s] = _tail_lp(window, alpha, s, scale, w0)
+            solved[s] = _tail_lp(window, alpha, s, scale, w0 if near is None else near)
         return solved[s]
 
     def slope(d: float) -> float:
@@ -377,7 +399,8 @@ def optimize_md(window: np.ndarray, cfg: BacktestConfig) -> PortfolioWeights:
     gap = mean + float(g(max(dev, 0.0))) - vertex(s).psi + conjugate(g, s)
     if not abs(gap) <= _GAP_TOLERANCE * scale:
         raise NumericsError(f"portfolio solve not certified: duality gap {gap:.3g}")
-    return PortfolioWeights(w, gap=gap, lp_solves=len(solved))
+    return PortfolioWeights(w, gap=gap, lp_solves=len(solved),
+                            pivots=tuple(v.pivots for v in solved.values()))
 
 
 def _month_starts(dates) -> list[int]:
@@ -414,7 +437,8 @@ def run_backtest(panel: LossPanel, cfg: BacktestConfig) -> BacktestReport:
     periods, solves = [], []
     for j, start in enumerate(rebalance_rows):
         end = rebalance_rows[j + 1] if j + 1 < len(rebalance_rows) else panel.n_days
-        weights = optimize_md(panel.losses[start - cfg.window : start], cfg)
+        weights = optimize_md(panel.losses[start - cfg.window : start], cfg,
+                              w0=periods[-1][3] if periods else None)
         periods.append((panel.dates[start], start, end, weights.w))
         solves.append(weights)
     periods = tuple(periods)
@@ -445,6 +469,7 @@ def run_backtest(panel: LossPanel, cfg: BacktestConfig) -> BacktestReport:
         periods=periods,
         max_gap=max(abs(weights.gap) for weights in solves),
         lp_solves=sum(weights.lp_solves for weights in solves),
+        pivots=sum(sum(weights.pivots) for weights in solves),
     )
 
 

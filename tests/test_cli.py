@@ -349,6 +349,30 @@ class TestOutputs:
         assert wealth.read_bytes() == b"old wealth\r\n"
         assert weights.read_bytes() == b"old weights\r\n"
 
+    @pytest.mark.parametrize("existing", [None, b"old wealth\r\n"], ids=["new", "existing"])
+    @pytest.mark.parametrize("bad", ["missing-directory", "directory"])
+    def test_unwritable_file_writes_no_other(self, bad, existing, prices_csv, tmp_path, capsys):
+        # the files were once written one by one, so a second that could not be
+        # written left the first complete
+        wealth = tmp_path / "w.csv"
+        if existing is not None:
+            wealth.write_bytes(existing)
+        target = tmp_path / "nonexistent" / "x.csv" if bad == "missing-directory" else tmp_path / "x"
+        if bad == "directory":
+            target.mkdir()
+        argv = ["backtest", "--prices", prices_csv, "--config", '{"window":40}',
+                "--wealth-csv", str(wealth), "--weights-csv", str(target)]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason = "No such file or directory" if bad == "missing-directory" else "Is a directory"
+        assert captured.err.startswith("meandev: error: [Errno ")
+        assert captured.err.endswith(f"] {reason}: '{target}'\n")
+        left = {"w.csv"} if existing is not None else set()
+        assert {p.name for p in tmp_path.iterdir()} == left | ({"x"} if bad == "directory" else set())
+        if existing is not None:
+            assert wealth.read_bytes() == existing
+
 
 # runs `python -m meandev` and then reports every scipy module it loaded
 SCIPY_PROBE = (

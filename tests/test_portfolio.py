@@ -163,6 +163,22 @@ class TestOptimizeMD:
             for r in rng.dirichlet(np.ones(10), size=1000))
         assert mine <= random_best + 1e-8
 
+    @pytest.mark.parametrize("g", [ExpShortfallWeight(3.0), LinearWeight(1.0)],
+                             ids=["convex", "linear"])
+    def test_w0_start_matches_cold(self, g):
+        # the losses of the benchmark's backtest panel, which synthetic_panel draws
+        # alike; the second rebalance starts from the first one's weights
+        losses = synthetic_panel(580, 10, seed=61).losses
+        cfg = BacktestConfig(window=500, alpha=0.9, g_spec=g)
+        previous = optimize_md(losses[:500], cfg).w
+        window = losses[21:521]
+        cold = optimize_md(window, cfg)
+        for w0 in (previous, np.eye(10)[3]):
+            warm = optimize_md(window, cfg, w0=w0)
+            assert abs(warm.gap) <= 1e-9 * float(np.max(np.abs(window)))
+            assert portfolio_objective(window, warm.w, g, 0.9) == pytest.approx(
+                portfolio_objective(window, cold.w, g, 0.9), rel=1e-12)
+
     def test_convexity_certificate(self, rng):
         window = synthetic_panel(300, 6, seed=9).losses
         w_star = optimize_md(window, CFG).w
@@ -220,6 +236,7 @@ class TestCertificate:
         window = synthetic_panel(n_days, n_assets, seed=seed).losses
         res = optimize_md(window, BacktestConfig(window=n_days, alpha=0.9, g_spec=g))
         assert -1e-12 <= res.gap <= 1e-9
+        assert len(res.pivots) == res.lp_solves and sum(res.pivots) > 0
         f = portfolio_objective(window, res.w, g, 0.9)
         losses = StateVector(window @ res.w)
         d0 = max(0.0, es_alpha(losses, 0.9) - losses.mean())
@@ -235,7 +252,7 @@ class TestCertificate:
 
     def test_single_asset_needs_no_lp(self):
         res = optimize_md(np.zeros((10, 1)), CFG)
-        assert res.gap == 0.0 and res.lp_solves == 0
+        assert res.gap == 0.0 and res.lp_solves == 0 and res.pivots == ()
 
 
 def highs_tail_lp(window, alpha, s):
@@ -266,6 +283,28 @@ class TestTailLP:
             window = np.column_stack([window, window[:, 0]])
         k = window.shape[1]
         mine = _tail_lp(window, 0.9, s, float(np.max(np.abs(window))), np.full(k, 1.0 / k))
+        self.assert_matches_highs(window, s, mine, duplicate)
+
+    # a restart keeps the basis solved at s_from and repairs it by the dual simplex
+    @pytest.mark.parametrize("kind", ["distinct", "duplicated-asset", "rounded"])
+    @pytest.mark.parametrize("s_from, s_to", [
+        (0.5, 0.55), (0.55, 0.5), (1.02, 1.05), (1.05, 1.02),
+        (0.0, 0.99), (0.99, 0.0), (1e-6, 0.99), (0.99, 1e-6)])  # HiGHS drops s L below 1e-9
+    def test_restart_matches_highs(self, s_from, s_to, kind):
+        window = synthetic_panel(500, 10, seed=5).losses
+        if kind == "duplicated-asset":
+            window = np.column_stack([window, window[:, 0]])
+        elif kind == "rounded":  # many tied losses, so psi has degenerate vertices
+            window = np.round(window, 3)
+        k, scale = window.shape[1], float(np.max(np.abs(window)))
+        near = _tail_lp(window, 0.9, s_from, scale, np.full(k, 1.0 / k))
+        mine = _tail_lp(window, 0.9, s_to, scale, near)
+        # ties leave the optimal w of a rounded window free to move along a face
+        self.assert_matches_highs(window, s_to, mine, kind == "duplicated-asset",
+                                  compare_w=kind != "rounded")
+
+    @staticmethod
+    def assert_matches_highs(window, s, mine, duplicate, compare_w=True):
         psi, w = highs_tail_lp(window, 0.9, s)
         assert mine.psi == pytest.approx(psi, rel=1e-12)
         losses = StateVector(window @ mine.w)
@@ -275,7 +314,22 @@ class TestTailLP:
             mine_w, w = np.append(mine.w[1:-1], mine.w[0] + mine.w[-1]), np.append(w[1:-1], w[0] + w[-1])
         else:
             mine_w = mine.w
-        assert mine_w == pytest.approx(w, abs=1e-9)
+        if compare_w:
+            assert mine_w == pytest.approx(w, abs=1e-9)
+
+    def test_restart_takes_no_more_pivots_than_a_cold_start(self):
+        # the benchmark's first 500 x 10 window; s takes a convex search's second
+        # step and longer jumps
+        window = synthetic_panel(580, 10, seed=61).losses[:500]
+        k, scale, g = 10, float(np.max(np.abs(window))), ExpShortfallWeight(3.0)
+        equal = StateVector(window.mean(axis=1))
+        near = _tail_lp(window, 0.9, g.left_derivative(es_alpha(equal, 0.9) - equal.mean()),
+                        scale, np.full(k, 1.0 / k))
+        for s in (g.left_derivative(near.dev), 1.0, 1.5, 0.5 * (near.s + 1.0)):
+            restart = _tail_lp(window, 0.9, s, scale, near)
+            cold = _tail_lp(window, 0.9, s, scale, near.w)
+            assert restart.psi == pytest.approx(cold.psi, rel=1e-12)
+            assert restart.pivots <= cold.pivots
 
     @pytest.mark.parametrize("s", [1e-12, 1e-10, 0.5])
     def test_small_s_is_exact(self, s):
@@ -314,7 +368,7 @@ class TestBacktest:
         cfg = BacktestConfig(window=60, alpha=0.9, g_spec=ExpShortfallWeight(3.0))
         report = run_backtest(panel, cfg)
         assert 0.0 <= report.max_gap <= 1e-9 * float(np.max(np.abs(panel.losses)))
-        assert report.lp_solves >= len(report.periods)
+        assert report.lp_solves >= len(report.periods) and report.pivots > 0
 
     def test_deterministic(self):
         panel = synthetic_panel(300, 3, seed=21)
@@ -391,6 +445,7 @@ class TestMarkowitz:
     def test_carries_no_certificate(self):
         res = markowitz_baseline(self.exact_moment_window(1.0))
         assert res.weights.gap is None and res.weights.lp_solves is None
+        assert res.weights.pivots is None
 
     def test_single_asset(self):
         res = markowitz_baseline(np.zeros((10, 1)))

@@ -4,18 +4,19 @@ All numeric output is JSON on stdout with keys sorted and floats quantized
 to 12 significant digits, so a fixed seed yields byte-identical output
 across runs.  Usage errors exit 2; domain and numeric errors exit 1.
 Each command returns (stdout text, {path: file text}) and writes nothing;
-``dispatch`` writes and renames them only once all are built: an error writes none.
+``dispatch`` writes them only once all are built and opened: an error writes none.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime as dt
-import errno
 import io
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import asdict
 
@@ -228,22 +229,21 @@ def _cmd_ingest(args) -> tuple[str, dict]:
 
 
 def _write_all(files: dict) -> None:
-    """Write every file or none: to temporary siblings, renamed once all are written."""
-    temps = {path: f"{path}.{os.getpid()}.tmp" for path in files}
+    """Open every file, truncating none, before writing any of them in place."""
+    created = [os.path.realpath(path) for path in files if not os.path.exists(path)]
     try:
-        for path, content in files.items():
-            try:
-                if os.path.isdir(path):  # a rename onto it would fail after others were renamed
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                with open(temps[path], "w", newline="") as fh:
-                    fh.write(content)
-            except OSError as exc:  # name the requested file, not its temporary sibling
-                raise OSError(exc.errno, exc.strerror, path) from None
-        for path, temp in temps.items():
-            os.replace(temp, path)
-    finally:
-        for temp in filter(os.path.exists, temps.values()):
-            os.remove(temp)
+        with contextlib.ExitStack() as stack:
+            handles = [(stack.enter_context(open(path, "a", newline="")), content)
+                       for path, content in files.items()]
+            for fh, content in handles:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe cannot be truncated
+                    fh.truncate(0)
+                fh.write(content)
+                fh.flush()  # before a second handle on the same file truncates it
+    except BaseException:  # remove only the files this run created
+        for path in filter(os.path.exists, created):
+            os.remove(path)
+        raise
 
 
 def _build_parser() -> argparse.ArgumentParser:

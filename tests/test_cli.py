@@ -1,6 +1,7 @@
 import ast
 import datetime as dt
 import json
+import os
 import subprocess
 import sys
 
@@ -372,6 +373,50 @@ class TestOutputs:
         assert {p.name for p in tmp_path.iterdir()} == left | ({"x"} if bad == "directory" else set())
         if existing is not None:
             assert wealth.read_bytes() == existing
+
+
+    @staticmethod
+    def write_wealth(prices_csv, *targets):
+        argv = ["backtest", "--prices", prices_csv, "--config", '{"window":40}']
+        for flag, target in zip(["--wealth-csv", "--weights-csv"], targets):
+            argv += [flag, str(target)]
+        assert dispatch(argv) == 0
+
+    # the files were once written to temporary siblings and renamed over their
+    # targets, which replaced symlinks and pipes and reset an existing file
+    def test_symlink_target_is_written_through(self, prices_csv, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        link.symlink_to(real)
+        self.write_wealth(prices_csv, link)
+        assert link.is_symlink()
+        assert real.read_text().splitlines()[0] == "date,wealth"
+
+    def test_existing_file_keeps_mode_and_links(self, prices_csv, tmp_path):
+        wealth, other = tmp_path / "w.csv", tmp_path / "other-name.csv"
+        wealth.write_text("a much longer old content than the header of a wealth csv\n" * 99)
+        wealth.chmod(0o604)
+        other.hardlink_to(wealth)
+        self.write_wealth(prices_csv, wealth)
+        assert wealth.stat().st_mode & 0o777 == 0o604
+        assert other.read_bytes() == wealth.read_bytes()
+        assert wealth.read_text().splitlines()[0] == "date,wealth"
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_target_is_written_through(self, prices_csv, tmp_path):
+        # a shell's process substitution, --wealth-csv >(gzip > w.gz), names /dev/fd/N
+        read_end, write_end = os.pipe()
+        try:
+            self.write_wealth(prices_csv, f"/dev/fd/{write_end}")
+        finally:
+            os.close(write_end)
+        with os.fdopen(read_end, "rb") as fh:
+            assert fh.read().splitlines()[0] == b"date,wealth"
+
+    def test_two_spellings_of_one_file(self, prices_csv, tmp_path):
+        # the later option wins, as it did when the files were written one by one
+        self.write_wealth(prices_csv, tmp_path / "w.csv", f"{tmp_path}/./w.csv")
+        assert (tmp_path / "w.csv").read_text().splitlines()[0] == "date,AAA,BBB"
+        assert [p.name for p in tmp_path.iterdir()] == ["w.csv"]
 
 
 # runs `python -m meandev` and then reports every scipy module it loaded

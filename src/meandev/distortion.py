@@ -29,11 +29,14 @@ __all__ = [
     "PiecewiseLinearDistortion",
     "choquet_deviation",
     "staircase_weights",
+    "staircase_sum",
     "is_range_normalized",
     "distortion_from_spec",
 ]
 
 _RANGE_NORM_TOL = 1e-9
+# longest dot product that OpenBLAS computes on one thread
+_DOT_CHUNK = 10_000
 
 
 class DistortionFunction:
@@ -269,6 +272,19 @@ def staircase_weights(h: DistortionFunction, n: int) -> np.ndarray:
     return np.asarray(h(np.arange(n - 1, 0, -1, dtype=float) / n), dtype=float)
 
 
+def staircase_sum(weights: np.ndarray, gaps: np.ndarray) -> float:
+    """weights . gaps, as np.dot over fixed chunks of _DOT_CHUNK elements added in order.
+
+    OpenBLAS splits a dot product longer than 10,000 elements across its
+    threads, so one np.dot would round differently with the core count; no
+    chunk is longer than that, and up to 10,000 gaps this is np.dot itself.
+    """
+    total = np.dot(weights[:_DOT_CHUNK], gaps[:_DOT_CHUNK])
+    for start in range(_DOT_CHUNK, weights.size, _DOT_CHUNK):
+        total += np.dot(weights[start:start + _DOT_CHUNK], gaps[start:start + _DOT_CHUNK])
+    return float(total)
+
+
 def choquet_deviation(h: DistortionFunction, x: StateVector) -> float:
     """Signed Choquet deviation of a sample: the order-statistic staircase sum.
 
@@ -277,7 +293,7 @@ def choquet_deviation(h: DistortionFunction, x: StateVector) -> float:
     homogeneous, and subadditive for concave h.
     """
     xs = x.sorted_values()
-    return float(np.dot(staircase_weights(h, xs.size), np.diff(xs)))
+    return staircase_sum(staircase_weights(h, xs.size), np.diff(xs))
 
 
 def is_range_normalized(h: DistortionFunction) -> bool:

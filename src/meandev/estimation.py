@@ -18,22 +18,29 @@ on the nodes that then integrate J^2: one pass, not nested quadrature.
 
 Both integrals use one fixed grid: 32-point Gauss-Legendre panels of width
 at most 3 in the substitutions u = e^-t and u = 1 - e^-t over t in
-[log 2, 36], split at the kinks of h' and at t = 30.  Within a panel a
-running sum is the Legendre integration matrix applied to the node values.
+[log 2, 36], split at the kinks of h' and at t = 30.  The grid and h'(1 - u)
+at its nodes depend on h alone, so they are built once per distortion and
+cached, read-only, for every later call with an equal h; only the quantile
+and density evaluations depend on the model.  Within a panel a running sum
+is the Legendre integration matrix applied to the node values.
 Beyond t = 36 the level 1 - e^-t rounds to 1, so the grid stops there; an
 integral whose last window, t in [30, 36], holds more than 1e-3 of its
 total decays too slowly to trust the truncation, and it raises
 NumericsError, as does a non-finite total.
+
+Monte Carlo estimates add the staircase with `distortion.staircase_sum`, so
+like `choquet_deviation` they do not depend on the BLAS thread count.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
 
-from .distortion import staircase_weights
+from .distortion import staircase_sum, staircase_weights
 from .distributions import Normal, ParametricModel
 from .measures import MDMeasure
 
@@ -127,16 +134,10 @@ class _Half:
 
     upper: bool
     eps: np.ndarray  # (panels, 32)
+    level: np.ndarray  # (panels, 32) u
+    complement: np.ndarray  # (panels, 32) 1 - u
     scale: np.ndarray  # (panels,) panel half-widths in t
     tail: np.ndarray  # (panels,) True inside [_TAIL_CHECK, _TAIL_CUTOFF]
-
-    @property
-    def level(self) -> np.ndarray:
-        return 1.0 - self.eps if self.upper else self.eps
-
-    @property
-    def complement(self) -> np.ndarray:
-        return self.eps if self.upper else 1.0 - self.eps
 
     def quantile(self, model: ParametricModel) -> np.ndarray:
         return model.quantile_upper(self.eps) if self.upper else model.quantile(self.eps)
@@ -155,14 +156,25 @@ class _Half:
         g = f * self.eps
         panels = self.scale * (g @ _GL_WEIGHTS)
         if toward_end:
-            rest, within = np.cumsum(np.r_[0.0, panels[:0:-1]])[::-1], _GL_SUFFIX
+            rest, within = np.cumsum(np.concatenate(([0.0], panels[:0:-1])))[::-1], _GL_SUFFIX
         else:
-            rest, within = np.cumsum(np.r_[0.0, panels[:-1]]), _GL_PREFIX
+            rest, within = np.cumsum(np.concatenate(([0.0], panels[:-1]))), _GL_PREFIX
         return rest[:, None] + self.scale[:, None] * (g @ within.T)
 
 
-def _grid(h) -> tuple[_Half, _Half]:
-    """The fixed grid: panels of width <= 3 split at the kinks of h' and at t = 30."""
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=32)
+def _nodes(h) -> tuple[tuple[_Half, _Half], tuple[np.ndarray, np.ndarray]]:
+    """The fixed grid of h and h'(1 - u) at its nodes, built once per distortion.
+
+    Panels have width <= 3 and split at the kinks of h' and at t = 30.  Equal
+    distortions give equal tables, so the cache is keyed by value; every
+    array is read-only because all callers share it.
+    """
     kinks = [1.0 - s for s in h.kink_points()]
     halves = []
     for upper in (False, True):
@@ -171,9 +183,15 @@ def _grid(h) -> tuple[_Half, _Half]:
         breaks = _tail_breaks(points, _LOG_HALF, _TAIL_CUTOFF)
         los, his = breaks[:-1], breaks[1:]
         scale = 0.5 * (his - los)
-        t = 0.5 * (his + los)[:, None] + scale[:, None] * _GL_NODES
-        halves.append(_Half(upper, np.exp(-t), scale, los >= _TAIL_CHECK))
-    return halves[0], halves[1]
+        eps = np.exp(-(0.5 * (his + los)[:, None] + scale[:, None] * _GL_NODES))
+        half = _Half(upper, eps, 1.0 - eps if upper else eps, eps if upper else 1.0 - eps,
+                     scale, los >= _TAIL_CHECK)
+        _read_only(half.eps, half.level, half.complement, half.scale, half.tail)
+        halves.append(half)
+    with np.errstate(all="ignore"):  # _integral raises on a non-finite total
+        weights = tuple(np.asarray(h.quantile_weight(half.level), dtype=float) for half in halves)
+    _read_only(*weights)
+    return tuple(halves), weights
 
 
 def _integral(halves, values, what: str) -> float:
@@ -197,9 +215,9 @@ def _integral(halves, values, what: str) -> float:
 
 def deviation_true(model: ParametricModel, m: MDMeasure) -> float:
     """Population Choquet deviation: integral of the quantile against h'(1 - u)."""
-    halves = _grid(m.h)
+    halves, weights = _nodes(m.h)
     with np.errstate(all="ignore"):  # _integral raises on a non-finite total
-        values = [m.h.quantile_weight(half.level) * half.quantile(model) for half in halves]
+        values = [w * half.quantile(model) for half, w in zip(halves, weights)]
         return _integral(halves, values, "population deviation")
 
 
@@ -209,13 +227,14 @@ def md_true(model: ParametricModel, m: MDMeasure) -> float:
     return float(m.g(deviation_true(model, m))) + mean
 
 
-def _variance(model: ParametricModel, m: MDMeasure, dev: float) -> float:
-    """sigma^2 = integral of (C - B)^2 given the population deviation."""
-    gprime = m.g.left_derivative(dev) if dev > 0.0 else m.g.left_derivative(1e-12)
-    lower, upper = halves = _grid(m.h)
+def _variance(model: ParametricModel, g, nodes, dev: float) -> float:
+    """sigma^2 = integral of (C - B)^2 given h's node table and the population deviation."""
+    gprime = g.left_derivative(dev) if dev > 0.0 else g.left_derivative(1e-12)
+    halves, weights = nodes
+    lower, upper = halves
     with np.errstate(all="ignore"):  # _integral raises on a non-finite total
-        ratios = [(m.h.quantile_weight(half.level) * gprime + 1.0) / half.density_quantile(model)
-                  for half in halves]
+        ratios = [(w * gprime + 1.0) / half.density_quantile(model)
+                  for half, w in zip(halves, weights)]
         b_lower, b_upper = (r * half.level for r, half in zip(ratios, halves))
         c_lower, c_upper = (r * half.complement for r, half in zip(ratios, halves))
         # B(u) runs from u = 0 and C(u) from u = 1; past u = 1/2 each holds the
@@ -229,14 +248,15 @@ def _variance(model: ParametricModel, m: MDMeasure, dev: float) -> float:
 
 def sigma_g_squared(model: ParametricModel, m: MDMeasure) -> float:
     """Asymptotic variance of the plug-in estimator of g(D) + mean."""
-    return _variance(model, m, deviation_true(model, m))
+    return _variance(model, m.g, _nodes(m.h), deviation_true(model, m))
 
 
 def gaussian_limit(model: ParametricModel, m: MDMeasure) -> GaussianLimit:
     """md_true and sigma_g_squared sharing one deviation integral."""
     mean = model.mean()  # raises for heavy tails with no mean
     dev = deviation_true(model, m)
-    return GaussianLimit(center=float(m.g(dev)) + mean, variance=_variance(model, m, dev))
+    variance = _variance(model, m.g, _nodes(m.h), dev)
+    return GaussianLimit(center=float(m.g(dev)) + mean, variance=variance)
 
 
 def _ks_statistic(z: np.ndarray) -> float:
@@ -276,7 +296,7 @@ def monte_carlo(
     estimates = np.empty(replications)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(replications)):
         x = model.sample(n, child)
-        deviation = float(np.dot(weights, np.diff(x.sorted_values())))
+        deviation = staircase_sum(weights, np.diff(x.sorted_values()))
         estimates[i] = float(m.g(deviation)) + x.mean()
 
     scaled_var = float(n * np.var(estimates, ddof=1))

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +15,12 @@ from meandev.distortion import (
     MeanAbsDevHalf,
     PiecewiseLinearDistortion,
     RangeDistortion,
+    _KINDS,
     choquet_deviation,
     distortion_from_spec,
     is_range_normalized,
+    staircase_sum,
+    staircase_weights,
 )
 from meandev.distributions import StateVector
 from meandev.measures import es_alpha
@@ -203,6 +209,36 @@ def numeric_q_norm(h, q: float, n: int = 200001) -> float:
     return float(np.mean(np.abs(d) ** q) ** (1.0 / q))
 
 
+# prints the deviation of seeded samples too long for one single-threaded dot product
+BLAS_PROBE = """
+from meandev import ESDeviation, Gini, Normal, choquet_deviation
+for n in (10**5, 10**6):
+    x = Normal().sample(n, 11)
+    print(repr(choquet_deviation(ESDeviation(0.9), x)), repr(choquet_deviation(Gini(), x)))
+"""
+
+
+class TestStaircaseSum:
+    @pytest.mark.parametrize("n", [2, 1000, 10_000, 10_001])
+    def test_is_one_dot_up_to_ten_thousand_gaps(self, n, rng):
+        h, xs = ESDeviation(0.9), np.sort(rng.standard_normal(n))
+        assert choquet_deviation(h, StateVector(xs)) == float(
+            np.dot(staircase_weights(h, n), np.diff(xs)))
+
+    @pytest.mark.parametrize("n", [10_002, 25_001, 10**6])
+    def test_chunks_add_up(self, n, rng):
+        weights, gaps = rng.standard_normal(n), rng.standard_normal(n)
+        assert staircase_sum(weights, gaps) == pytest.approx(
+            math.fsum(weights * gaps), rel=1e-12, abs=1e-12 * np.abs(weights * gaps).sum())
+
+    def test_does_not_depend_on_blas_threads(self):
+        outputs = [subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True,
+                                  text=True, check=True,
+                                  env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout
+                   for threads in ("1", "2")]
+        assert outputs[0].count("\n") == 2 and outputs[0] == outputs[1]
+
+
 class TestNorms:
     def test_es_dev_l2_closed_form(self):
         l2_norm = ESDeviation(0.9).q_norm(2.0)
@@ -328,3 +364,13 @@ class TestSpecParsing:
     def test_unknown(self):
         with pytest.raises(ValueError):
             distortion_from_spec({"kind": "wang"})
+
+    def test_every_kind_is_a_hashable_value(self):
+        # the population quadrature caches its node table keyed by the distortion
+        specs = [{"kind": "es_dev", "alpha": 0.9}, {"kind": "gini"}, {"kind": "mad_half"},
+                 {"kind": "range"},
+                 {"kind": "piecewise_linear", "t": [0.0, 0.5, 1.0], "h": [0.0, 0.5, 0.0]}]
+        assert {s["kind"] for s in specs} == set(_KINDS)
+        for spec in specs:
+            first, second = distortion_from_spec(spec), distortion_from_spec(spec)
+            assert first is not second and first == second and hash(first) == hash(second)

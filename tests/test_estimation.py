@@ -9,8 +9,10 @@ from scipy.stats import kstest
 from meandev.distortion import ESDeviation, Gini, PiecewiseLinearDistortion
 from meandev.distributions import Exponential, Lomax, Normal
 from meandev.estimation import (
+    GaussianLimit,
     NumericsError,
     _ks_statistic,
+    _nodes,
     deviation_true,
     gaussian_limit,
     md_true,
@@ -222,6 +224,44 @@ class TestNormalityStatistic:
     def test_equals_scipy_kstest(self, name):
         z = _ks_samples()[name]
         assert _ks_statistic(z) == kstest(z, "norm").statistic
+
+
+class TestNodeTable:
+    """The grid and h'(1 - u) at its nodes are built once per distortion and shared."""
+
+    CASES = [(Normal(mu=0.3, sd=1.2), MDMeasure(ExpShortfallWeight(1.0), H09)),
+             (Lomax(4.0), MDMeasure(ExpCapWeight(1.0), ESDeviation(0.5))),
+             (Exponential(rate=1.7), MDMeasure(LinearWeight(0.5), Gini()))]
+
+    @staticmethod
+    def bits(limit: GaussianLimit) -> tuple[str, str]:
+        return limit.center.hex(), limit.variance.hex()
+
+    @pytest.mark.parametrize("model, m", CASES)
+    def test_gaussian_limit_is_its_parts(self, model, m):
+        parts = GaussianLimit(md_true(model, m), sigma_g_squared(model, m))
+        assert self.bits(gaussian_limit(model, m)) == self.bits(parts)
+
+    @pytest.mark.parametrize("model, m", CASES)
+    def test_repeated_call_is_identical(self, model, m):
+        first = gaussian_limit(model, m)
+        assert self.bits(gaussian_limit(model, m)) == self.bits(first)
+        assert deviation_true(model, m).hex() == deviation_true(model, m).hex()
+
+    def test_equal_distortions_share_one_entry(self):
+        a, b = ESDeviation(0.9), ESDeviation(0.9)
+        assert a is not b
+        assert _nodes(a) is _nodes(b)
+        assert _nodes(a) is not _nodes(ESDeviation(0.5))
+        assert _nodes.cache_info().maxsize is not None
+
+    def test_cached_arrays_are_read_only(self):
+        halves, weights = _nodes(Gini())
+        arrays = [*weights] + [getattr(half, field) for half in halves
+                               for field in ("eps", "level", "complement", "scale", "tail")]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestPiecewiseDistortionEquivalence:

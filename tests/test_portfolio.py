@@ -256,25 +256,30 @@ class TestCertificate:
 
 
 def highs_tail_lp(window, alpha, s):
-    """psi(s) and its w from HiGHS in the ES-dual form: max eta s.t.
-    eta <= (1 - s) mean(L_j) + s q . L_j, q in [0, 1/((1 - alpha) n)], sum q = 1."""
+    """psi(s) and its w from HiGHS in the ES-primal form: min over the simplex,
+    z and u >= L w - z, u >= 0 of (1 - s) mean(L w) + s (z + sum(u) / ((1 - alpha) n)).
+
+    s enters only the cost, so no small s * L entry is dropped from the matrix;
+    the cost is divided by s, so its ES part does not fall under the dual
+    feasibility tolerance either."""
     n, k = window.shape
     scale = float(np.max(np.abs(window)))
     unit = window / scale
-    res = linprog(np.append(np.zeros(n), -1.0),
-                  A_ub=np.hstack([-s * unit.T, np.ones((k, 1))]),
-                  b_ub=(1.0 - s) * unit.mean(axis=0),
-                  A_eq=np.append(np.ones(n), 0.0)[None, :], b_eq=[1.0],
-                  bounds=[(0.0, 1.0 / ((1.0 - alpha) * n))] * n + [(None, None)],
+    cost = np.concatenate([(1.0 - s) * unit.mean(axis=0), [s],
+                           np.full(n, s / ((1.0 - alpha) * n))])
+    res = linprog(cost / (s if s > 0.0 else 1.0),
+                  A_ub=np.hstack([unit, -np.ones((n, 1)), -np.eye(n)]), b_ub=np.zeros(n),
+                  A_eq=np.concatenate([np.ones(k), np.zeros(n + 1)])[None, :], b_eq=[1.0],
+                  bounds=[(0.0, None)] * k + [(None, None)] + [(0.0, None)] * n,
                   method="highs", options={"dual_feasibility_tolerance": 1e-10,
                                            "primal_feasibility_tolerance": 1e-10})
     assert res.status == 0
-    return -scale * res.fun, -res.ineqlin.marginals
+    return scale * float(cost @ res.x), res.x[:k]
 
 
 class TestTailLP:
     @pytest.mark.parametrize("duplicate", [False, True], ids=["distinct", "duplicated-asset"])
-    @pytest.mark.parametrize("s", [0.0, 0.05, 0.5, 0.99])
+    @pytest.mark.parametrize("s", [0.0, 1e-9, 0.05, 0.5, 0.99])
     @pytest.mark.parametrize("shape", [(500, 10, 5), (300, 6, 9)])
     def test_matches_highs(self, shape, s, duplicate):
         n_days, n_assets, seed = shape
@@ -289,7 +294,7 @@ class TestTailLP:
     @pytest.mark.parametrize("kind", ["distinct", "duplicated-asset", "rounded"])
     @pytest.mark.parametrize("s_from, s_to", [
         (0.5, 0.55), (0.55, 0.5), (1.02, 1.05), (1.05, 1.02),
-        (0.0, 0.99), (0.99, 0.0), (1e-6, 0.99), (0.99, 1e-6)])  # HiGHS drops s L below 1e-9
+        (0.0, 0.99), (0.99, 0.0), (1e-9, 0.99), (0.99, 1e-9), (1e-6, 0.99), (0.99, 1e-6)])
     def test_restart_matches_highs(self, s_from, s_to, kind):
         window = synthetic_panel(500, 10, seed=5).losses
         if kind == "duplicated-asset":

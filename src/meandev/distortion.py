@@ -176,6 +176,9 @@ class PiecewiseLinearDistortion(DistortionFunction):
         h = np.asarray(self.h, dtype=float)
         if t.ndim != 1 or t.size < 2 or h.shape != t.shape:
             raise ValueError("need matching 1-D arrays of knots and values, length >= 2")
+        for name, values in (("t", t), ("h", h)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} entries must all be finite")
         if t[0] != 0.0 or t[-1] != 1.0:
             raise ValueError("knots must start at 0 and end at 1")
         if np.any(np.diff(t) <= 0):

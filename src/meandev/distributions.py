@@ -154,7 +154,8 @@ class ParametricModel:
 
 def _check_prob(u) -> np.ndarray:
     arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    # NaN fails both comparisons, so it is rejected too
+    if arr.size and not (0.0 < arr.min() and arr.max() < 1.0):
         raise ValueError("probability level must lie strictly inside (0, 1)")
     return arr
 

@@ -16,16 +16,21 @@ w(s) = h'(1-s) g'(D) + 1,
 Each piece is integrable at its own endpoint, so B and C are running sums
 on the nodes that then integrate J^2: one pass, not nested quadrature.
 
-Both integrals use one fixed grid: 32-point Gauss-Legendre panels of width
-at most 3 in the substitutions u = e^-t and u = 1 - e^-t over t in
-[log 2, 36], split at the kinks of h' and at t = 30.  The grid and h'(1 - u)
-at its nodes depend on h alone, so they are built once per distortion and
-cached, read-only, for every later call with an equal h; only the quantile
-and density evaluations depend on the model.  Within a panel a running sum
-is the Legendre integration matrix applied to the node values.
-Beyond t = 36 the level 1 - e^-t rounds to 1, so the grid stops there; an
-integral whose last window, t in [30, 36], holds more than 1e-3 of its
-total decays too slowly to trust the truncation, and it raises
+Both integrals use one fixed grid of 32-point Gauss-Legendre panels whose
+panels and nodes run in ascending u over (0, 1).  Below u = 1/2 the panels
+are in u = e^-t and above it in u = 1 - e^-t, for t in [log 2, 36], of
+width at most 3 and split at the kinks of h' and at t = 30; the lower block
+is stored reversed, so the symmetric nodes put every panel in increasing u.
+Each integrand is formed once over the whole grid: B is one running sum from
+u = 0 and C one running sum toward u = 1, and within a panel a running sum
+is the Legendre integration matrix applied to the node values.  The grid and
+h'(1 - u) at its nodes depend on h alone, so they are built once per
+distortion and cached, read-only, for every later call with an equal h; only
+the quantile and density evaluations depend on the model.
+Beyond t = 36 the level 1 - e^-t rounds to 1, so the grid stops there at
+both ends.  Its two tail windows are the panels with t in [30, 36] at
+u -> 0 and at u -> 1; an integral whose windows together hold more than
+1e-3 of its total decays too slowly to trust the truncation, and it raises
 NumericsError, as does a non-finite total.
 
 Monte Carlo estimates add the staircase with `distortion.staircase_sum`, so
@@ -124,51 +129,32 @@ def _tail_breaks(points_t, lo_t: float, hi_t: float, max_width: float = 3.0) -> 
 
 
 @dataclass(frozen=True)
-class _Half:
-    """Gauss-Legendre nodes of one endpoint substitution, one row per panel.
+class _Grid:
+    """Gauss-Legendre nodes over (0, 1) in ascending u, one row per panel.
 
-    The level is u = e^-t (lower half) or u = 1 - e^-t (upper half); ``eps``
-    holds e^-t, so evaluations near either endpoint stay exact.  Integrals
-    are of f(u) du with f given at the nodes.
+    Panels ``[:split]`` hold u = e^-t < 1/2 and ``[split:]`` hold
+    u = 1 - e^-t > 1/2; ``eps`` holds e^-t, so evaluations near either
+    endpoint stay exact.  The lower block is stored reversed, panels and
+    nodes, so node j of every panel sits at standardized abscissa
+    ``_GL_NODES[j]`` in increasing u.  Integrals are of f(u) du with f given
+    at the nodes.
     """
 
-    upper: bool
-    eps: np.ndarray  # (panels, 32)
+    eps: np.ndarray  # (panels, 32) e^-t
     level: np.ndarray  # (panels, 32) u
     complement: np.ndarray  # (panels, 32) 1 - u
     scale: np.ndarray  # (panels,) panel half-widths in t
-    tail: np.ndarray  # (panels,) True inside [_TAIL_CHECK, _TAIL_CUTOFF]
+    weight: np.ndarray  # (panels, 32) h'(1 - u)
+    split: int  # first panel of the u > 1/2 block
+    tails: tuple[slice, slice]  # panels with t in [_TAIL_CHECK, _TAIL_CUTOFF] at u -> 0 and u -> 1
 
-    def quantile(self, model: ParametricModel) -> np.ndarray:
-        return model.quantile_upper(self.eps) if self.upper else model.quantile(self.eps)
-
-    def density_quantile(self, model: ParametricModel) -> np.ndarray:
-        if self.upper:
-            return model.density_quantile_upper(self.eps)
-        return model.density_quantile(self.eps)
-
-    def panels(self, f: np.ndarray) -> np.ndarray:
-        """Integral over each panel."""
-        return self.scale * ((f * self.eps) @ _GL_WEIGHTS)
-
-    def running(self, f: np.ndarray, toward_end: bool) -> np.ndarray:
-        """Integral from each node to this half's endpoint, or else to u = 1/2."""
-        g = f * self.eps
-        panels = self.scale * (g @ _GL_WEIGHTS)
-        if toward_end:
-            rest, within = np.cumsum(np.concatenate(([0.0], panels[:0:-1])))[::-1], _GL_SUFFIX
-        else:
-            rest, within = np.cumsum(np.concatenate(([0.0], panels[:-1]))), _GL_PREFIX
-        return rest[:, None] + self.scale[:, None] * (g @ within.T)
-
-
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.setflags(write=False)
+    def evaluate(self, lower, upper) -> np.ndarray:
+        """``lower`` at u on the u < 1/2 block beside ``upper`` at 1 - u on the rest."""
+        return np.concatenate((lower(self.eps[:self.split]), upper(self.eps[self.split:])))
 
 
 @functools.lru_cache(maxsize=32)
-def _nodes(h) -> tuple[tuple[_Half, _Half], tuple[np.ndarray, np.ndarray]]:
+def _nodes(h) -> _Grid:
     """The fixed grid of h and h'(1 - u) at its nodes, built once per distortion.
 
     Panels have width <= 3 and split at the kinks of h' and at t = 30.  Equal
@@ -176,7 +162,7 @@ def _nodes(h) -> tuple[tuple[_Half, _Half], tuple[np.ndarray, np.ndarray]]:
     array is read-only because all callers share it.
     """
     kinks = [1.0 - s for s in h.kink_points()]
-    halves = []
+    blocks = []
     for upper in (False, True):
         fracs = [1.0 - p if upper else p for p in kinks]
         points = [-math.log(f) for f in fracs if 0.0 < f < 0.5] + [_TAIL_CHECK]
@@ -184,25 +170,31 @@ def _nodes(h) -> tuple[tuple[_Half, _Half], tuple[np.ndarray, np.ndarray]]:
         los, his = breaks[:-1], breaks[1:]
         scale = 0.5 * (his - los)
         eps = np.exp(-(0.5 * (his + los)[:, None] + scale[:, None] * _GL_NODES))
-        half = _Half(upper, eps, 1.0 - eps if upper else eps, eps if upper else 1.0 - eps,
-                     scale, los >= _TAIL_CHECK)
-        _read_only(half.eps, half.level, half.complement, half.scale, half.tail)
-        halves.append(half)
+        tail = int(np.count_nonzero(los >= _TAIL_CHECK))
+        # t grows away from u = 1/2, so the lower block is turned round
+        blocks.append((eps, scale, tail) if upper else (eps[::-1, ::-1], scale[::-1], tail))
+    (lower_eps, lower_scale, lower_tail), (upper_eps, upper_scale, upper_tail) = blocks
+    split, panels = len(lower_scale), len(lower_scale) + len(upper_scale)
+    eps = np.concatenate((lower_eps, upper_eps))
+    level = np.concatenate((lower_eps, 1.0 - upper_eps))
     with np.errstate(all="ignore"):  # _integral raises on a non-finite total
-        weights = tuple(np.asarray(h.quantile_weight(half.level), dtype=float) for half in halves)
-    _read_only(*weights)
-    return tuple(halves), weights
+        weight = np.asarray(h.quantile_weight(level), dtype=float)
+    grid = _Grid(eps, level, np.concatenate((1.0 - lower_eps, upper_eps)),
+                 np.concatenate((lower_scale, upper_scale)), weight, split,
+                 (slice(0, lower_tail), slice(panels - upper_tail, panels)))
+    for a in (grid.eps, grid.level, grid.complement, grid.scale, grid.weight):
+        a.setflags(write=False)
+    return grid
 
 
-def _integral(halves, values, what: str) -> float:
-    """Integral over (0, 1) from node values on both halves, with the tail rule."""
-    total = window = 0.0
-    for half, f in zip(halves, values):
-        panels = half.panels(f)
-        total += float(panels.sum())
-        window += abs(float(panels[half.tail].sum()))
+def _integral(grid: _Grid, f: np.ndarray, what: str) -> float:
+    """Integral over (0, 1) of f given at the nodes, with the tail rule."""
+    panels = grid.scale * ((f * grid.eps) @ _GL_WEIGHTS)
+    total = float(panels.sum())
     if not math.isfinite(total):
         raise NumericsError(f"{what} integral evaluated to a non-finite value")
+    low, high = grid.tails
+    window = abs(float(panels[low].sum())) + abs(float(panels[high].sum()))
     share = window / max(abs(total), 1e-30)
     if share > _TAIL_SHARE:
         raise NumericsError(
@@ -215,10 +207,10 @@ def _integral(halves, values, what: str) -> float:
 
 def deviation_true(model: ParametricModel, m: MDMeasure) -> float:
     """Population Choquet deviation: integral of the quantile against h'(1 - u)."""
-    halves, weights = _nodes(m.h)
+    grid = _nodes(m.h)
     with np.errstate(all="ignore"):  # _integral raises on a non-finite total
-        values = [w * half.quantile(model) for half, w in zip(halves, weights)]
-        return _integral(halves, values, "population deviation")
+        values = grid.weight * grid.evaluate(model.quantile, model.quantile_upper)
+        return _integral(grid, values, "population deviation")
 
 
 def md_true(model: ParametricModel, m: MDMeasure) -> float:
@@ -227,23 +219,23 @@ def md_true(model: ParametricModel, m: MDMeasure) -> float:
     return float(m.g(deviation_true(model, m))) + mean
 
 
-def _variance(model: ParametricModel, g, nodes, dev: float) -> float:
-    """sigma^2 = integral of (C - B)^2 given h's node table and the population deviation."""
+def _variance(model: ParametricModel, g, grid: _Grid, dev: float) -> float:
+    """sigma^2 = integral of (C - B)^2 given h's grid and the population deviation."""
     gprime = g.left_derivative(dev) if dev > 0.0 else g.left_derivative(1e-12)
-    halves, weights = nodes
-    lower, upper = halves
+    scale = grid.scale[:, None]
     with np.errstate(all="ignore"):  # _integral raises on a non-finite total
-        ratios = [(w * gprime + 1.0) / half.density_quantile(model)
-                  for half, w in zip(halves, weights)]
-        b_lower, b_upper = (r * half.level for r, half in zip(ratios, halves))
-        c_lower, c_upper = (r * half.complement for r, half in zip(ratios, halves))
-        # B(u) runs from u = 0 and C(u) from u = 1; past u = 1/2 each holds the
-        # whole of the other half
-        j_lower = (upper.panels(c_upper).sum() + lower.running(c_lower, toward_end=False)
-                   - lower.running(b_lower, toward_end=True))
-        j_upper = (upper.running(c_upper, toward_end=True) - lower.panels(b_lower).sum()
-                   - upper.running(b_upper, toward_end=False))
-        return _integral(halves, [j_lower ** 2, j_upper ** 2], "asymptotic-variance")
+        ratio = (grid.weight * gprime + 1.0) / grid.evaluate(
+            model.density_quantile, model.density_quantile_upper)
+        # the integrands of B and C times |du/dt| = e^-t, as in _integral
+        b, c = ratio * grid.level * grid.eps, ratio * grid.complement * grid.eps
+        # B(u) runs from u = 0 and C(u) toward u = 1, each a sum of whole
+        # panels plus the part of its own panel
+        b_panels, c_panels = grid.scale * (b @ _GL_WEIGHTS), grid.scale * (c @ _GL_WEIGHTS)
+        b_before = np.cumsum(np.concatenate(([0.0], b_panels[:-1])))
+        c_after = np.cumsum(np.concatenate(([0.0], c_panels[:0:-1])))[::-1]
+        j = (c_after[:, None] + scale * (c @ _GL_SUFFIX.T)
+             - b_before[:, None] - scale * (b @ _GL_PREFIX.T))
+        return _integral(grid, j * j, "asymptotic-variance")
 
 
 def sigma_g_squared(model: ParametricModel, m: MDMeasure) -> float:

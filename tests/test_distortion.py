@@ -121,6 +121,15 @@ class TestConcavityAndEndpoints:
         with pytest.raises(ValueError):
             PiecewiseLinearDistortion(t=(0.0, 1.0), h=(0.0, 0.5))
 
+    @pytest.mark.parametrize("field, t, h", [
+        ("t", (0.0, math.nan, 1.0), (0.0, 0.5, 0.0)),
+        ("h", (0.0, 0.5, 1.0), (0.0, math.nan, 0.0)),
+        ("h", (0.0, 0.5, 1.0), (0.0, math.inf, 0.0)),
+    ], ids=["t-nan", "h-nan", "h-inf"])
+    def test_piecewise_rejects_non_finite(self, field, t, h):
+        with pytest.raises(ValueError, match=f"^{field} entries must all be finite"):
+            PiecewiseLinearDistortion(t=t, h=h)
+
 
 class TestChoquetDeviation:
     def test_es_dev_two_states(self):
@@ -364,6 +373,13 @@ class TestSpecParsing:
     def test_unknown(self):
         with pytest.raises(ValueError):
             distortion_from_spec({"kind": "wang"})
+
+    @pytest.mark.parametrize("field", ["t", "h"])
+    def test_piecewise_non_finite_entry(self, field):
+        spec = {"kind": "piecewise_linear", "t": [0.0, 0.5, 1.0], "h": [0.0, 0.5, 0.0]}
+        spec[field][1] = math.nan
+        with pytest.raises(ValueError, match=f"{field} entries must all be finite"):
+            distortion_from_spec(spec)
 
     def test_every_kind_is_a_hashable_value(self):
         # the population quadrature caches its node table keyed by the distortion

@@ -13,6 +13,7 @@ from meandev.distributions import (
 
 ALL_MODELS = [Normal(0.0, 1.0), Normal(1.5, 2.0), Lomax(4.0), Lomax(2.5), Exponential(1.0),
               Exponential(0.5)]
+LEVEL_METHODS = ("quantile", "quantile_upper", "density_quantile", "density_quantile_upper")
 
 
 class TestQuantile:
@@ -32,10 +33,18 @@ class TestQuantile:
         q = model.quantile(grid)
         assert np.all(np.diff(q) > 0)
 
-    @pytest.mark.parametrize("u", [0.0, 1.0, -0.2, 1.3])
+    @pytest.mark.parametrize("u", [0.0, 1.0, -0.2, 1.3, math.nan])
     def test_domain_errors(self, u):
-        with pytest.raises(ValueError):
-            Normal().quantile(u)
+        for model in (Normal(), Lomax(4.0), Exponential(1.0)):
+            for method in LEVEL_METHODS:
+                for levels in (u, [0.5, u], np.array([[0.25, 0.5], [u, 0.75]])):
+                    with pytest.raises(ValueError, match="strictly inside"):
+                        getattr(model, method)(levels)
+
+    @pytest.mark.parametrize("model", [Normal(), Lomax(4.0), Exponential(1.0)])
+    def test_empty_levels_accepted(self, model):
+        for method in LEVEL_METHODS:
+            assert getattr(model, method)(np.array([])).shape == (0,)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_inverse_transform_consistency(self, model):

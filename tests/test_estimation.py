@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -39,26 +40,28 @@ class TestPopulationValue:
         assert md_true(Normal(), m) == pytest.approx(d + math.exp(-d) - 1.0, abs=1e-6)
         assert md_true(Normal(), m) == pytest.approx(0.9279, abs=1e-3)
 
-    def test_normal_es_itself(self):
-        m = MDMeasure(LinearWeight(1.0), H09)
-        assert md_true(Normal(), m) == pytest.approx(normal_es(0.9), abs=1e-7)
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99])
+    def test_normal_es_itself(self, alpha):
+        m = MDMeasure(LinearWeight(1.0), ESDeviation(alpha))
+        assert md_true(Normal(), m) == pytest.approx(normal_es(alpha), rel=1e-12)
 
     def test_lomax_deviation_closed_form(self):
-        # ES_0.9 of lomax(4) = ((4/3) * 0.1^(3/4) - 0.1) / 0.1, mean = 1/3
+        # ES_0.9 of lomax(4) = ((4/3) * 0.1^(3/4) - 0.1) / 0.1, mean = 1/3; the
+        # grid stops at u = 1 - e^-36, which costs 2e-11 relative
         es = ((4.0 / 3.0) * 0.1 ** 0.75 - 0.1) / 0.1
         m = MDMeasure(LinearWeight(1.0), H09)
-        assert deviation_true(Lomax(4.0), m) == pytest.approx(es - 1.0 / 3.0, abs=1e-7)
-        assert md_true(Lomax(4.0), m) == pytest.approx(es, abs=1e-7)
+        assert deviation_true(Lomax(4.0), m) == pytest.approx(es - 1.0 / 3.0, rel=1e-10)
+        assert md_true(Lomax(4.0), m) == pytest.approx(es, rel=1e-10)
 
     def test_exponential_deviation(self):
         # ES_alpha - mean for the unit exponential is 1 - log(1 - alpha) - 1
         m = MDMeasure(LinearWeight(1.0), ESDeviation(0.9))
-        assert deviation_true(Exponential(1.0), m) == pytest.approx(-math.log(0.1), abs=1e-7)
+        assert deviation_true(Exponential(1.0), m) == pytest.approx(-math.log(0.1), rel=1e-12)
 
     def test_gini_deviation_normal(self):
         # Gini deviation of N(0, 1) is 1/sqrt(pi)
         m = MDMeasure(LinearWeight(1.0), Gini())
-        assert deviation_true(Normal(), m) == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-7)
+        assert deviation_true(Normal(), m) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-12)
 
     def test_mean_required(self):
         with pytest.raises(ValueError):
@@ -137,8 +140,8 @@ class TestAsymptoticVariance:
         # Gini deviation of Exp(rate) is 1/(2 rate); with g = x/2 the center is
         # 5/(4 rate) and the variance 19/(12 rate^2)
         limit = gaussian_limit(Exponential(rate), MDMeasure(LinearWeight(0.5), Gini()))
-        assert limit.center == pytest.approx(1.25 / rate, rel=1e-9)
-        assert limit.variance == pytest.approx(19.0 / 12.0 / rate ** 2, rel=1e-9)
+        assert limit.center == pytest.approx(1.25 / rate, rel=1e-12)
+        assert limit.variance == pytest.approx(19.0 / 12.0 / rate ** 2, rel=1e-11)
 
     def test_no_warnings(self):
         with warnings.catch_warnings():
@@ -253,15 +256,37 @@ class TestNodeTable:
         assert a is not b
         assert _nodes(a) is _nodes(b)
         assert _nodes(a) is not _nodes(ESDeviation(0.5))
-        assert _nodes.cache_info().maxsize is not None
+        maxsize = _nodes.cache_info().maxsize
+        assert maxsize is not None
+        for k in range(maxsize + 4):
+            _nodes(ESDeviation(0.5 + 0.01 * k))
+        assert _nodes.cache_info().currsize == maxsize
 
     def test_cached_arrays_are_read_only(self):
-        halves, weights = _nodes(Gini())
-        arrays = [*weights] + [getattr(half, field) for half in halves
-                               for field in ("eps", "level", "complement", "scale", "tail")]
+        grid = _nodes(Gini())
+        arrays = [getattr(grid, f.name) for f in dataclasses.fields(grid)
+                  if isinstance(getattr(grid, f.name), np.ndarray)]
+        assert len(arrays) == 5
         for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 0
+
+    @pytest.mark.parametrize("h", [H09, Gini(), PiecewiseLinearDistortion(
+        t=(0.0, 0.2, 0.6, 1.0), h=(0.0, 0.5, 0.4, 0.0))], ids=["es09", "gini", "piecewise3"])
+    def test_grid_ascends_in_u(self, h):
+        # one ordered grid: e^-t rises to u = 1/2 and then falls toward u = 1
+        grid = _nodes(h)
+        assert np.all(np.diff(grid.eps[:grid.split].ravel()) > 0.0)
+        assert np.all(np.diff(grid.eps[grid.split:].ravel()) < 0.0)
+        assert np.all(np.diff(grid.level.ravel()) >= 0.0)
+        assert grid.level[grid.split - 1, -1] < 0.5 < grid.level[grid.split, 0]
+        np.testing.assert_array_equal(grid.eps[:grid.split], grid.level[:grid.split])
+        np.testing.assert_array_equal(grid.eps[grid.split:], grid.complement[grid.split:])
+        # each tail window covers t in [30, 36]: two panels at each end
+        low, high = grid.tails
+        assert grid.scale[low].sum() == pytest.approx(3.0) == grid.scale[high].sum()
+        assert grid.eps[low].min() == pytest.approx(math.exp(-36.0), rel=1e-3)
+        assert grid.eps[high].min() == pytest.approx(math.exp(-36.0), rel=1e-3)
 
 
 class TestPiecewiseDistortionEquivalence:

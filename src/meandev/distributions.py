@@ -45,10 +45,7 @@ class StateVector:
             raise ValueError("state vector values must be one-dimensional")
         if arr.size < 1:
             raise ValueError("state vector needs at least one state")
-        limit = _HALF_MAX / arr.size
-        if not (-limit <= arr.min() and arr.max() <= limit):
-            raise ValueError("state vector values must all be finite and at most "
-                             f"{limit:.6g} in absolute value")
+        _check_values(arr, arr.size)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -141,15 +138,38 @@ class ParametricModel:
 
     def sample(self, n: int, seed: SeedLike) -> StateVector:
         """Inverse-transform sample of size n from a seeded PCG64 stream."""
+        return StateVector(self.sample_block(n, [seed])[0])
+
+    def sample_block(self, n: int, seeds) -> np.ndarray:
+        """A (len(seeds), n) array whose row i is the sample of size n from seeds[i].
+
+        Each seed's PCG64 stream fills its own row; one clip, one quantile
+        call and one check cover the block, and every row passes the check
+        that a ``StateVector`` of it would.  The quantiles build their result
+        in one new array and update it in place: with more block-sized
+        temporaries, glibc trimmed the freed heap after each block and the
+        next one page-faulted it back in.
+        """
         if n < 1:
             raise ValueError(f"sample size must be >= 1, got {n}")
-        rng = np.random.Generator(np.random.PCG64(seed))
-        u = rng.random(n)
-        u = np.clip(u, _UNIFORM_EPS, 1.0 - _UNIFORM_EPS)
-        return StateVector(self.quantile(u))
+        u = np.empty((len(seeds), n))
+        for row, seed in zip(u, seeds):
+            np.random.Generator(np.random.PCG64(seed)).random(out=row)
+        np.clip(u, _UNIFORM_EPS, 1.0 - _UNIFORM_EPS, out=u)
+        x = self.quantile(u)
+        _check_values(x, n)
+        return x
 
     def spec(self) -> dict:
         return spec_of(self, _KINDS)
+
+
+def _check_values(arr: np.ndarray, n: int) -> None:
+    """Reject values that are not finite or too large for n of them to sum and differ finitely."""
+    limit = _HALF_MAX / n
+    if not (-limit <= arr.min() and arr.max() <= limit):
+        raise ValueError("state vector values must all be finite and at most "
+                         f"{limit:.6g} in absolute value")
 
 
 def _check_prob(u) -> np.ndarray:
@@ -175,7 +195,10 @@ class Normal(ParametricModel):
     def quantile(self, u):
         from scipy.special import ndtri
 
-        return self.mu + self.sd * ndtri(_check_prob(u))
+        x = ndtri(_check_prob(u))
+        x *= self.sd
+        x += self.mu
+        return x
 
     def quantile_upper(self, eps):
         from scipy.special import ndtri
@@ -214,7 +237,10 @@ class Lomax(ParametricModel):
             raise ValueError(f"theta must be > 0, got {self.theta}")
 
     def quantile(self, u):
-        return (1.0 - _check_prob(u)) ** (-1.0 / self.theta) - 1.0
+        x = 1.0 - _check_prob(u)
+        x **= -1.0 / self.theta
+        x -= 1.0
+        return x
 
     def quantile_upper(self, eps):
         return _check_prob(eps) ** (-1.0 / self.theta) - 1.0
@@ -249,7 +275,10 @@ class Exponential(ParametricModel):
             raise ValueError(f"rate must be > 0, got {self.rate}")
 
     def quantile(self, u):
-        return -np.log1p(-_check_prob(u)) / self.rate
+        x = -_check_prob(u)  # a new array, or a scalar for a scalar level
+        x = np.log1p(x, out=x) if isinstance(x, np.ndarray) else np.log1p(x)
+        x /= -self.rate
+        return x
 
     def quantile_upper(self, eps):
         return -np.log(_check_prob(eps)) / self.rate

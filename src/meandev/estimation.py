@@ -33,13 +33,25 @@ u -> 0 and at u -> 1; an integral whose windows together hold more than
 1e-3 of its total decays too slowly to trust the truncation, and it raises
 NumericsError, as does a non-finite total.
 
-Monte Carlo estimates add the staircase with `distortion.staircase_sum`, so
-like `choquet_deviation` they do not depend on the BLAS thread count.
+The deviation integrand is the quantile minus its value at the first node
+above u = 1/2: h'(1 - u) integrates to 0, so the constant drops out of the
+value, and a large location no longer swamps the sum or the tail windows.
+
+Monte Carlo draws its replications in blocks of rows, one row per spawned
+seed, and shares the blocks out over every core the process may run on; the
+calling thread runs one share and each other share runs in its own thread.
+A block's element work (the PCG64 fill, the quantile, the row means, sorts
+and differences) runs in numpy, which releases the GIL.  Estimates add the
+staircase with `distortion.staircase_sum`, so like `choquet_deviation` they
+do not depend on the BLAS thread count, and each is the float that `md_eval`
+gives on the same sample whatever the thread count.
 """
 from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +78,10 @@ _TAIL_CUTOFF = 36.0
 _TAIL_CHECK = 30.0
 # largest share of an integral allowed in the window [_TAIL_CHECK, _TAIL_CUTOFF]
 _TAIL_SHARE = 1e-3
+# sample values per Monte Carlo block: enough rows that numpy's element work,
+# not the per-row Python calls, takes the time, and few enough that a
+# block's arrays stay a few hundred KiB
+_BLOCK_VALUES = 2 ** 15
 
 
 class NumericsError(RuntimeError):
@@ -94,6 +110,10 @@ class MonteCarloReport:
     center: float
     estimate_mean: float
     normality_statistic: float
+    # diagnostics, kept out of as_dict(): threads used, and the standard
+    # error of scaled_variance from the estimates' fourth central moment
+    workers: int
+    scaled_variance_se: float
 
     def as_dict(self) -> dict:
         return {
@@ -209,8 +229,11 @@ def deviation_true(model: ParametricModel, m: MDMeasure) -> float:
     """Population Choquet deviation: integral of the quantile against h'(1 - u)."""
     grid = _nodes(m.h)
     with np.errstate(all="ignore"):  # _integral raises on a non-finite total
-        values = grid.weight * grid.evaluate(model.quantile, model.quantile_upper)
-        return _integral(grid, values, "population deviation")
+        q = grid.evaluate(model.quantile, model.quantile_upper)
+        # h'(1 - u) integrates to 0, so subtracting a constant leaves the
+        # integral unchanged; taking the quantile just above u = 1/2 keeps a
+        # large location from swamping the sum and the tail windows
+        return _integral(grid, grid.weight * (q - q[grid.split, 0]), "population deviation")
 
 
 def md_true(model: ParametricModel, m: MDMeasure) -> float:
@@ -260,8 +283,44 @@ def _ks_statistic(z: np.ndarray) -> float:
 
 
 def worker_count() -> int:
-    """Always 1: `monte_carlo` is serial.  The benchmark's machine record reads it."""
-    return 1
+    """The cores this process may run on: the threads `monte_carlo` can use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_shares(work, tasks: int) -> int:
+    """Call work(i) for i in range(tasks) on up to worker_count() threads.
+
+    The calling thread runs share 0; each other share runs in its own thread
+    and takes every k-th task.  All threads are joined before the first
+    exception (in share order) is raised.  Returns the number of shares.
+    """
+    shares = min(worker_count(), tasks)
+    errors = [None] * shares
+
+    def run(share: int) -> None:
+        try:
+            for i in range(share, tasks, shares):
+                work(i)
+        except Exception as exc:  # re-raised by the caller's thread below
+            errors[share] = exc
+
+    started = []
+    try:
+        for share in range(1, shares):
+            thread = threading.Thread(target=run, args=(share,))
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return shares
 
 
 def monte_carlo(
@@ -274,9 +333,15 @@ def monte_carlo(
     """Sample `replications` estimates of g(D) + mean at sample size n.
 
     Per-replication generators come from spawning the master seed, so the
-    result does not depend on execution order.  The staircase weights depend
-    only on n, so they are built once; each estimate is the float that
-    `md_eval` gives on the same sample.
+    result does not depend on execution order.  Replications run in blocks
+    of max(1, 2^15 // n) rows; each block is drawn, averaged, sorted and
+    differenced a block at a time by numpy, and writes its own slots of the
+    estimates.  The blocks are shared out over `worker_count()` threads, the
+    calling thread included.  The staircase weights depend only on n, so
+    they are built once; each estimate is the float that `md_eval` gives on
+    ``model.sample(n, child)``.  Raises NumericsError when the asymptotic
+    variance is too small to standardize the estimates (it underflows to 0,
+    or n / sigma^2 overflows).
     """
     if n < 100:
         raise ValueError(f"sample size must be >= 100, got {n}")
@@ -284,23 +349,40 @@ def monte_carlo(
         raise ValueError(f"replications must be >= 100, got {replications}")
 
     limit = gaussian_limit(model, m)
+    if limit.variance == 0.0 or math.isinf(n / limit.variance):
+        raise NumericsError(
+            f"the asymptotic variance {limit.variance:.3g} is too small to standardize "
+            f"the estimates at n = {n}, so the normality statistic is undefined")
     weights = staircase_weights(m.h, n)
+    children = np.random.SeedSequence(seed).spawn(replications)
+    rows = max(1, _BLOCK_VALUES // n)
     estimates = np.empty(replications)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(replications)):
-        x = model.sample(n, child)
-        deviation = staircase_sum(weights, np.diff(x.sorted_values()))
-        estimates[i] = float(m.g(deviation)) + x.mean()
 
-    scaled_var = float(n * np.var(estimates, ddof=1))
+    def block(b: int) -> None:
+        start = b * rows
+        x = model.sample_block(n, children[start:start + rows])
+        means = np.mean(x, axis=1)
+        x.sort(axis=1)
+        gaps = np.diff(x, axis=1)
+        for i, (row, mean) in enumerate(zip(gaps, means.tolist())):
+            estimates[start + i] = float(m.g(staircase_sum(weights, row))) + mean
+
+    workers = _in_shares(block, -(-replications // rows))
+    s2 = float(np.var(estimates, ddof=1))
+    # Var(s^2) = (m4 - (R - 3) / (R - 1) s^4) / R, with no normality assumption
+    m4 = float(np.mean((estimates - np.mean(estimates)) ** 4))
+    var_s2 = (m4 - (replications - 3) / (replications - 1) * s2 * s2) / replications
     standardized = (estimates - limit.center) * math.sqrt(n / limit.variance)
     ks = _ks_statistic(standardized)
     return MonteCarloReport(
         replications=replications,
         sample_size=n,
         estimates=estimates,
-        scaled_variance=scaled_var,
+        scaled_variance=n * s2,
         target_variance=limit.variance,
         center=limit.center,
         estimate_mean=float(np.mean(estimates)),
         normality_statistic=ks,
+        workers=workers,
+        scaled_variance_se=n * math.sqrt(max(var_s2, 0.0)),
     )

@@ -3,12 +3,14 @@
 ``perfbench/spans.py`` wraps library functions by ``(module, name)`` and
 patches methods on the classes that define them; ``perfbench/common.py``
 imports ``meandev.estimation.worker_count`` on every run for its machine
-record.  ``monte_carlo`` is serial, so ``worker_count`` now always returns
-1.  Renaming or removing one of these breaks ``--trace 1`` or every
-benchmark run, and nothing else in the suite would notice.
+record.  ``monte_carlo`` shares its replication blocks over every core the
+process may run on, so ``worker_count`` returns the affinity count.
+Renaming or removing one of these breaks ``--trace 1`` or every benchmark
+run, and nothing else in the suite would notice.
 """
 import importlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -47,7 +49,7 @@ def test_patched_methods_are_defined_on_their_classes():
 
 def test_worker_count_exists():
     assert callable(meandev.estimation.worker_count)
-    assert meandev.estimation.worker_count() == 1
+    assert meandev.estimation.worker_count() == len(os.sched_getaffinity(0))
 
 
 def test_tracer_installs_and_restores():

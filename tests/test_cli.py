@@ -176,6 +176,23 @@ class TestInputValidation:
         assert proc.stderr == (b"meandev: error: asymptotic-variance integral evaluated to a "
                                b"non-finite value\n")
 
+    @pytest.mark.parametrize("model, variance", [
+        ('{"kind":"normal","mu":0,"sd":1e-170}', "0"),
+        ('{"kind":"exponential","beta":1e300}', "0"),
+        ('{"kind":"normal","mu":0,"sd":1e-156}', "3.71e-312"),
+    ], ids=["normal-underflow", "exponential-underflow", "normal-subnormal"])
+    def test_mc_vanishing_variance_exits_one(self, model, variance, capsys):
+        # the standardization sqrt(n / sigma^2) used to raise ZeroDivisionError,
+        # or to overflow and report a normality statistic of 0.52
+        argv = ["mc", "--model", model, "--g", LINEAR_G, "--h", '{"kind":"es_dev","alpha":0.9}',
+                "--n", "400", "--reps", "100", "--seed", "1"]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"meandev: error: the asymptotic variance {variance} is too small "
+                                "to standardize the estimates at n = 400, so the normality "
+                                "statistic is undefined\n")
+
     def test_extreme_price_ratio_error_is_one_line(self, tmp_path):
         # the price ratio 1e300 / 1e-300 overflows; its warning used to precede the error
         prices = tmp_path / "extreme.csv"

@@ -52,6 +52,14 @@ class TestQuantile:
             assert model.cdf(model.quantile(u)) == pytest.approx(u, abs=1e-9)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_levels_untouched_and_scalar_stays_scalar(self, model):
+        # the quantiles update their own result in place, never the levels
+        u = np.array([0.1, 0.5, 0.9])
+        model.quantile(u)
+        assert np.array_equal(u, [0.1, 0.5, 0.9])
+        assert not isinstance(model.quantile(0.3), np.ndarray)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
     def test_upper_variant_matches(self, model):
         for u in (0.6, 0.9, 0.99):
             assert model.quantile_upper(1.0 - u) == pytest.approx(model.quantile(u), rel=1e-9)
@@ -110,6 +118,25 @@ class TestSampling:
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError):
             Normal().sample(0, 1)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_block_rows_are_samples(self, model):
+        # each row is the one-seed inverse-transform draw, bit for bit
+        n, seeds = 1001, [3, np.random.SeedSequence(4), 5]
+        block = model.sample_block(n, seeds)
+        assert block.shape == (3, n)
+        for row, seed in zip(block, seeds):
+            u = np.random.Generator(np.random.PCG64(seed)).random(n)
+            expected = model.quantile(np.clip(u, 2.0 ** -53, 1.0 - 2.0 ** -53))
+            assert np.array_equal(row, expected)
+            assert np.array_equal(row, model.sample(n, seed).values)
+
+    def test_block_check_is_the_state_vector_check(self):
+        with pytest.raises(ValueError) as from_vector:
+            StateVector(np.full(1000, 1e306))
+        with pytest.raises(ValueError) as from_block:
+            Normal(1e306, 1.0).sample_block(1000, [1, 2])
+        assert str(from_block.value) == str(from_vector.value)
 
 
 class TestStateVector:

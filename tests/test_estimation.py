@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest
 
+import meandev.estimation
 from meandev.distortion import ESDeviation, Gini, PiecewiseLinearDistortion
 from meandev.distributions import Exponential, Lomax, Normal
 from meandev.estimation import (
@@ -62,6 +65,15 @@ class TestPopulationValue:
         # Gini deviation of N(0, 1) is 1/sqrt(pi)
         m = MDMeasure(LinearWeight(1.0), Gini())
         assert deviation_true(Normal(), m) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [1e3, 1e8, 1e10, 1e12])
+    def test_translation_invariant(self, mu):
+        # h'(1 - u) integrates to 0, so mu must cancel; at mu = 1e8 the
+        # uncentered sum was off by 1.1e-7 relative, and from 1e10 on its
+        # rounding swamped the tail windows and raised NumericsError
+        m = MDMeasure(LinearWeight(1.0), H09)
+        base = deviation_true(Normal(0.0, 1.0), m)
+        assert abs(deviation_true(Normal(mu, 1.0), m) - base) <= 1e-15 * mu + 1e-13
 
     def test_mean_required(self):
         with pytest.raises(ValueError):
@@ -210,6 +222,72 @@ class TestMonteCarlo:
         children = np.random.SeedSequence(33).spawn(120)
         backward = [md_eval(m, Normal().sample(500, c)) for c in reversed(children)]
         assert np.array_equal(forward, backward[::-1])
+
+
+class _FailsOffMainThread(Normal):
+    def quantile(self, u):
+        if threading.current_thread() is not threading.main_thread():
+            raise ValueError("drawn off the main thread")
+        return super().quantile(u)
+
+
+class TestMonteCarloBlocks:
+    M = MDMeasure(ExpShortfallWeight(1.0), H09)
+
+    @pytest.mark.parametrize("n, reps", [(10 ** 4, 101), (10 ** 5 + 3, 101)],
+                             ids=["ragged-last-block", "one-row-blocks"])
+    def test_threads_match_one_thread_and_md_eval(self, n, reps, monkeypatch):
+        # n = 1e4 gives 3-row blocks, the last one holding 2 rows
+        threaded = monte_carlo(Normal(), self.M, n=n, replications=reps, seed=8)
+        blocks = -(-reps // max(1, meandev.estimation._BLOCK_VALUES // n))
+        assert threaded.workers == min(meandev.estimation.worker_count(), blocks)
+        children = np.random.SeedSequence(8).spawn(reps)
+        expected = [md_eval(self.M, Normal().sample(n, c)) for c in children]
+        assert np.array_equal(threaded.estimates, expected)
+        monkeypatch.setattr(meandev.estimation, "worker_count", lambda: 1)
+        serial = monte_carlo(Normal(), self.M, n=n, replications=reps, seed=8)
+        assert serial.workers == 1
+        assert np.array_equal(serial.estimates, threaded.estimates)
+        assert serial.as_dict() == threaded.as_dict()
+
+    def test_more_threads_than_cores(self, monkeypatch):
+        # eight shares of 34 blocks switching every 10 us: a lost or misplaced
+        # write would leave a slot unlike the one-thread result
+        monkeypatch.setattr(meandev.estimation, "worker_count", lambda: 1)
+        serial = monte_carlo(Lomax(4.0), self.M, n=10 ** 4, replications=101, seed=21)
+        monkeypatch.setattr(meandev.estimation, "worker_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = monte_carlo(Lomax(4.0), self.M, n=10 ** 4, replications=101, seed=21)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.workers == 8
+        assert np.array_equal(threaded.estimates, serial.estimates)
+
+    def test_block_error_reaches_the_caller(self):
+        # values near 1e306 pass the population integrals but not the sample check
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="state vector values must all be finite"):
+            monte_carlo(Normal(1e306, 1.0), MDMeasure(LinearWeight(1.0), H09),
+                        n=10 ** 4, replications=101, seed=3)
+        assert threading.active_count() == before
+
+    def test_worker_thread_error_reaches_the_caller(self, monkeypatch):
+        # two shares even on one core: the error of the second thread's blocks
+        monkeypatch.setattr(meandev.estimation, "worker_count", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="drawn off the main thread"):
+            monte_carlo(_FailsOffMainThread(), self.M, n=10 ** 4, replications=101, seed=3)
+        assert threading.active_count() == before
+
+    def test_scaled_variance_standard_error(self):
+        # for normal estimates the fourth-moment SE is near the normal-theory
+        # n s^2 sqrt(2 / (R - 1))
+        r = monte_carlo(Normal(), self.M, n=10 ** 3, replications=2000, seed=12)
+        normal_theory = r.scaled_variance * math.sqrt(2.0 / (r.replications - 1))
+        assert r.scaled_variance_se == pytest.approx(normal_theory, rel=0.25)
+        assert "scaled_variance_se" not in r.as_dict() and "workers" not in r.as_dict()
 
 
 def _ks_samples():

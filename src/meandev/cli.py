@@ -195,11 +195,11 @@ def _cmd_robust_wasserstein(args) -> tuple[str, dict]:
     g = g_from_spec(_json_arg(args.g, "--g"))
     h = distortion_from_spec(_json_arg(args.h, "--h"))
     center = StateVector.from_csv(args.data)
-    nominal = md_eval(MDMeasure(g, h), center)
     if args.sweep is not None:
         values = [worstcase_wasserstein(g, h, WassersteinUncertainty(center, eps))
                   for eps in args.sweep]
         return _sweep_csv(args.sweep, values), {}
+    nominal = md_eval(MDMeasure(g, h), center)
     u = WassersteinUncertainty(center=center, epsilon=args.eps)
     return _json({
         "worst_case": worstcase_wasserstein(g, h, u),

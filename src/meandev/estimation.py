@@ -38,8 +38,9 @@ above u = 1/2: h'(1 - u) integrates to 0, so the constant drops out of the
 value, and a large location no longer swamps the sum or the tail windows.
 
 Monte Carlo draws its replications in blocks of rows, one row per spawned
-seed, and shares the blocks out over every core the process may run on; the
-calling thread runs one share and each other share runs in its own thread.
+seed, and shares the blocks out over every core the process may run on:
+each share runs on a thread of a `concurrent.futures` pool while the calling
+thread waits.
 A block's element work (the PCG64 fill, the quantile, the row means, sorts
 and differences) runs in numpy, which releases the GIL.  Estimates add the
 staircase with `distortion.staircase_sum`, so like `choquet_deviation` they
@@ -51,7 +52,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +82,10 @@ _TAIL_SHARE = 1e-3
 # not the per-row Python calls, takes the time, and few enough that a
 # block's arrays stay a few hundred KiB
 _BLOCK_VALUES = 2 ** 15
+# largest float spacing at the Monte Carlo center as a share of the estimates'
+# standard deviation sqrt(sigma^2 / n), so rounding moves an estimate by a few
+# hundredths of one at most (Normal(1e12, 1) at n = 400 reads 1.3e-3)
+_SPACING_SHARE = 1e-2
 
 
 class NumericsError(RuntimeError):
@@ -290,39 +294,6 @@ def worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _in_shares(work, tasks: int) -> int:
-    """Call work(i) for i in range(tasks) on up to worker_count() threads.
-
-    The calling thread runs share 0; each other share runs in its own thread
-    and takes every k-th task.  All threads are joined before the first
-    exception (in share order) is raised.  Returns the number of shares.
-    """
-    shares = min(worker_count(), tasks)
-    errors = [None] * shares
-
-    def run(share: int) -> None:
-        try:
-            for i in range(share, tasks, shares):
-                work(i)
-        except Exception as exc:  # re-raised by the caller's thread below
-            errors[share] = exc
-
-    started = []
-    try:
-        for share in range(1, shares):
-            thread = threading.Thread(target=run, args=(share,))
-            thread.start()
-            started.append(thread)
-        run(0)
-    finally:
-        for thread in started:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return shares
-
-
 def monte_carlo(
     model: ParametricModel,
     m: MDMeasure,
@@ -336,12 +307,14 @@ def monte_carlo(
     result does not depend on execution order.  Replications run in blocks
     of max(1, 2^15 // n) rows; each block is drawn, averaged, sorted and
     differenced a block at a time by numpy, and writes its own slots of the
-    estimates.  The blocks are shared out over `worker_count()` threads, the
-    calling thread included.  The staircase weights depend only on n, so
-    they are built once; each estimate is the float that `md_eval` gives on
+    estimates.  Share k of w = min(worker_count(), blocks) takes blocks k,
+    k + w, k + 2w, ... and runs on a pool thread while the calling thread
+    waits.  The staircase weights depend only on n, so they are built once;
+    each estimate is the float that `md_eval` gives on
     ``model.sample(n, child)``.  Raises NumericsError when the asymptotic
     variance is too small to standardize the estimates (it underflows to 0,
-    or n / sigma^2 overflows).
+    or n / sigma^2 overflows), or when the float spacing at the center is
+    not small against the estimates' standard deviation sqrt(sigma^2 / n).
     """
     if n < 100:
         raise ValueError(f"sample size must be >= 100, got {n}")
@@ -353,21 +326,33 @@ def monte_carlo(
         raise NumericsError(
             f"the asymptotic variance {limit.variance:.3g} is too small to standardize "
             f"the estimates at n = {n}, so the normality statistic is undefined")
+    spacing, spread = math.ulp(limit.center), math.sqrt(limit.variance / n)
+    if spacing > _SPACING_SHARE * spread:
+        raise NumericsError(
+            f"the float spacing {spacing:.3g} at the center {limit.center:.3g} "
+            f"is not small against the estimates' standard deviation {spread:.3g} at n = {n}, "
+            "so the draws cannot resolve the estimator's spread")
+    from concurrent.futures import ThreadPoolExecutor  # kept out of `import meandev`
+
     weights = staircase_weights(m.h, n)
     children = np.random.SeedSequence(seed).spawn(replications)
     rows = max(1, _BLOCK_VALUES // n)
+    workers = min(worker_count(), -(-replications // rows))
     estimates = np.empty(replications)
 
-    def block(b: int) -> None:
-        start = b * rows
-        x = model.sample_block(n, children[start:start + rows])
-        means = np.mean(x, axis=1)
-        x.sort(axis=1)
-        gaps = np.diff(x, axis=1)
-        for i, (row, mean) in enumerate(zip(gaps, means.tolist())):
-            estimates[start + i] = float(m.g(staircase_sum(weights, row))) + mean
+    def share(k: int) -> None:
+        for start in range(k * rows, replications, workers * rows):
+            x = model.sample_block(n, children[start:start + rows])
+            means = np.mean(x, axis=1)
+            x.sort(axis=1)
+            gaps = np.diff(x, axis=1)
+            for i, (row, mean) in enumerate(zip(gaps, means.tolist())):
+                estimates[start + i] = float(m.g(staircase_sum(weights, row))) + mean
 
-    workers = _in_shares(block, -(-replications // rows))
+    # map yields in share order, so the error raised is the first failing
+    # share's; leaving the with block joins every thread before it propagates
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(share, range(workers)))
     s2 = float(np.var(estimates, ddof=1))
     # Var(s^2) = (m4 - (R - 3) / (R - 1) s^4) / R, with no normality assumption
     m4 = float(np.mean((estimates - np.mean(estimates)) ** 4))

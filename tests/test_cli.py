@@ -193,6 +193,28 @@ class TestInputValidation:
                                 "to standardize the estimates at n = 400, so the normality "
                                 "statistic is undefined\n")
 
+    @staticmethod
+    def mc_normal(mu):
+        return ["mc", "--model", f'{{"kind":"normal","mu":{mu},"sd":1}}', "--g", LINEAR_G,
+                "--h", '{"kind":"es_dev","alpha":0.9}', "--n", "400", "--reps", "100",
+                "--seed", "1"]
+
+    def test_mc_location_swamping_the_spread_exits_one(self, capsys):
+        # every draw of Normal(1e300, 1) rounds to mu, which used to report a
+        # scaled variance of 0 and a normality statistic of 1
+        assert dispatch(self.mc_normal("1e300")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("meandev: error: the float spacing 1.49e+284 at the center 1e+300 "
+                                "is not small against the estimates' standard deviation 0.0963 "
+                                "at n = 400, so the draws cannot resolve the estimator's spread\n")
+
+    def test_mc_large_resolved_location_runs(self, capsys):
+        # at mu = 1e12 the float spacing is 1.3e-3 of the estimates' standard deviation
+        assert dispatch(self.mc_normal("1e12")) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and json.loads(captured.out)["center"] == 1e12
+
     def test_extreme_price_ratio_error_is_one_line(self, tmp_path):
         # the price ratio 1e300 / 1e-300 overflows; its warning used to precede the error
         prices = tmp_path / "extreme.csv"

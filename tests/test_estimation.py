@@ -231,6 +231,24 @@ class _FailsOffMainThread(Normal):
         return super().quantile(u)
 
 
+class _HugeTopDraws(Normal):
+    # the population integrals take the quantile below u = 1/2 only, so just
+    # the sample blocks see levels above 0.999
+    def quantile(self, u):
+        return np.where(np.asarray(u) > 0.999, 1e306, super().quantile(u))
+
+
+def _failing_at(*starts):
+    """A standard normal whose blocks starting at these replications raise."""
+    class FailsAt(Normal):
+        def sample_block(self, n, seeds):
+            start = seeds[0].spawn_key[-1]
+            if start in starts:
+                raise ValueError(f"block at replication {start}")
+            return super().sample_block(n, seeds)
+    return FailsAt()
+
+
 class TestMonteCarloBlocks:
     M = MDMeasure(ExpShortfallWeight(1.0), H09)
 
@@ -266,10 +284,10 @@ class TestMonteCarloBlocks:
         assert np.array_equal(threaded.estimates, serial.estimates)
 
     def test_block_error_reaches_the_caller(self):
-        # values near 1e306 pass the population integrals but not the sample check
+        # draws of 1e306 pass the population integrals but not the sample check
         before = threading.active_count()
         with pytest.raises(ValueError, match="state vector values must all be finite"):
-            monte_carlo(Normal(1e306, 1.0), MDMeasure(LinearWeight(1.0), H09),
+            monte_carlo(_HugeTopDraws(), MDMeasure(LinearWeight(1.0), H09),
                         n=10 ** 4, replications=101, seed=3)
         assert threading.active_count() == before
 
@@ -279,6 +297,18 @@ class TestMonteCarloBlocks:
         before = threading.active_count()
         with pytest.raises(ValueError, match="drawn off the main thread"):
             monte_carlo(_FailsOffMainThread(), self.M, n=10 ** 4, replications=101, seed=3)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("starts, raised", [((99,), 99), ((99, 96), 96)],
+                             ids=["second-share-only", "both-shares"])
+    def test_first_failing_share_raises(self, starts, raised, monkeypatch):
+        # two shares of 34 three-row blocks (two rows in the last): share 0
+        # takes the even blocks, the last starting at replication 96, and
+        # share 1 the odd ones, the last starting at 99
+        monkeypatch.setattr(meandev.estimation, "worker_count", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"^block at replication {raised}$"):
+            monte_carlo(_failing_at(*starts), self.M, n=10 ** 4, replications=101, seed=3)
         assert threading.active_count() == before
 
     def test_scaled_variance_standard_error(self):

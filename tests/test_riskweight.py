@@ -122,6 +122,14 @@ class TestClassification:
         assert c.sup_ratio == 1.0
         assert c.asymptotic_slope == 0.0
 
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_piecewise_without_knots_is_linear(self, lam):
+        g, linear = PiecewiseLinearWeight(knots=(), slopes=(lam,)), LinearWeight(lam)
+        np.testing.assert_array_equal(g(GRID), linear(GRID))
+        assert g.classify() == linear.classify()
+        for y in (-1.0, 0.0, 0.5 * lam, lam, lam + 0.1):
+            assert conjugate(g, y) == conjugate(linear, y)
+
     def test_piecewise_convex(self):
         c = PiecewiseLinearWeight(knots=(1.0,), slopes=(0.0, 1.0)).classify()
         assert c.is_convex and c.is_star_shaped and not c.is_linear

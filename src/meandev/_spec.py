@@ -7,10 +7,20 @@ gives the attribute a default.  Every value passes through ``read``, so an
 unknown key, a missing field, or a value its reader refuses (a boolean, a
 string for a number, a non-number in a list, a fractional whole number) is a
 ValueError that names the field.
+
+``NumericsError`` lives here too, so that the CLI and every layer share one
+class without importing a layer for it.
 """
 from __future__ import annotations
 
 from dataclasses import MISSING, fields
+
+
+class NumericsError(RuntimeError):
+    """Raised when a computation cannot return a trustworthy finite number: a
+    population integral that is not finite or whose tail decays too slowly, a
+    Monte Carlo run that cannot resolve its estimates' spread, a portfolio or
+    Markowitz solve left open or not certified, or a non-finite CLI output."""
 
 
 def number(value) -> float:

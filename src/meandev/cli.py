@@ -5,6 +5,8 @@ to 12 significant digits, so a fixed seed yields byte-identical output
 across runs.  Usage errors exit 2; domain and numeric errors exit 1.
 Each command returns (stdout text, {path: file text}) and writes nothing;
 ``dispatch`` writes them only once all are built and opened: an error writes none.
+Each command imports only the layers it runs, so ``--help`` and usage
+errors load no layer.
 """
 from __future__ import annotations
 
@@ -22,31 +24,28 @@ from dataclasses import asdict
 
 import numpy as np
 
-from ._spec import number, read, text, whole
-from .distortion import choquet_deviation, distortion_from_spec
-from .distributions import StateVector, model_from_spec
-from .estimation import NumericsError, gaussian_limit, monte_carlo
-from .measures import MDMeasure, md_eval
-from .portfolio import BacktestConfig, ingest_prices, run_backtest
-from .riskweight import g_from_spec
-from .robust import (
-    MomentUncertainty,
-    WassersteinUncertainty,
-    worstcase_moment,
-    worstcase_wasserstein,
-)
+from ._spec import NumericsError, number, read, text, whole
 
 __all__ = ["main", "dispatch"]
 
 # a sweep evaluates one worst case per point
 _SWEEP_MAX_POINTS = 100_000
 _NOT_FINITE = "is not a finite number; nothing was written"
+
+
+def _g_from_spec(spec):
+    """riskweight.g_from_spec, imported on first use so that loading cli loads no layer."""
+    from .riskweight import g_from_spec
+
+    return g_from_spec(spec)
+
+
 # backtest --config: JSON name -> (BacktestConfig field, reader); every field is optional
 _CONFIG_FIELDS = {
     "window": ("window", whole),
     "rebalance": ("rebalance", text),
     "alpha": ("alpha", number),
-    "g": ("g_spec", g_from_spec),
+    "g": ("g_spec", _g_from_spec),
     "risk_free_rate": ("risk_free_rate", number),
     "initial_wealth": ("initial_wealth", number),
 }
@@ -138,13 +137,17 @@ def _sweep_csv(parameters, values) -> str:
 
 
 def _cmd_classify(args) -> tuple[str, dict]:
-    g = g_from_spec(_json_arg(args.g, "--g"))
+    g = _g_from_spec(_json_arg(args.g, "--g"))
     c = g.classify()
     return _json({"g": g.spec(), **asdict(c), "smallest_coherent_multiplier": c.sup_ratio}), {}
 
 
 def _cmd_eval(args) -> tuple[str, dict]:
-    g = g_from_spec(_json_arg(args.g, "--g"))
+    from .distortion import choquet_deviation, distortion_from_spec
+    from .distributions import StateVector
+    from .measures import MDMeasure, md_eval
+
+    g = _g_from_spec(_json_arg(args.g, "--g"))
     h = distortion_from_spec(_json_arg(args.h, "--h"))
     x = StateVector.from_csv(args.data)
     m = MDMeasure(g, h)
@@ -158,16 +161,26 @@ def _cmd_eval(args) -> tuple[str, dict]:
 
 
 def _cmd_asymvar(args) -> tuple[str, dict]:
+    from .distortion import distortion_from_spec
+    from .distributions import model_from_spec
+    from .estimation import gaussian_limit
+    from .measures import MDMeasure
+
     model = model_from_spec(_json_arg(args.model, "--model"))
-    m = MDMeasure(g_from_spec(_json_arg(args.g, "--g")),
+    m = MDMeasure(_g_from_spec(_json_arg(args.g, "--g")),
                   distortion_from_spec(_json_arg(args.h, "--h")))
     limit = gaussian_limit(model, m)
     return _json({"md_true": limit.center, "sigma2": limit.variance}), {}
 
 
 def _cmd_mc(args) -> tuple[str, dict]:
+    from .distortion import distortion_from_spec
+    from .distributions import model_from_spec
+    from .estimation import monte_carlo
+    from .measures import MDMeasure
+
     model = model_from_spec(_json_arg(args.model, "--model"))
-    m = MDMeasure(g_from_spec(_json_arg(args.g, "--g")),
+    m = MDMeasure(_g_from_spec(_json_arg(args.g, "--g")),
                   distortion_from_spec(_json_arg(args.h, "--h")))
     report = monte_carlo(model, m, n=args.n, replications=args.reps, seed=args.seed)
     files = {}
@@ -177,7 +190,10 @@ def _cmd_mc(args) -> tuple[str, dict]:
 
 
 def _cmd_robust_moment(args) -> tuple[str, dict]:
-    g = g_from_spec(_json_arg(args.g, "--g"))
+    from .distortion import distortion_from_spec
+    from .robust import MomentUncertainty, worstcase_moment
+
+    g = _g_from_spec(_json_arg(args.g, "--g"))
     h = distortion_from_spec(_json_arg(args.h, "--h"))
     if args.sweep is not None:
         values = [worstcase_moment(g, h, MomentUncertainty(args.m, v, args.order))
@@ -192,7 +208,12 @@ def _cmd_robust_moment(args) -> tuple[str, dict]:
 
 
 def _cmd_robust_wasserstein(args) -> tuple[str, dict]:
-    g = g_from_spec(_json_arg(args.g, "--g"))
+    from .distortion import distortion_from_spec
+    from .distributions import StateVector
+    from .measures import MDMeasure, md_eval
+    from .robust import WassersteinUncertainty, worstcase_wasserstein
+
+    g = _g_from_spec(_json_arg(args.g, "--g"))
     h = distortion_from_spec(_json_arg(args.h, "--h"))
     center = StateVector.from_csv(args.data)
     if args.sweep is not None:
@@ -209,6 +230,8 @@ def _cmd_robust_wasserstein(args) -> tuple[str, dict]:
 
 
 def _cmd_backtest(args) -> tuple[str, dict]:
+    from .portfolio import BacktestConfig, ingest_prices, run_backtest
+
     panel = ingest_prices(args.prices)
     spec = _json_arg(args.config, "--config") if args.config else {}
     cfg = read(BacktestConfig, _CONFIG_FIELDS, spec, "--config")
@@ -223,6 +246,8 @@ def _cmd_backtest(args) -> tuple[str, dict]:
 
 
 def _cmd_ingest(args) -> tuple[str, dict]:
+    from .portfolio import ingest_prices
+
     panel = ingest_prices(args.prices)
     rows = ([date, *row] for date, row in zip(panel.dates, panel.losses))
     return _csv(["date", *panel.tickers], rows, "\n"), {}

@@ -26,7 +26,7 @@ __all__ = [
     "model_from_spec",
 ]
 
-SeedLike = Union[int, np.random.SeedSequence]
+SeedLike = Union[int, "np.random.SeedSequence"]  # a string, so import leaves numpy.random out
 
 # Uniform draws are clipped away from {0, 1} so that quantile() stays finite.
 _UNIFORM_EPS = 2.0 ** -53

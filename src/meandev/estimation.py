@@ -57,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre
 
+from ._spec import NumericsError
 from .distortion import staircase_sum, staircase_weights
 from .distributions import Normal, ParametricModel
 from .measures import MDMeasure
@@ -86,10 +87,6 @@ _BLOCK_VALUES = 2 ** 15
 # standard deviation sqrt(sigma^2 / n), so rounding moves an estimate by a few
 # hundredths of one at most (Normal(1e12, 1) at n = 400 reads 1.3e-3)
 _SPACING_SHARE = 1e-2
-
-
-class NumericsError(RuntimeError):
-    """Raised when a population integral is not finite or its tail decays too slowly."""
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._spec import NumericsError
 from .distributions import StateVector
-from .estimation import NumericsError
 from .measures import es_alpha
 from .riskweight import ExpShortfallWeight, RiskWeightFunction, conjugate
 

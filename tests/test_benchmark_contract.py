@@ -52,6 +52,14 @@ def test_worker_count_exists():
     assert meandev.estimation.worker_count() == len(os.sched_getaffinity(0))
 
 
+def test_numerics_error_is_one_class():
+    # perfbench/wl_population.py catches the class through meandev.estimation
+    import meandev.portfolio
+
+    assert meandev.NumericsError is meandev.estimation.NumericsError
+    assert meandev.portfolio.NumericsError is meandev.estimation.NumericsError
+
+
 def test_tracer_installs_and_restores():
     import meandev.portfolio
 

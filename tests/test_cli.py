@@ -468,6 +468,39 @@ SCIPY_PROBE = (
 )
 
 
+# runs `python -m meandev` and then reports, as a tuple, the meandev modules it
+# loaded and whether numpy.random is loaded
+LAYER_PROBE = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print((sorted(m.split('.')[1] for m in sys.modules"
+    " if m.startswith('meandev.')), 'numpy.random' in sys.modules), file=sys.stderr))\n"
+    "sys.argv[0] = 'meandev'\n"
+    "runpy.run_module('meandev', run_name='__main__', alter_sys=True)\n"
+)
+CLASSIFY_MODULES = ["_spec", "cli", "riskweight"]
+EVAL_MODULES = sorted(CLASSIFY_MODULES + ["distortion", "distributions", "measures"])
+# the names `from meandev import *` gave while the package imported every layer eagerly
+STAR_NAMES = sorted("""
+    distortion distributions estimation measures portfolio riskweight robust
+    DistortionFunction ESDeviation Gini MeanAbsDevHalf PiecewiseLinearDistortion
+    RangeDistortion choquet_deviation distortion_from_spec is_range_normalized
+    Exponential Lomax Normal ParametricModel StateVector model_from_spec
+    GaussianLimit MonteCarloReport NumericsError deviation_true gaussian_limit md_true
+    monte_carlo sigma_g_squared
+    MDMeasure adjusted_es_identity_gap es_alpha es_alpha_ru expectile md_eval var_alpha
+    BacktestConfig BacktestReport LossPanel MarkowitzResult PortfolioWeights ingest_prices
+    markowitz_baseline optimize_md portfolio_objective project_simplex run_backtest
+    ExpCapWeight ExpShortfallWeight GClassification LinearWeight ParetoCapWeight
+    ParetoShortfallWeight PiecewiseLinearWeight RiskWeightFunction conjugate g_from_spec
+    MomentUncertainty WassersteinUncertainty worstcase_moment worstcase_wasserstein
+""".split())
+
+
+def probe_layers(argv) -> tuple[int, tuple]:
+    proc = subprocess.run([sys.executable, "-c", LAYER_PROBE, *argv], capture_output=True)
+    return proc.returncode, ast.literal_eval(proc.stderr.decode().splitlines()[-1])
+
+
 class TestStartUp:
     def test_import_loads_no_scipy(self):
         proc = subprocess.run(
@@ -514,6 +547,58 @@ class TestStartUp:
         loaded = ast.literal_eval(proc.stderr.decode())
         assert {m.split(".")[1] for m in loaded if "." in m} <= {
             "special", "_lib", "_cyutility", "__config__", "_distributor_init", "version"}
+
+    @pytest.mark.parametrize("argv, modules", [
+        (["classify", "--g", LINEAR_G], CLASSIFY_MODULES),
+        (["eval", "--g", LINEAR_G, "--h", GINI_H, "--data", None], EVAL_MODULES),
+        (["asymvar", "--model", '{"kind":"exponential","beta":1.0}', "--g", LINEAR_G,
+          "--h", GINI_H], EVAL_MODULES + ["estimation"]),
+        (["mc", "--model", '{"kind":"exponential","beta":1.0}', "--g", LINEAR_G, "--h", GINI_H,
+          "--n", "200", "--reps", "100", "--seed", "5"], EVAL_MODULES + ["estimation"]),
+        (["robust", "moment", "--g", LINEAR_G, "--h", GINI_H, "--m", "1.0"],
+         EVAL_MODULES + ["robust"]),
+        (["robust", "wasserstein", "--g", LINEAR_G, "--h", GINI_H, "--data", None],
+         EVAL_MODULES + ["robust"]),
+        (["backtest", "--prices", None, "--config", '{"window":40}'], EVAL_MODULES + ["portfolio"]),
+        (["ingest", "--prices", None], EVAL_MODULES + ["portfolio"]),
+    ], ids=["classify", "eval", "asymvar", "mc", "robust-moment", "robust-wasserstein",
+            "backtest", "ingest"])
+    def test_subcommand_loads_only_its_layers(self, argv, modules, sample_csv, prices_csv):
+        argv = [(prices_csv if argv[0] in ("ingest", "backtest") else sample_csv)
+                if a is None else a for a in argv]
+        code, (loaded, random) = probe_layers(argv)
+        assert code == 0
+        assert loaded == sorted(modules)
+        assert random == (argv[0] == "mc")  # only Monte Carlo draws
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["eval", "--g", LINEAR_G], 2)],
+                             ids=["help", "usage-error"])
+    def test_help_and_usage_error_load_no_layer(self, argv, code):
+        assert probe_layers(argv) == (code, (["_spec", "cli"], False))
+
+    def test_first_public_name_loads_every_layer(self):
+        # perfbench's Tracer.install looks each traced layer up in sys.modules
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, meandev\n"
+             "def loaded(): return sorted(m for m in sys.modules if m.startswith('meandev.'))\n"
+             "print(loaded()); meandev.Normal; print(loaded())"],
+            capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        before, after = map(ast.literal_eval, proc.stdout.decode().splitlines())
+        assert before == []
+        assert after == [f"meandev.{m}" for m in ["_spec", "distortion", "distributions",
+                                                  "estimation", "measures", "portfolio",
+                                                  "riskweight", "robust"]]
+
+    def test_star_import_gives_every_export(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "ns = {}; exec('from meandev import *', ns); print(sorted(set(ns) - {'__builtins__'}))"],
+            capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert ast.literal_eval(proc.stdout.decode()) == STAR_NAMES
+        assert len(STAR_NAMES) == 62
 
 
 class TestDeterminism:

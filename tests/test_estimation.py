@@ -224,13 +224,6 @@ class TestMonteCarlo:
         assert np.array_equal(forward, backward[::-1])
 
 
-class _FailsOffMainThread(Normal):
-    def quantile(self, u):
-        if threading.current_thread() is not threading.main_thread():
-            raise ValueError("drawn off the main thread")
-        return super().quantile(u)
-
-
 class _HugeTopDraws(Normal):
     # the population integrals take the quantile below u = 1/2 only, so just
     # the sample blocks see levels above 0.999
@@ -289,14 +282,6 @@ class TestMonteCarloBlocks:
         with pytest.raises(ValueError, match="state vector values must all be finite"):
             monte_carlo(_HugeTopDraws(), MDMeasure(LinearWeight(1.0), H09),
                         n=10 ** 4, replications=101, seed=3)
-        assert threading.active_count() == before
-
-    def test_worker_thread_error_reaches_the_caller(self, monkeypatch):
-        # two shares even on one core: the error of the second thread's blocks
-        monkeypatch.setattr(meandev.estimation, "worker_count", lambda: 2)
-        before = threading.active_count()
-        with pytest.raises(ValueError, match="drawn off the main thread"):
-            monte_carlo(_FailsOffMainThread(), self.M, n=10 ** 4, replications=101, seed=3)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("starts, raised", [((99,), 99), ((99, 96), 96)],

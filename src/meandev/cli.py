@@ -145,7 +145,7 @@ def _cmd_classify(args) -> tuple[str, dict]:
 def _cmd_eval(args) -> tuple[str, dict]:
     from .distortion import choquet_deviation, distortion_from_spec
     from .distributions import StateVector
-    from .measures import MDMeasure, md_eval
+    from .measures import MDMeasure
 
     g = _g_from_spec(_json_arg(args.g, "--g"))
     h = distortion_from_spec(_json_arg(args.h, "--h"))
@@ -153,7 +153,7 @@ def _cmd_eval(args) -> tuple[str, dict]:
     m = MDMeasure(g, h)
     dev = choquet_deviation(h, x)
     return _json({
-        "md": md_eval(m, x),
+        "md": float(m.g(dev)) + x.mean(),  # md_eval's expression, without a second sort
         "deviation": dev,
         "mean": x.mean(),
         "classification": asdict(m.classification),

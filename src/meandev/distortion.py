@@ -270,21 +270,31 @@ class MeanAbsDevHalf(PiecewiseLinearDistortion):
         super().__init__(t=(0.0, 0.5, 1.0), h=(0.0, 0.5, 0.0))
 
 
-def staircase_weights(h: DistortionFunction, n: int) -> np.ndarray:
-    """h((n - i) / n) for i = 1..n-1: the weight of each sorted-sample gap in D_h."""
-    return np.asarray(h(np.arange(n - 1, 0, -1, dtype=float) / n), dtype=float)
+def staircase_weights(h: DistortionFunction, n: int, start: int = 0,
+                      stop: int | None = None) -> np.ndarray:
+    """h((n - 1 - j) / n) for j in [start, stop), by default every j < n - 1: gap j's weight.
 
-
-def staircase_sum(weights: np.ndarray, gaps: np.ndarray) -> float:
-    """weights . gaps, as np.dot over fixed chunks of _DOT_CHUNK elements added in order.
-
-    OpenBLAS splits a dot product longer than 10,000 elements across its
-    threads, so one np.dot would round differently with the core count; no
-    chunk is longer than that, and up to 10,000 gaps this is np.dot itself.
+    The levels are exact integers over n and h acts element by element, so
+    any range is bit for bit that slice of the full weights.
     """
-    total = np.dot(weights[:_DOT_CHUNK], gaps[:_DOT_CHUNK])
-    for start in range(_DOT_CHUNK, weights.size, _DOT_CHUNK):
-        total += np.dot(weights[start:start + _DOT_CHUNK], gaps[start:start + _DOT_CHUNK])
+    stop = n - 1 if stop is None else stop
+    return np.asarray(h(np.arange(n - 1 - start, n - 1 - stop, -1, dtype=float) / n), dtype=float)
+
+
+def staircase_sum(weights_of, xs: np.ndarray) -> float:
+    """Sum over j of w_j (xs[j+1] - xs[j]) for sorted xs, where weights_of(a, b) is w_a..w_(b-1).
+
+    It adds the np.dot's of fixed chunks of _DOT_CHUNK gaps in order, each chunk
+    forming its own gaps and weights, so only xs and one chunk are held; OpenBLAS
+    splits no chunk across its threads, so the sum does not depend on their count.
+    """
+    def chunk(a: int) -> float:
+        b = min(a + _DOT_CHUNK, xs.size - 1)
+        return np.dot(weights_of(a, b), xs[a + 1:b + 1] - xs[a:b])
+
+    total = chunk(0)
+    for start in range(_DOT_CHUNK, xs.size - 1, _DOT_CHUNK):
+        total += chunk(start)
     return float(total)
 
 
@@ -293,10 +303,10 @@ def choquet_deviation(h: DistortionFunction, x: StateVector) -> float:
 
     Equals the integral of the empirical quantile against h'(1 - u), computed
     exactly; zero on constant vectors, translation invariant, positively
-    homogeneous, and subadditive for concave h.
+    homogeneous, and subadditive for concave h.  Holds one sorted copy plus one chunk.
     """
     xs = x.sorted_values()
-    return staircase_sum(staircase_weights(h, xs.size), np.diff(xs))
+    return staircase_sum(lambda a, b: staircase_weights(h, xs.size, a, b), xs)
 
 
 def is_range_normalized(h: DistortionFunction) -> bool:

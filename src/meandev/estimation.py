@@ -40,12 +40,11 @@ value, and a large location no longer swamps the sum or the tail windows.
 Monte Carlo draws its replications in blocks of rows, one row per spawned
 seed, and shares the blocks out over every core the process may run on:
 each share runs on a thread of a `concurrent.futures` pool while the calling
-thread waits.
-A block's element work (the PCG64 fill, the quantile, the row means, sorts
-and differences) runs in numpy, which releases the GIL.  Estimates add the
-staircase with `distortion.staircase_sum`, so like `choquet_deviation` they
-do not depend on the BLAS thread count, and each is the float that `md_eval`
-gives on the same sample whatever the thread count.
+thread waits.  A block's element work (the PCG64 fill, the quantile, the row
+means and sorts) runs in numpy, which releases the GIL.  Each sorted row goes
+through `distortion.staircase_sum`, the kernel of `choquet_deviation`, which
+holds one chunk of gaps and weights beside the row; so each estimate is the
+float that `md_eval` gives on the same sample, whatever the thread count.
 """
 from __future__ import annotations
 
@@ -302,16 +301,16 @@ def monte_carlo(
 
     Per-replication generators come from spawning the master seed, so the
     result does not depend on execution order.  Replications run in blocks
-    of max(1, 2^15 // n) rows; each block is drawn, averaged, sorted and
-    differenced a block at a time by numpy, and writes its own slots of the
-    estimates.  Share k of w = min(worker_count(), blocks) takes blocks k,
-    k + w, k + 2w, ... and runs on a pool thread while the calling thread
-    waits.  The staircase weights depend only on n, so they are built once;
-    each estimate is the float that `md_eval` gives on
-    ``model.sample(n, child)``.  Raises NumericsError when the asymptotic
-    variance is too small to standardize the estimates (it underflows to 0,
-    or n / sigma^2 overflows), or when the float spacing at the center is
-    not small against the estimates' standard deviation sqrt(sigma^2 / n).
+    of max(1, 2^15 // n) rows; each block is drawn, averaged and sorted a
+    block at a time by numpy, and writes its own slots of the estimates.
+    Share k of w = min(worker_count(), blocks) takes blocks k, k + w, k + 2w,
+    ... and runs on a pool thread while the calling thread waits.  The
+    staircase weights depend only on n, so they are built once; each sorted
+    row forms its gaps one chunk at a time, and each estimate is the float
+    that `md_eval` gives on ``model.sample(n, child)``.  Raises NumericsError
+    when the asymptotic variance is too small to standardize the estimates
+    (it underflows to 0, or n / sigma^2 overflows), or when the float spacing
+    at the center is not small against their standard deviation sqrt(sigma^2 / n).
     """
     if n < 100:
         raise ValueError(f"sample size must be >= 100, got {n}")
@@ -342,9 +341,9 @@ def monte_carlo(
             x = model.sample_block(n, children[start:start + rows])
             means = np.mean(x, axis=1)
             x.sort(axis=1)
-            gaps = np.diff(x, axis=1)
-            for i, (row, mean) in enumerate(zip(gaps, means.tolist())):
-                estimates[start + i] = float(m.g(staircase_sum(weights, row))) + mean
+            for i, (row, mean) in enumerate(zip(x, means.tolist())):
+                dev = staircase_sum(lambda a, b: weights[a:b], row)
+                estimates[start + i] = float(m.g(dev)) + mean
 
     # map yields in share order, so the error raised is the first failing
     # share's; leaving the with block joins every thread before it propagates

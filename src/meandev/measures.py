@@ -56,7 +56,8 @@ def var_alpha(x: StateVector, alpha: float) -> float:
 
 def _sorted_with_prefix(x: StateVector):
     xs = x.sorted_values()
-    prefix = np.concatenate([[0.0], np.cumsum(xs)])
+    prefix = np.zeros(xs.size + 1)
+    np.cumsum(xs, out=prefix[1:])
     return xs, prefix
 
 

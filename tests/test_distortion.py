@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +23,9 @@ from meandev.distortion import (
     staircase_sum,
     staircase_weights,
 )
-from meandev.distributions import StateVector
-from meandev.measures import es_alpha
+from meandev.distributions import Normal, StateVector
+from meandev.measures import MDMeasure, es_alpha, md_eval
+from meandev.riskweight import LinearWeight
 
 ALL_H = [ESDeviation(0.9), ESDeviation(0.5), Gini(), MeanAbsDevHalf()]
 
@@ -236,9 +238,44 @@ class TestStaircaseSum:
 
     @pytest.mark.parametrize("n", [10_002, 25_001, 10**6])
     def test_chunks_add_up(self, n, rng):
-        weights, gaps = rng.standard_normal(n), rng.standard_normal(n)
-        assert staircase_sum(weights, gaps) == pytest.approx(
-            math.fsum(weights * gaps), rel=1e-12, abs=1e-12 * np.abs(weights * gaps).sum())
+        weights, xs = rng.standard_normal(n), np.sort(rng.standard_normal(n + 1))
+        products = weights * np.diff(xs)
+        assert staircase_sum(lambda a, b: weights[a:b], xs) == pytest.approx(
+            math.fsum(products), rel=1e-12, abs=1e-12 * np.abs(products).sum())
+
+    @pytest.mark.parametrize("n", [2, 10_000, 10_001, 25_001, 10**6])
+    @pytest.mark.parametrize("h", [
+        ESDeviation(0.9), Gini(),
+        PiecewiseLinearDistortion(t=(0.0, 0.2, 0.6, 1.0), h=(0.0, 0.5, 0.4, 0.0)),
+    ], ids=["es09", "gini", "piecewise3"])
+    def test_equals_full_weights_and_gaps_bitwise(self, n, h, rng):
+        # the sum over full-length weights and np.diff gaps, in the same chunks
+        xs = np.sort(rng.standard_normal(n))
+        weights = np.asarray(h(np.arange(n - 1, 0, -1, dtype=float) / n), dtype=float)
+        gaps = np.diff(xs)
+        full = np.dot(weights[:10_000], gaps[:10_000])
+        for a in range(10_000, n - 1, 10_000):
+            full += np.dot(weights[a:a + 10_000], gaps[a:a + 10_000])
+        assert choquet_deviation(h, StateVector(xs)) == float(full)
+        for a, b in ((0, n - 1), (0, min(n - 1, 7)), (n // 3, n - 1)):
+            assert np.array_equal(staircase_weights(h, n, a, b), weights[a:b])
+
+    @pytest.mark.parametrize("h", [ESDeviation(0.9), Gini()], ids=["es09", "gini"])
+    def test_holds_one_sorted_copy_plus_one_chunk(self, h):
+        n = 2 * 10**5
+        x = Normal().sample(n, 5)
+        m = MDMeasure(LinearWeight(1.0), h)
+        calls = {"choquet_deviation": (lambda: choquet_deviation(h, x), 1.25),
+                 "md_eval": (lambda: md_eval(m, x), 1.25),
+                 "es_alpha": (lambda: es_alpha(x, 0.9), 2.1)}
+        for name, (call, doubles) in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= doubles * 8 * n, (name, peak / (8 * n))
 
     def test_does_not_depend_on_blas_threads(self):
         outputs = [subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True,

@@ -30,6 +30,10 @@ __all__ = ["main", "dispatch"]
 
 # a sweep evaluates one worst case per point
 _SWEEP_MAX_POINTS = 100_000
+# mc holds about 70 bytes per sample point on two threads (0.7 GB at the cap)
+# and 375 bytes of spawned seed state per replication (0.4 GB at the cap)
+_MC_MAX_N = 10 ** 7
+_MC_MAX_REPS = 10 ** 6
 _NOT_FINITE = "is not a finite number; nothing was written"
 
 
@@ -126,6 +130,16 @@ def _sweep(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"sweep count must be in [2, {_SWEEP_MAX_POINTS}]")
     # Python floats: an overflow in numpy scalars also prints a RuntimeWarning
     return np.linspace(_finite_float(parts[0]), _finite_float(parts[1]), count).tolist()
+
+
+def _at_most(cap: int):
+    """argparse type for an integer no larger than cap."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"must be at most {cap}, got {value}")
+        return value
+    return count
 
 
 def _sweep_csv(parameters, values) -> str:
@@ -299,8 +313,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--h", required=True)
-    p.add_argument("--n", type=int, required=True, help="sample size per replication")
-    p.add_argument("--reps", type=int, required=True)
+    p.add_argument("--n", type=_at_most(_MC_MAX_N), required=True,
+                   help="sample size per replication")
+    p.add_argument("--reps", type=_at_most(_MC_MAX_REPS), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--estimates-csv", help="write per-replication estimates here")
     p.set_defaults(func=_cmd_mc)
@@ -350,6 +365,9 @@ def dispatch(argv) -> int:
         _write_all(files)
     except (ValueError, NumericsError, OSError, csv.Error) as exc:
         sys.stderr.write(f"meandev: error: {exc}\n")
+        return 1
+    except MemoryError as exc:  # numpy's names the allocation that failed
+        sys.stderr.write(f"meandev: error: {str(exc) or 'out of memory'}\n")
         return 1
     sys.stdout.write(text)
     return 0

@@ -7,6 +7,7 @@ function to a Choquet deviation and adds the sample mean.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,9 +50,8 @@ def var_alpha(x: StateVector, alpha: float) -> float:
     """Left quantile of the sample: order statistic at index ceil(n * alpha)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    xs = x.sorted_values()
-    k = int(math.ceil(x.n * alpha))
-    return float(xs[max(k, 1) - 1])
+    k = max(math.ceil(x.n * alpha), 1)
+    return float(x.sorted_values()[k - 1])
 
 
 def _sorted_with_prefix(x: StateVector):
@@ -67,9 +67,7 @@ def es_alpha(x: StateVector, alpha: float) -> float:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     xs, prefix = _sorted_with_prefix(x)
     n = x.n
-    if alpha == 0.0:
-        return float(prefix[-1] / n)
-    k = int(math.ceil(n * alpha))  # atom containing the level alpha
+    k = max(math.ceil(n * alpha), 1)  # atom containing the level alpha
     # integral of the quantile over (0, alpha]: k-1 full atoms plus a partial one
     lower = prefix[k - 1] / n + xs[k - 1] * (alpha - (k - 1) / n)
     return float((prefix[-1] / n - lower) / (1.0 - alpha))
@@ -78,38 +76,39 @@ def es_alpha(x: StateVector, alpha: float) -> float:
 def es_alpha_ru(x: StateVector, alpha: float) -> tuple[float, float]:
     """ES as the minimum of z + mean((x - z)+) / (1 - alpha) over z.
 
-    The piecewise-linear objective attains its minimum on the sample values;
-    the reported minimizer is the left quantile, which always lies in the
-    argmin set.
+    The piecewise-linear objective is least at the left quantile, the
+    reported minimizer, and up to the next order statistic when n * alpha is
+    whole (Rockafellar & Uryasev 2002). At those two points only, the sum of
+    (x - z)+ is read from one sorted copy and its prefix sums.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     xs, prefix = _sorted_with_prefix(x)
     n = x.n
-    # at z = xs[j]: sum of (x - z)+ over the sample is tail_sum - z * tail_count
-    right = np.searchsorted(xs, xs, side="right")
-    tail_sum = prefix[-1] - prefix[right]
-    tail_count = n - right
-    objective = xs + (tail_sum - xs * tail_count) / (n * (1.0 - alpha))
-    return float(np.min(objective)), var_alpha(x, alpha)
+    k = max(math.ceil(n * alpha), 1)
+    z = xs[k - 1:k + 1]
+    right = np.searchsorted(xs, z, side="right")
+    objective = z + ((prefix[-1] - prefix[right]) - z * (n - right)) / (n * (1.0 - alpha))
+    return float(np.min(objective)), float(z[0])
 
 
 def expectile(x: StateVector, alpha: float) -> float:
     """Root of alpha * E[(X - z)+] = (1 - alpha) * E[(z - X)+], solved exactly.
 
-    The imbalance is decreasing and linear between sorted sample points: it
-    is evaluated at each of them through the prefix sums, and the root is
-    solved on the segment where it first turns non-positive.
+    The imbalance is decreasing and linear between sorted sample points:
+    bisection on one sorted copy and its prefix sums finds the first point
+    where it is non-positive, and the root is solved on the segment ending there.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     xs, prefix = _sorted_with_prefix(x)
-    n, total = x.n, prefix[-1]
-    count = np.arange(1, n + 1)  # points at or below xs[j]
-    imbalance = (alpha * (total - prefix[1:] - xs * (n - count))
-                 - (1.0 - alpha) * (xs * count - prefix[1:]))
-    k = int(np.argmax(imbalance <= 0.0))
-    if k == 0:  # a constant sample
+    n, total = x.n, prefix.item(-1)
+    def settled(j: int) -> bool:  # imbalance at xs[j], with j + 1 points at or below it
+        xj, pj = xs.item(j), prefix.item(j + 1)  # Python floats: scalar numpy is slower
+        return (alpha * (total - pj - xj * (n - j - 1)) - (1.0 - alpha) * (xj * (j + 1) - pj)) <= 0.0
+
+    k = bisect.bisect_left(range(n), True, key=settled)
+    if k in (0, n):  # a constant sample, or no point settles
         return float(xs[0])
     # on [xs[k-1], xs[k]] the k smallest points lie below z and the rest above
     return float((alpha * (total - prefix[k]) + (1.0 - alpha) * prefix[k])

@@ -87,6 +87,11 @@ class LinearWeight(RiskWeightFunction):
         return GClassification(True, True, True, True, self.lam, self.lam)
 
 
+def _exponent_cap(x, beta: float):
+    """x capped where beta * x cannot overflow: expm1(-t) is exactly -1.0 for t > 37.5."""
+    return np.minimum(x, 800.0 / beta)
+
+
 @dataclass(frozen=True)
 class ExpShortfallWeight(RiskWeightFunction):
     """g(x) = x + (e^(-beta x) - 1) / beta = E[(x - Y)+], Y exponential(beta)."""
@@ -98,7 +103,7 @@ class ExpShortfallWeight(RiskWeightFunction):
             raise ValueError(f"beta must be > 0, got {self.beta}")
 
     def _value(self, x):
-        return x + np.expm1(-self.beta * x) / self.beta
+        return x + np.expm1(-self.beta * _exponent_cap(x, self.beta)) / self.beta
 
     def _left_derivative(self, x: float) -> float:
         return -math.expm1(-self.beta * x)
@@ -140,7 +145,7 @@ class ExpCapWeight(RiskWeightFunction):
             raise ValueError(f"beta must be > 0, got {self.beta}")
 
     def _value(self, x):
-        return -np.expm1(-self.beta * x) / self.beta
+        return -np.expm1(-self.beta * _exponent_cap(x, self.beta)) / self.beta
 
     def _left_derivative(self, x: float) -> float:
         return math.exp(-self.beta * x)

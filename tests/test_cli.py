@@ -278,6 +278,39 @@ class TestInputValidation:
         assert captured.out == ""
         assert "sweep count must be in [2, 100000]" in captured.err
 
+    @pytest.mark.parametrize("flag, value, cap", [("--n", "100000000000", "10000000"),
+                                                  ("--reps", "100000000", "1000000")])
+    def test_mc_sizes_are_capped(self, flag, value, cap, capsys):
+        # --n 1e11 used to die allocating 745 GiB of staircase weights, and
+        # --reps 1e8 would spawn about 37 GB of seed state
+        sizes = {"--n": "400", "--reps": "100", flag: value}
+        argv = ["mc", "--model", '{"kind":"normal"}', "--g", LINEAR_G, "--h", GINI_H,
+                *(x for kv in sizes.items() for x in kv), "--seed", "1"]
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be at most {cap}, got {value}" in captured.err
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 745. GiB for an array with shape (99999999999,) "
+                     "and data type float64"),
+         "Unable to allocate 745. GiB for an array with shape (99999999999,) "
+         "and data type float64"),
+        (MemoryError(), "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_is_one_line(self, error, line, monkeypatch, capsys):
+        # a failed allocation used to end in a traceback
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("meandev.estimation.staircase_weights", fail)
+        argv = ["mc", "--model", '{"kind":"normal"}', "--g", LINEAR_G, "--h", GINI_H,
+                "--n", "400", "--reps", "100", "--seed", "1"]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"meandev: error: {line}\n"
+
 
 class TestOutputs:
     def test_eval_fields(self, sample_csv):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from meandev.cli import dispatch
@@ -146,10 +146,16 @@ def check_run(argv):
 # a numpy RuntimeWarning at extreme parameters would reach stderr ahead of the
 # error line, so here it fails the test
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@given(command=st.sampled_from(["classify", "eval", "asymvar", "robust moment"]),
+@given(command=st.sampled_from(["classify", "eval", "asymvar", "robust moment",
+                                "robust wasserstein"]),
        g=specs(G_SPECS), h=specs(H_SPECS), model=specs(MODEL_SPECS),
        v=st.sampled_from(["1", "0.5", "1e-320", "1e300"]),
        order=st.sampled_from(["2", "1.5", "1.001", "40"]))
+# beta * x overflows to inf in the exponent of the exponential weights
+@example(command="robust moment", g={"kind": "exp_shortfall", "beta": 1e300},
+         h={"kind": "es_dev", "alpha": 0.9}, model={}, v="1e300", order="2")
+@example(command="robust wasserstein", g={"kind": "exp_cap", "beta": 1e300},
+         h={"kind": "es_dev", "alpha": 0.9}, model={}, v="1e300", order="2")
 def test_generated_specs(command, g, h, model, v, order, files):
     g, h, model = (json.dumps(s) for s in (g, h, model))
     argv = {
@@ -158,6 +164,8 @@ def test_generated_specs(command, g, h, model, v, order, files):
         "asymvar": ["asymvar", "--model", model, "--g", g, "--h", h],
         "robust moment": ["robust", "moment", "--g", g, "--h", h, "--m", "1", "--v", v,
                           "--order", order],
+        "robust wasserstein": ["robust", "wasserstein", "--g", g, "--h", h, "--eps", v,
+                               "--data", files["sample"]],
     }[command]
     check_run(argv)
 

@@ -29,6 +29,26 @@ def relu_weight() -> PiecewiseLinearWeight:
     return PiecewiseLinearWeight(knots=(1.0,), slopes=(0.0, 1.0))
 
 
+def sorted_with_prefix(values):
+    xs = np.sort(np.asarray(values, dtype=float))
+    prefix = np.zeros(xs.size + 1)
+    np.cumsum(xs, out=prefix[1:])
+    return xs, prefix
+
+
+def pinned_samples():
+    """Seeded integer samples with ties and normal samples, at sizes where
+    n * alpha is whole for the round levels below and at sizes where it is not."""
+    rng = np.random.Generator(np.random.PCG64(19))
+    for n in (1, 2, 3, 4, 7, 10, 20, 37, 100, 101, 1000, 1001):
+        yield rng.integers(-5, 6, size=n).astype(float)
+        yield rng.integers(0, 3, size=n).astype(float)
+        yield rng.normal(size=n)
+
+
+PINNED_ALPHAS = (0.01, 0.05, 0.1, 0.25, 0.3, 0.5, 0.7, 0.75, 0.9, 0.95, 0.99, 0.37, 0.8123)
+
+
 class TestVaR:
     def test_left_quantile_at_atom(self):
         assert var_alpha(StateVector([0.0, 2.0]), 0.5) == 0.0
@@ -75,6 +95,11 @@ class TestES:
             x = StateVector(rng.normal(size=int(rng.integers(2, 40))))
             assert es_alpha(x, 0.8) >= x.mean() - 1e-12
 
+    def test_alpha_zero_is_the_prefix_mean_bitwise(self):
+        for values in pinned_samples():
+            _, prefix = sorted_with_prefix(values)
+            assert es_alpha(StateVector(values), 0.0) == prefix[-1] / values.size, values
+
 
 class TestESRockafellarUryasev:
     def test_two_states(self):
@@ -97,6 +122,19 @@ class TestESRockafellarUryasev:
             value, minimizer = es_alpha_ru(x, alpha)
             assert value == pytest.approx(es_alpha(x, alpha), abs=1e-10)
             assert minimizer == var_alpha(x, alpha)
+
+    def test_equals_the_scan_of_every_sample_point(self):
+        # the objective at each sample point through the prefix sums, and its
+        # least value: the two ends of a flat stretch can round apart
+        for values in pinned_samples():
+            xs, prefix = sorted_with_prefix(values)
+            n, x = xs.size, StateVector(values)
+            right = np.searchsorted(xs, xs, side="right")
+            for alpha in PINNED_ALPHAS:
+                objective = xs + ((prefix[-1] - prefix[right]) - xs * (n - right)) / (
+                    n * (1.0 - alpha))
+                expected = (float(np.min(objective)), var_alpha(x, alpha))
+                assert es_alpha_ru(x, alpha) == expected, (values, alpha)
 
 
 def exact_expectile(values, alpha: float) -> Fraction:
@@ -146,6 +184,21 @@ class TestExpectile:
             expected = exact_expectile(values, alpha)
             got = expectile(StateVector(values), alpha)
             assert got == pytest.approx(float(expected), rel=1e-15, abs=1e-15), values
+
+    def test_equals_the_imbalance_at_every_sample_point(self):
+        # the imbalance at each sorted point, its first non-positive entry by
+        # argmax (0 when none is), and the root on the segment ending there
+        for values in pinned_samples():
+            xs, prefix = sorted_with_prefix(values)
+            n, total, count = xs.size, prefix[-1], np.arange(1, xs.size + 1)
+            for alpha in PINNED_ALPHAS:
+                imbalance = (alpha * (total - prefix[1:] - xs * (n - count))
+                             - (1.0 - alpha) * (xs * count - prefix[1:]))
+                k = int(np.argmax(imbalance <= 0.0))
+                expected = float(xs[0]) if k == 0 else float(
+                    (alpha * (total - prefix[k]) + (1.0 - alpha) * prefix[k])
+                    / (alpha * (n - k) + (1.0 - alpha) * k))
+                assert expectile(StateVector(values), alpha) == expected, (values, alpha)
 
 
 class TestMDEval:

@@ -189,7 +189,9 @@ class Normal(ParametricModel):
     sd: float = 1.0
 
     def __post_init__(self):
-        if self.sd <= 0:
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not 0.0 < self.sd < math.inf:
             raise ValueError(f"sd must be > 0, got {self.sd}")
 
     def quantile(self, u):
@@ -233,7 +235,7 @@ class Lomax(ParametricModel):
     theta: float
 
     def __post_init__(self):
-        if self.theta <= 0:
+        if not 0.0 < self.theta < math.inf:
             raise ValueError(f"theta must be > 0, got {self.theta}")
 
     def quantile(self, u):
@@ -271,7 +273,7 @@ class Exponential(ParametricModel):
     rate: float = 1.0
 
     def __post_init__(self):
-        if self.rate <= 0:
+        if not 0.0 < self.rate < math.inf:
             raise ValueError(f"rate must be > 0, got {self.rate}")
 
     def quantile(self, u):

@@ -110,6 +110,8 @@ def expectile(x: StateVector, alpha: float) -> float:
     k = bisect.bisect_left(range(n), True, key=settled)
     if k in (0, n):  # a constant sample, or no point settles
         return float(xs[0])
+    if xs[k - 1] == xs[k]:  # inside a tie run the imbalance is flat, so the root is that value
+        return float(xs[k])
     # on [xs[k-1], xs[k]] the k smallest points lie below z and the rest above
     return float((alpha * (total - prefix[k]) + (1.0 - alpha) * prefix[k])
                  / (alpha * (n - k) + (1.0 - alpha) * k))

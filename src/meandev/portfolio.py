@@ -126,7 +126,9 @@ class BacktestConfig:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.rebalance != "monthly":
             raise ValueError(f"unsupported rebalance rule: {self.rebalance!r}")
-        if self.initial_wealth <= 0.0:
+        if not math.isfinite(self.risk_free_rate):
+            raise ValueError(f"risk-free rate must be finite, got {self.risk_free_rate}")
+        if not 0.0 < self.initial_wealth < math.inf:
             raise ValueError("initial wealth must be positive")
 
 

@@ -3,7 +3,9 @@
 A risk-weighting function g is increasing, 1-Lipschitz, and has g(0) = 0.
 Linearity / convexity / star-shapedness of g decide coherence / convexity /
 star-shapedness of the induced measure g(D(X)) + E[X], so classification is
-done analytically per family rather than by sampling.
+done analytically per family rather than by sampling, and built once with each
+g, as is the segment table of a piecewise-linear g.  Linear g is the knot-free
+piecewise-linear weight.
 
 The shortfall families arise as g(x) = E[(x - Y)+] and the cap families as
 g(x) = E[x ^ Y] for exponential or Pareto Y; the two evaluations at the same
@@ -11,6 +13,7 @@ parameter always sum to x.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -42,8 +45,14 @@ class GClassification:
     sup_ratio: float
 
 
+_SHORTFALL = GClassification(False, True, True, False, 1.0, 1.0)
+# concave and non-linear, hence g(lam*x) >= lam*g(x): not star-shaped
+_CAP = GClassification(False, False, False, True, 0.0, 1.0)
+
+
 class RiskWeightFunction:
-    """Base class; immutable value objects with closed-form derivatives."""
+    """Base class; immutable value objects with closed-form derivatives and a
+    classification built once, in ``_classification``."""
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -63,28 +72,10 @@ class RiskWeightFunction:
         raise NotImplementedError
 
     def classify(self) -> GClassification:
-        raise NotImplementedError
+        return self._classification
 
     def spec(self) -> dict:
         return spec_of(self, _KINDS)
-
-
-@dataclass(frozen=True)
-class LinearWeight(RiskWeightFunction):
-    lam: float
-
-    def __post_init__(self):
-        if not 0.0 < self.lam <= 1.0:
-            raise ValueError(f"lambda must be in (0, 1], got {self.lam}")
-
-    def _value(self, x):
-        return self.lam * x
-
-    def _left_derivative(self, x: float) -> float:
-        return self.lam
-
-    def classify(self) -> GClassification:
-        return GClassification(True, True, True, True, self.lam, self.lam)
 
 
 def _exponent_cap(x, beta: float):
@@ -99,7 +90,7 @@ class ExpShortfallWeight(RiskWeightFunction):
     beta: float
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not 0.0 < self.beta < math.inf:
             raise ValueError(f"beta must be > 0, got {self.beta}")
 
     def _value(self, x):
@@ -108,8 +99,7 @@ class ExpShortfallWeight(RiskWeightFunction):
     def _left_derivative(self, x: float) -> float:
         return -math.expm1(-self.beta * x)
 
-    def classify(self) -> GClassification:
-        return GClassification(False, True, True, False, 1.0, 1.0)
+    _classification = _SHORTFALL
 
 
 @dataclass(frozen=True)
@@ -119,7 +109,7 @@ class ParetoShortfallWeight(RiskWeightFunction):
     theta: float
 
     def __post_init__(self):
-        if self.theta <= 0:
+        if not 0.0 < self.theta < math.inf:
             raise ValueError(f"theta must be > 0, got {self.theta}")
 
     def _value(self, x):
@@ -130,8 +120,7 @@ class ParetoShortfallWeight(RiskWeightFunction):
     def _left_derivative(self, x: float) -> float:
         return 1.0 - (1.0 + x) ** (-self.theta)
 
-    def classify(self) -> GClassification:
-        return GClassification(False, True, True, False, 1.0, 1.0)
+    _classification = _SHORTFALL
 
 
 @dataclass(frozen=True)
@@ -141,7 +130,7 @@ class ExpCapWeight(RiskWeightFunction):
     beta: float
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not 0.0 < self.beta < math.inf:
             raise ValueError(f"beta must be > 0, got {self.beta}")
 
     def _value(self, x):
@@ -150,9 +139,7 @@ class ExpCapWeight(RiskWeightFunction):
     def _left_derivative(self, x: float) -> float:
         return math.exp(-self.beta * x)
 
-    def classify(self) -> GClassification:
-        # concave and non-linear, hence g(lam*x) >= lam*g(x): not star-shaped
-        return GClassification(False, False, False, True, 0.0, 1.0)
+    _classification = _CAP
 
 
 @dataclass(frozen=True)
@@ -162,7 +149,7 @@ class ParetoCapWeight(RiskWeightFunction):
     theta: float
 
     def __post_init__(self):
-        if self.theta <= 0:
+        if not 0.0 < self.theta < math.inf:
             raise ValueError(f"theta must be > 0, got {self.theta}")
 
     def _value(self, x):
@@ -173,8 +160,7 @@ class ParetoCapWeight(RiskWeightFunction):
     def _left_derivative(self, x: float) -> float:
         return (1.0 + x) ** (-self.theta)
 
-    def classify(self) -> GClassification:
-        return GClassification(False, False, False, True, 0.0, 1.0)
+    _classification = _CAP
 
 
 @dataclass(frozen=True)
@@ -182,7 +168,9 @@ class PiecewiseLinearWeight(RiskWeightFunction):
     """Continuous piecewise-linear g with interior knots and slopes in [0, 1].
 
     ``slopes`` has one more entry than ``knots``: slopes[i] applies on
-    (knots[i-1], knots[i]], the last one on (knots[-1], inf).
+    (knots[i-1], knots[i]], the last one on (knots[-1], inf).  The segment
+    table (edges 0 and the knots, g at the edges, the slopes) and the
+    classification are built once, here.
     """
 
     knots: tuple
@@ -193,6 +181,9 @@ class PiecewiseLinearWeight(RiskWeightFunction):
         slopes = np.asarray(self.slopes, dtype=float)
         if knots.ndim != 1 or slopes.ndim != 1 or slopes.size != knots.size + 1:
             raise ValueError("need len(slopes) == len(knots) + 1")
+        for name, values in (("knots", knots), ("slopes", slopes)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} entries must all be finite")
         if knots.size and (np.any(knots <= 0) or np.any(np.diff(knots) <= 0)):
             raise ValueError("knots must be positive and strictly increasing")
         if np.any(slopes < 0.0) or np.any(slopes > 1.0):
@@ -201,42 +192,38 @@ class PiecewiseLinearWeight(RiskWeightFunction):
             raise ValueError("at least one slope must be positive (g is non-constant)")
         object.__setattr__(self, "knots", tuple(float(v) for v in knots))
         object.__setattr__(self, "slopes", tuple(float(v) for v in slopes))
-
-    def _value(self, x):
-        knots = np.asarray(self.knots)
-        slopes = np.asarray(self.slopes)
-        x = np.asarray(x, dtype=float)
         edges = np.concatenate([[0.0], knots])
-        g_at_edges = np.concatenate([[0.0], np.cumsum(slopes[:-1] * np.diff(edges))])
-        idx = np.searchsorted(edges, x, side="right") - 1
-        idx = np.clip(idx, 0, slopes.size - 1)
-        return g_at_edges[idx] + slopes[idx] * (x - edges[idx])
-
-    def _left_derivative(self, x: float) -> float:
-        knots = np.asarray(self.knots)
-        # slope on the segment whose half-open interval (edge, next] contains x
-        i = int(np.searchsorted(knots, x, side="left"))
-        return float(self.slopes[i])
-
-    def classify(self) -> GClassification:
-        knots = np.asarray(self.knots)
-        slopes = np.asarray(self.slopes)
+        at_edges = np.concatenate([[0.0], np.cumsum(slopes[:-1] * np.diff(edges))])
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_at_edges", at_edges)
+        object.__setattr__(self, "_slopes", slopes)
         is_convex = bool(np.all(np.diff(slopes) >= -1e-15))
         is_concave = bool(np.all(np.diff(slopes) <= 1e-15))
-        is_linear = is_convex and is_concave
-        a = float(slopes[-1])
-        if knots.size:
-            g_at_knots = np.asarray(self(knots), dtype=float)
-            ratios = g_at_knots / knots
-            # g(x)/x is increasing iff each segment's intercept is <= 0
-            is_star = bool(np.all(g_at_knots - slopes[1:] * knots <= 1e-12))
-            sup_ratio = float(max(slopes[0], a, np.max(ratios)))
-        else:
-            is_star = True
-            sup_ratio = float(slopes[0])
-        if is_convex:
-            is_star = True
-        return GClassification(is_linear, is_convex, is_star, is_concave, a, sup_ratio)
+        # g(x)/x is increasing iff each segment's intercept is <= 0
+        is_star = is_convex or bool(np.all(at_edges[1:] - slopes[1:] * knots <= 1e-12))
+        sup_ratio = float(max(slopes[0], slopes[-1], *(at_edges[1:] / knots)))
+        object.__setattr__(self, "_classification", GClassification(
+            is_convex and is_concave, is_convex, is_star, is_concave, float(slopes[-1]), sup_ratio))
+
+    def _value(self, x):
+        # segment whose half-open interval [edge, next edge) contains x >= 0 = edges[0]
+        i = np.searchsorted(self._edges, x, side="right") - 1
+        return self._at_edges[i] + self._slopes[i] * (x - self._edges[i])
+
+    def _left_derivative(self, x: float) -> float:
+        # slope on the segment whose half-open interval (edge, next edge] contains x
+        return self.slopes[bisect.bisect_left(self.knots, x)]
+
+
+class LinearWeight(PiecewiseLinearWeight):
+    """g(x) = lam * x, which makes g(D) + E[X] coherent: the knot-free
+    piecewise-linear weight, whose table and classification are built with it."""
+
+    def __init__(self, lam: float):
+        if not 0.0 < lam <= 1.0:
+            raise ValueError(f"lambda must be in (0, 1], got {lam}")
+        object.__setattr__(self, "lam", lam)
+        super().__init__(knots=(), slopes=(lam,))
 
 
 def conjugate(g: RiskWeightFunction, y: float) -> float:
@@ -251,8 +238,6 @@ def conjugate(g: RiskWeightFunction, y: float) -> float:
     a = g.classify().asymptotic_slope
     if y > a + 1e-15:
         return math.inf
-    if isinstance(g, LinearWeight):
-        return 0.0
     if isinstance(g, ExpShortfallWeight):
         # the sup sits at e^(-beta x) = 1 - y, and runs off to x = inf at y = 1
         if y >= 1.0:
@@ -289,7 +274,7 @@ def conjugate(g: RiskWeightFunction, y: float) -> float:
     if isinstance(g, PiecewiseLinearWeight):
         # the objective is linear on each segment, so the sup sits at a knot
         # (or at 0; the tail segment has slope y - a <= 0)
-        return float(max(x * y - float(g(x)) for x in (0.0, *g.knots)))
+        return float(max(x * y - gx for x, gx in zip(g._edges.tolist(), g._at_edges.tolist())))
     raise TypeError(f"no conjugate for {type(g).__name__}")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .distortion import DistortionFunction, choquet_deviation
 from .distributions import StateVector
 from .measures import _grid_sup
-from .riskweight import LinearWeight, RiskWeightFunction
+from .riskweight import RiskWeightFunction
 
 __all__ = [
     "MomentUncertainty",
@@ -37,9 +37,11 @@ class MomentUncertainty:
     a_order: float = 2.0
 
     def __post_init__(self):
-        if self.v <= 0.0:
+        if not math.isfinite(self.m):
+            raise ValueError(f"mean m must be finite, got {self.m}")
+        if not 0.0 < self.v < math.inf:
             raise ValueError(f"dispersion level v must be > 0, got {self.v}")
-        if self.a_order < 1.0:
+        if not 1.0 <= self.a_order < math.inf:
             raise ValueError(f"moment order must be >= 1, got {self.a_order}")
 
 
@@ -51,7 +53,7 @@ class WassersteinUncertainty:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
+        if not 0.0 <= self.epsilon < math.inf:
             raise ValueError(f"radius must be >= 0, got {self.epsilon}")
 
 
@@ -89,8 +91,10 @@ def worstcase_wasserstein(
 
     norm = h.q_norm(2.0)
     eps = u.epsilon
-    if isinstance(g, LinearWeight):
-        return g.lam * nominal_dev + eps * math.hypot(1.0, g.lam * norm) + mean
+    cls = g.classify()
+    if cls.is_linear:
+        lam = cls.asymptotic_slope
+        return lam * nominal_dev + eps * math.hypot(1.0, lam * norm) + mean
 
     def objective(t: float) -> float:
         spread = eps * math.sqrt(max(1.0 - t * t, 0.0)) * norm

@@ -166,6 +166,20 @@ class TestExpectile:
     def test_constant(self):
         assert expectile(StateVector([2.5] * 4), 0.7) == 2.5
 
+    @pytest.mark.parametrize("c", [0.1, 0.3, 0.7, 1 / 3, 123.456])
+    def test_constant_sample_of_inexact_values(self, c):
+        # over a tie run the imbalance is flat in exact arithmetic, so its float
+        # sign is rounding noise; the root is still the tied value
+        for n in range(1, 60):
+            for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+                assert expectile(StateVector([c] * n), alpha) == exact_expectile([c] * n, alpha)
+
+    def test_root_at_a_tie_run(self):
+        # the settling point falls inside the run of two 1.4's
+        values = [-1.1, 0.3, 0.7, 0.2, 1.4, 1.0, -0.0, -2.0, 1.5, 1.4, 0.5, -1.7, 1.6, -0.6,
+                  -0.2, -0.3, 0.1, -0.2, -0.2, -0.9, -1.5]
+        assert expectile(StateVector(values), 0.99) == float(exact_expectile(values, 0.99))
+
     def test_balance_at_root(self, rng):
         x = StateVector(rng.standard_t(4, size=50))
         for alpha in (0.6, 0.9):

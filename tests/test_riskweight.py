@@ -7,6 +7,7 @@ import pytest
 from meandev.riskweight import (
     ExpCapWeight,
     ExpShortfallWeight,
+    GClassification,
     LinearWeight,
     ParetoCapWeight,
     ParetoShortfallWeight,
@@ -157,6 +158,94 @@ class TestClassification:
         ratios = np.asarray(g(xs)) / xs
         empirically_star = bool(np.all(np.diff(ratios) >= -1e-10))
         assert g.classify().is_star_shaped == empirically_star
+
+
+def reference_value(knots, slopes, x):
+    """The segment lookup with its edges and g at the edges formed afresh."""
+    knots, slopes = np.asarray(knots), np.asarray(slopes)
+    edges = np.concatenate([[0.0], knots])
+    g_at_edges = np.concatenate([[0.0], np.cumsum(slopes[:-1] * np.diff(edges))])
+    idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, slopes.size - 1)
+    return g_at_edges[idx] + slopes[idx] * (x - edges[idx])
+
+
+def reference_classification(knots, slopes) -> GClassification:
+    knots, slopes = np.asarray(knots), np.asarray(slopes)
+    is_convex = bool(np.all(np.diff(slopes) >= -1e-15))
+    is_concave = bool(np.all(np.diff(slopes) <= 1e-15))
+    a = float(slopes[-1])
+    if knots.size:
+        g_at_knots = np.asarray(reference_value(knots, slopes, knots), dtype=float)
+        is_star = bool(np.all(g_at_knots - slopes[1:] * knots <= 1e-12))
+        sup_ratio = float(max(slopes[0], a, np.max(g_at_knots / knots)))
+    else:
+        is_star, sup_ratio = True, float(slopes[0])
+    return GClassification(is_convex and is_concave, is_convex, is_star or is_convex,
+                           is_concave, a, sup_ratio)
+
+
+def reference_conjugate(knots, slopes, y: float) -> float:
+    """Zero for y <= 0, +inf above the last slope, else the best knot (or 0)."""
+    if y <= 0.0:
+        return 0.0
+    if y > slopes[-1] + 1e-15:
+        return math.inf
+    return float(max(x * y - float(reference_value(knots, slopes, x)) for x in (0.0, *knots)))
+
+
+def seeded_piecewise(rng, case: int):
+    """(knots, slopes) with case % 5 knots and slopes random, sorted, reversed,
+    equal or rounded to tenths by (case // 5) % 5."""
+    m = case % 5
+    knots = tuple(np.cumsum(rng.uniform(0.05, 2.0, size=m)).tolist())
+    slopes = rng.uniform(0.0, 1.0, size=m + 1)
+    slopes = [slopes, np.sort(slopes), np.sort(slopes)[::-1],
+              np.full(m + 1, slopes[0]), np.round(slopes, 1)][(case // 5) % 5]
+    if not np.any(slopes > 0.0):
+        slopes = np.full(m + 1, 0.5)
+    return knots, tuple(slopes.tolist())
+
+
+class TestAgainstReferenceFormulas:
+    """Value, left derivative, classification, conjugate and spec, equal to the
+    formulas written out afresh, on seeded knots, slopes, lambdas and points."""
+
+    @pytest.mark.parametrize("case", range(50))
+    def test_piecewise(self, case):
+        rng = np.random.default_rng(case)
+        knots, slopes = seeded_piecewise(rng, case)
+        g = PiecewiseLinearWeight(knots, slopes)
+        xs = np.concatenate([[0.0, 1e-300], knots, rng.exponential(2.0, size=200),
+                             [1e6, 1e300]])
+        assert np.array_equal(g(xs), reference_value(knots, slopes, xs))
+        for x in xs.tolist():
+            assert g(x) == reference_value(knots, slopes, x)
+            if x > 0.0:
+                assert g.left_derivative(x) == float(
+                    slopes[int(np.searchsorted(knots, x, side="left"))])
+        assert g.classify() == reference_classification(knots, slopes)
+        for y in (-1.0, 0.0, *rng.uniform(0.0, 1.0, size=20).tolist(), *slopes, 1.0):
+            assert conjugate(g, y) == reference_conjugate(knots, slopes, y)
+        assert g.spec() == {"kind": "piecewise_linear", "knots": list(knots),
+                            "slopes": list(slopes)}
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5, math.ulp(0.0),
+                                     *np.random.default_rng(7).uniform(0.0, 1.0, 12).tolist()])
+    def test_linear(self, lam):
+        g = LinearWeight(lam)
+        assert g.lam == lam
+        xs = np.concatenate([[0.0, 1e-300],
+                             np.random.default_rng(8).exponential(2.0, size=200), [1e300]])
+        assert np.array_equal(g(xs), lam * xs)
+        for x in xs.tolist():
+            assert g(x) == lam * x
+            if x > 0.0:
+                assert g.left_derivative(x) == lam
+        assert g.classify() == GClassification(True, True, True, True, lam, lam)
+        for y in (-1.0, 0.0, 0.5 * lam, lam, lam + 1e-16, lam + 0.1):
+            assert conjugate(g, y) == (0.0 if y <= lam + 1e-15 else math.inf)
+        assert g.spec() == {"kind": "linear", "lambda": lam}
+        assert g_from_spec(g.spec()) == g
 
 
 def conjugate_oracle(g, y: float) -> float:

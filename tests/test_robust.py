@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from meandev.distortion import ESDeviation, Gini, RangeDistortion
+from meandev.distortion import ESDeviation, Gini, MeanAbsDevHalf, RangeDistortion
 from meandev.distributions import Normal
 from meandev.measures import MDMeasure, md_eval
 from meandev.riskweight import (
@@ -11,6 +11,7 @@ from meandev.riskweight import (
     ExpShortfallWeight,
     LinearWeight,
     ParetoShortfallWeight,
+    PiecewiseLinearWeight,
 )
 from meandev.robust import (
     MomentUncertainty,
@@ -99,6 +100,16 @@ class TestWassersteinWorstCase:
             u = WassersteinUncertainty(self.center, eps)
             assert worstcase_wasserstein(LinearWeight(lam), h, u) == pytest.approx(
                 searched, abs=1e-9)
+
+    @pytest.mark.parametrize("lam", [0.1, 0.37, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("h", [Gini(), ESDeviation(0.9), MeanAbsDevHalf()])
+    def test_piecewise_linear_with_equal_slopes_takes_the_closed_form(self, lam, h):
+        # a linear g is one by its classification, knots or not
+        center = Normal().sample(500, 3)
+        for eps in np.linspace(0.01, 3.0, 13):
+            u = WassersteinUncertainty(center, float(eps))
+            assert worstcase_wasserstein(PiecewiseLinearWeight((1.0, 2.0), (lam, lam, lam)),
+                                         h, u) == worstcase_wasserstein(LinearWeight(lam), h, u)
 
     def test_linear_closed_form_as_lambda_vanishes(self):
         # lambda = 0 lies outside LinearWeight's (0, 1]; at its smallest float

@@ -1,12 +1,24 @@
 """Each value object's constructor rejects a bad field with its own message."""
+import math
+
 import numpy as np
 import pytest
 
 from meandev.distortion import PiecewiseLinearDistortion
-from meandev.distributions import StateVector
+from meandev.distributions import Exponential, Lomax, Normal, StateVector
 from meandev.estimation import GaussianLimit
 from meandev.portfolio import BacktestConfig, LossPanel, PortfolioWeights
-from meandev.riskweight import PiecewiseLinearWeight
+from meandev.riskweight import (
+    ExpCapWeight,
+    ExpShortfallWeight,
+    LinearWeight,
+    ParetoCapWeight,
+    ParetoShortfallWeight,
+    PiecewiseLinearWeight,
+)
+from meandev.robust import MomentUncertainty, WassersteinUncertainty
+
+NAN, INF = math.nan, math.inf
 
 CASES = {
     "weights-empty": (lambda: PortfolioWeights(np.array([])),
@@ -25,6 +37,14 @@ CASES = {
                          "unsupported rebalance rule: 'weekly'"),
     "config-wealth": (lambda: BacktestConfig(initial_wealth=0.0),
                       "initial wealth must be positive"),
+    "config-wealth-nan": (lambda: BacktestConfig(initial_wealth=NAN),
+                          "initial wealth must be positive"),
+    "config-wealth-inf": (lambda: BacktestConfig(initial_wealth=INF),
+                          "initial wealth must be positive"),
+    "config-rate-nan": (lambda: BacktestConfig(risk_free_rate=NAN),
+                        "risk-free rate must be finite, got nan"),
+    "config-rate-inf": (lambda: BacktestConfig(risk_free_rate=-INF),
+                        "risk-free rate must be finite, got -inf"),
     "distortion-knot-ends": (lambda: PiecewiseLinearDistortion(t=(0.0, 0.5, 0.9), h=(0.0, 0.2, 0.0)),
                              "knots must start at 0 and end at 1"),
     "distortion-knot-order": (lambda: PiecewiseLinearDistortion(t=(0.0, 0.5, 0.5, 1.0),
@@ -38,6 +58,43 @@ CASES = {
                          "knots must be positive and strictly increasing"),
     "weight-zero-slopes": (lambda: PiecewiseLinearWeight(knots=(1.0,), slopes=(0.0, 0.0)),
                            "at least one slope must be positive (g is non-constant)"),
+    "weight-knot-nan": (lambda: PiecewiseLinearWeight(knots=(NAN,), slopes=(0.5, 0.5)),
+                        "knots entries must all be finite"),
+    "weight-knot-inf": (lambda: PiecewiseLinearWeight(knots=(1.0, INF), slopes=(0.5, 0.5, 1.0)),
+                        "knots entries must all be finite"),
+    "weight-slope-nan": (lambda: PiecewiseLinearWeight(knots=(1.0,), slopes=(0.5, NAN)),
+                         "slopes entries must all be finite"),
+    "linear-above-one": (lambda: LinearWeight(1.5), "lambda must be in (0, 1], got 1.5"),
+    "linear-nan": (lambda: LinearWeight(NAN), "lambda must be in (0, 1], got nan"),
+    "exp-shortfall-nan": (lambda: ExpShortfallWeight(NAN), "beta must be > 0, got nan"),
+    "exp-shortfall-inf": (lambda: ExpShortfallWeight(INF), "beta must be > 0, got inf"),
+    "pareto-shortfall-nan": (lambda: ParetoShortfallWeight(NAN), "theta must be > 0, got nan"),
+    "pareto-shortfall-inf": (lambda: ParetoShortfallWeight(INF), "theta must be > 0, got inf"),
+    "exp-cap-nan": (lambda: ExpCapWeight(NAN), "beta must be > 0, got nan"),
+    "exp-cap-inf": (lambda: ExpCapWeight(INF), "beta must be > 0, got inf"),
+    "pareto-cap-nan": (lambda: ParetoCapWeight(NAN), "theta must be > 0, got nan"),
+    "pareto-cap-inf": (lambda: ParetoCapWeight(INF), "theta must be > 0, got inf"),
+    "normal-mu-nan": (lambda: Normal(mu=NAN), "mu must be finite, got nan"),
+    "normal-mu-inf": (lambda: Normal(mu=INF), "mu must be finite, got inf"),
+    "normal-sd-nan": (lambda: Normal(sd=NAN), "sd must be > 0, got nan"),
+    "normal-sd-inf": (lambda: Normal(sd=INF), "sd must be > 0, got inf"),
+    "lomax-nan": (lambda: Lomax(NAN), "theta must be > 0, got nan"),
+    "lomax-inf": (lambda: Lomax(INF), "theta must be > 0, got inf"),
+    "exponential-nan": (lambda: Exponential(NAN), "rate must be > 0, got nan"),
+    "exponential-inf": (lambda: Exponential(INF), "rate must be > 0, got inf"),
+    "moment-mean-nan": (lambda: MomentUncertainty(m=NAN, v=1.0), "mean m must be finite, got nan"),
+    "moment-level-nan": (lambda: MomentUncertainty(m=0.0, v=NAN),
+                         "dispersion level v must be > 0, got nan"),
+    "moment-level-inf": (lambda: MomentUncertainty(m=0.0, v=INF),
+                         "dispersion level v must be > 0, got inf"),
+    "moment-order-nan": (lambda: MomentUncertainty(m=0.0, v=1.0, a_order=NAN),
+                         "moment order must be >= 1, got nan"),
+    "moment-order-inf": (lambda: MomentUncertainty(m=0.0, v=1.0, a_order=INF),
+                         "moment order must be >= 1, got inf"),
+    "radius-nan": (lambda: WassersteinUncertainty(StateVector([0.0, 1.0]), NAN),
+                   "radius must be >= 0, got nan"),
+    "radius-inf": (lambda: WassersteinUncertainty(StateVector([0.0, 1.0]), INF),
+                   "radius must be >= 0, got inf"),
     "state-2d": (lambda: StateVector(np.zeros((2, 2))),
                  "state vector values must be one-dimensional"),
     "limit-variance": (lambda: GaussianLimit(center=0.0, variance=-1.0),

@@ -20,8 +20,8 @@ _EXPORTS = {
                       "model_from_spec"),
     "estimation": ("GaussianLimit", "MonteCarloReport", "NumericsError", "deviation_true",
                    "gaussian_limit", "md_true", "monte_carlo", "sigma_g_squared"),
-    "measures": ("MDMeasure", "adjusted_es_identity_gap", "es_alpha", "es_alpha_ru",
-                 "expectile", "md_eval", "var_alpha"),
+    "measures": ("MDMeasure", "adjusted_es_identity_gap", "es_alpha", "expectile", "md_eval",
+                 "var_alpha"),
     "portfolio": ("BacktestConfig", "BacktestReport", "LossPanel", "MarkowitzResult",
                   "PortfolioWeights", "ingest_prices", "markowitz_baseline", "optimize_md",
                   "portfolio_objective", "project_simplex", "run_backtest"),

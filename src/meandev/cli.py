@@ -159,18 +159,16 @@ def _cmd_classify(args) -> tuple[str, dict]:
 def _cmd_eval(args) -> tuple[str, dict]:
     from .distortion import choquet_deviation, distortion_from_spec
     from .distributions import StateVector
-    from .measures import MDMeasure
 
     g = _g_from_spec(_json_arg(args.g, "--g"))
     h = distortion_from_spec(_json_arg(args.h, "--h"))
     x = StateVector.from_csv(args.data)
-    m = MDMeasure(g, h)
     dev = choquet_deviation(h, x)
     return _json({
-        "md": float(m.g(dev)) + x.mean(),  # md_eval's expression, without a second sort
+        "md": float(g(dev)) + x.mean(),  # md_eval's expression, without a second sort
         "deviation": dev,
         "mean": x.mean(),
-        "classification": asdict(m.classification),
+        "classification": asdict(g.classify()),
     }), {}
 
 

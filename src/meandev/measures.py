@@ -2,27 +2,25 @@
 
 ES integrates the empirical staircase quantile exactly (partial-atom
 weights), so the ES level and the matching distortion deviation agree to
-machine precision.  The mean-deviation measure applies a risk-weighting
-function to a Choquet deviation and adds the sample mean.
+machine precision.  The mean-deviation measure is the pair (g, h): a
+risk-weighting function applied to the Choquet deviation D_h, plus the mean.
 """
 from __future__ import annotations
 
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .distortion import DistortionFunction, choquet_deviation, is_range_normalized
+from .distortion import DistortionFunction, choquet_deviation
 from .distributions import StateVector
-from .riskweight import GClassification, RiskWeightFunction, conjugate
+from .riskweight import RiskWeightFunction, conjugate
 
 __all__ = [
     "MDMeasure",
     "var_alpha",
     "es_alpha",
-    "es_alpha_ru",
     "expectile",
     "md_eval",
     "adjusted_es_identity_gap",
@@ -35,15 +33,6 @@ class MDMeasure:
 
     g: RiskWeightFunction
     h: DistortionFunction
-
-    @cached_property
-    def classification(self) -> GClassification:
-        return self.g.classify()
-
-    @property
-    def monetary_certified(self) -> bool:
-        """True when h is range normalized, which makes the measure monotone."""
-        return is_range_normalized(self.h)
 
 
 def var_alpha(x: StateVector, alpha: float) -> float:
@@ -62,7 +51,11 @@ def _sorted_with_prefix(x: StateVector):
 
 
 def es_alpha(x: StateVector, alpha: float) -> float:
-    """Tail average: exact integral of the staircase quantile over (alpha, 1]."""
+    """Tail average: exact integral of the staircase quantile over (alpha, 1].
+
+    For alpha > 0 it is also the least value of z + mean((x - z)+) / (1 - alpha),
+    reached at z = var_alpha(x, alpha) (Rockafellar & Uryasev 2002).
+    """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     xs, prefix = _sorted_with_prefix(x)
@@ -71,25 +64,6 @@ def es_alpha(x: StateVector, alpha: float) -> float:
     # integral of the quantile over (0, alpha]: k-1 full atoms plus a partial one
     lower = prefix[k - 1] / n + xs[k - 1] * (alpha - (k - 1) / n)
     return float((prefix[-1] / n - lower) / (1.0 - alpha))
-
-
-def es_alpha_ru(x: StateVector, alpha: float) -> tuple[float, float]:
-    """ES as the minimum of z + mean((x - z)+) / (1 - alpha) over z.
-
-    The piecewise-linear objective is least at the left quantile, the
-    reported minimizer, and up to the next order statistic when n * alpha is
-    whole (Rockafellar & Uryasev 2002). At those two points only, the sum of
-    (x - z)+ is read from one sorted copy and its prefix sums.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    xs, prefix = _sorted_with_prefix(x)
-    n = x.n
-    k = max(math.ceil(n * alpha), 1)
-    z = xs[k - 1:k + 1]
-    right = np.searchsorted(xs, z, side="right")
-    objective = z + ((prefix[-1] - prefix[right]) - z * (n - right)) / (n * (1.0 - alpha))
-    return float(np.min(objective)), float(z[0])
 
 
 def expectile(x: StateVector, alpha: float) -> float:

@@ -511,7 +511,7 @@ LAYER_PROBE = (
     "runpy.run_module('meandev', run_name='__main__', alter_sys=True)\n"
 )
 CLASSIFY_MODULES = ["_spec", "cli", "riskweight"]
-EVAL_MODULES = sorted(CLASSIFY_MODULES + ["distortion", "distributions", "measures"])
+EVAL_MODULES = sorted(CLASSIFY_MODULES + ["distortion", "distributions"])
 # the names `from meandev import *` gave while the package imported every layer eagerly
 STAR_NAMES = sorted("""
     distortion distributions estimation measures portfolio riskweight robust
@@ -520,7 +520,7 @@ STAR_NAMES = sorted("""
     Exponential Lomax Normal ParametricModel StateVector model_from_spec
     GaussianLimit MonteCarloReport NumericsError deviation_true gaussian_limit md_true
     monte_carlo sigma_g_squared
-    MDMeasure adjusted_es_identity_gap es_alpha es_alpha_ru expectile md_eval var_alpha
+    MDMeasure adjusted_es_identity_gap es_alpha expectile md_eval var_alpha
     BacktestConfig BacktestReport LossPanel MarkowitzResult PortfolioWeights ingest_prices
     markowitz_baseline optimize_md portfolio_objective project_simplex run_backtest
     ExpCapWeight ExpShortfallWeight GClassification LinearWeight ParetoCapWeight
@@ -585,15 +585,15 @@ class TestStartUp:
         (["classify", "--g", LINEAR_G], CLASSIFY_MODULES),
         (["eval", "--g", LINEAR_G, "--h", GINI_H, "--data", None], EVAL_MODULES),
         (["asymvar", "--model", '{"kind":"exponential","beta":1.0}', "--g", LINEAR_G,
-          "--h", GINI_H], EVAL_MODULES + ["estimation"]),
+          "--h", GINI_H], EVAL_MODULES + ["measures", "estimation"]),
         (["mc", "--model", '{"kind":"exponential","beta":1.0}', "--g", LINEAR_G, "--h", GINI_H,
-          "--n", "200", "--reps", "100", "--seed", "5"], EVAL_MODULES + ["estimation"]),
+          "--n", "200", "--reps", "100", "--seed", "5"], EVAL_MODULES + ["measures", "estimation"]),
         (["robust", "moment", "--g", LINEAR_G, "--h", GINI_H, "--m", "1.0"],
-         EVAL_MODULES + ["robust"]),
+         EVAL_MODULES + ["measures", "robust"]),
         (["robust", "wasserstein", "--g", LINEAR_G, "--h", GINI_H, "--data", None],
-         EVAL_MODULES + ["robust"]),
-        (["backtest", "--prices", None, "--config", '{"window":40}'], EVAL_MODULES + ["portfolio"]),
-        (["ingest", "--prices", None], EVAL_MODULES + ["portfolio"]),
+         EVAL_MODULES + ["measures", "robust"]),
+        (["backtest", "--prices", None, "--config", '{"window":40}'], EVAL_MODULES + ["measures", "portfolio"]),
+        (["ingest", "--prices", None], EVAL_MODULES + ["measures", "portfolio"]),
     ], ids=["classify", "eval", "asymvar", "mc", "robust-moment", "robust-wasserstein",
             "backtest", "ingest"])
     def test_subcommand_loads_only_its_layers(self, argv, modules, sample_csv, prices_csv):
@@ -631,7 +631,7 @@ class TestStartUp:
             capture_output=True)
         assert proc.returncode == 0, proc.stderr
         assert ast.literal_eval(proc.stdout.decode()) == STAR_NAMES
-        assert len(STAR_NAMES) == 62
+        assert len(STAR_NAMES) == 61
 
 
 class TestDeterminism:

@@ -24,7 +24,7 @@ from meandev.distortion import (
     staircase_weights,
 )
 from meandev.distributions import Normal, StateVector
-from meandev.measures import MDMeasure, es_alpha, es_alpha_ru, expectile, md_eval
+from meandev.measures import MDMeasure, es_alpha, expectile, md_eval
 from meandev.riskweight import LinearWeight
 
 ALL_H = [ESDeviation(0.9), ESDeviation(0.5), Gini(), MeanAbsDevHalf()]
@@ -268,7 +268,6 @@ class TestStaircaseSum:
         calls = {"choquet_deviation": (lambda: choquet_deviation(h, x), 1.25),
                  "md_eval": (lambda: md_eval(m, x), 1.25),
                  "es_alpha": (lambda: es_alpha(x, 0.9), 2.1),
-                 "es_alpha_ru": (lambda: es_alpha_ru(x, 0.9), 2.1),
                  "expectile": (lambda: expectile(x, 0.9), 2.1)}
         for name, (call, doubles) in calls.items():
             tracemalloc.start()

@@ -60,10 +60,11 @@ def es_alpha(x: StateVector, alpha: float) -> float:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     xs, prefix = _sorted_with_prefix(x)
     n = x.n
-    k = max(math.ceil(n * alpha), 1)  # atom containing the level alpha
-    # integral of the quantile over (0, alpha]: k-1 full atoms plus a partial one
-    lower = prefix[k - 1] / n + xs[k - 1] * (alpha - (k - 1) / n)
-    return float((prefix[-1] / n - lower) / (1.0 - alpha))
+    k = math.ceil(n * alpha)  # atom containing the level alpha, 0 at alpha = 0
+    # integral over (alpha, 1], summed directly so that it does not cancel as alpha -> 1:
+    # the n - k full atoms above atom k plus atom k's part above alpha
+    upper = (prefix[-1] - prefix[k]) / n + xs[max(k - 1, 0)] * (k / n - alpha)
+    return float(upper / (1.0 - alpha))
 
 
 def expectile(x: StateVector, alpha: float) -> float:

@@ -375,6 +375,17 @@ class TestBacktest:
         assert 0.0 <= report.max_gap <= 1e-9 * float(np.max(np.abs(panel.losses)))
         assert report.lp_solves >= len(report.periods) and report.pivots > 0
 
+    @pytest.mark.parametrize("seed", [21, 3, 5])
+    def test_certified_as_alpha_nears_one(self, seed):
+        # d(w) = ES - mean at these levels divides by 1 - alpha, so an ES that
+        # cancels misses the duality gap tolerance
+        panel = synthetic_panel(300, 3, seed=seed)
+        for alpha in (1 - 1e-8, 1 - 1e-9, 1 - 1e-10):
+            for g in (ExpShortfallWeight(10.0), LinearWeight(1.0)):
+                report = run_backtest(panel, BacktestConfig(window=60, alpha=alpha, g_spec=g))
+                assert abs(report.max_gap) <= 1e-9 * float(np.max(np.abs(panel.losses))), (
+                    alpha, g)
+
     def test_deterministic(self):
         panel = synthetic_panel(300, 3, seed=21)
         cfg = BacktestConfig(window=60, alpha=0.9, g_spec=ExpShortfallWeight(3.0))

@@ -259,6 +259,8 @@ class ESDeviation(PiecewiseLinearDistortion):
     def __init__(self, alpha: float):
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        if 1.0 - alpha == 1.0:  # the knot 1 - alpha would meet the last knot
+            raise ValueError(f"alpha must exceed 2**-54, where 1 - alpha rounds to 1; got {alpha}")
         object.__setattr__(self, "alpha", alpha)
         super().__init__(t=(0.0, 1.0 - alpha, 1.0), h=(0.0, alpha, 0.0))
 

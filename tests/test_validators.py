@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from meandev.distortion import PiecewiseLinearDistortion
+from meandev.distortion import ESDeviation, PiecewiseLinearDistortion
 from meandev.distributions import Exponential, Lomax, Normal, StateVector
 from meandev.estimation import GaussianLimit
 from meandev.portfolio import BacktestConfig, LossPanel, PortfolioWeights
@@ -50,6 +50,11 @@ CASES = {
     "distortion-knot-order": (lambda: PiecewiseLinearDistortion(t=(0.0, 0.5, 0.5, 1.0),
                                                                 h=(0.0, 0.2, 0.2, 0.0)),
                               "knots must be strictly increasing"),
+    "es-deviation-tiny-alpha": (lambda: ESDeviation(1e-300),
+                                "alpha must exceed 2**-54, where 1 - alpha rounds to 1; got 1e-300"),
+    "es-deviation-alpha-2**-54": (lambda: ESDeviation(2.0**-54),
+                                  "alpha must exceed 2**-54, where 1 - alpha rounds to 1; "
+                                  "got 5.551115123125783e-17"),
     "weight-slope-count": (lambda: PiecewiseLinearWeight(knots=(1.0,), slopes=(0.5,)),
                            "need len(slopes) == len(knots) + 1"),
     "weight-knot-order": (lambda: PiecewiseLinearWeight(knots=(2.0, 1.0), slopes=(0.5, 0.5, 0.5)),

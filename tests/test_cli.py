@@ -592,7 +592,8 @@ class TestStartUp:
          EVAL_MODULES + ["measures", "robust"]),
         (["robust", "wasserstein", "--g", LINEAR_G, "--h", GINI_H, "--data", None],
          EVAL_MODULES + ["measures", "robust"]),
-        (["backtest", "--prices", None, "--config", '{"window":40}'], EVAL_MODULES + ["measures", "portfolio"]),
+        (["backtest", "--prices", None, "--config", '{"window":40}'],
+         EVAL_MODULES + ["measures", "portfolio"]),
         (["ingest", "--prices", None], EVAL_MODULES + ["measures", "portfolio"]),
     ], ids=["classify", "eval", "asymvar", "mc", "robust-moment", "robust-wasserstein",
             "backtest", "ingest"])

@@ -11,11 +11,13 @@ g(d) >= s d - g*(s); at s = g'(d0), d0 = d(w), the bound is
 g(d0) - s d0 + psi(s).
 
 Each psi(s) is an LP over the tail probabilities p of the window's days, with
-k + 1 rows for k assets, solved by an in-house bounded-variable simplex: the
-first from the tail of L w0, later ones by a dual simplex from the nearest
-solved basis.  Its primal p and dual w bracket psi(s) between min_j (L^T p)_j
-and m(w) + s d(w); the lower end is the psi the certificate uses, and the LP
-raises NumericsError when the ends lie further apart than the gap tolerance.
+k + 1 rows for k assets, solved by an in-house revised bounded-variable simplex:
+the first from the tail of L w0, later ones by a dual simplex from the nearest
+solved basis.  A pivot updates the basis inverse by one rank-1 step; it is
+refactored every k + 1 pivots and before optimality is declared.  Its primal p
+and dual w bracket psi(s) between min_j (L^T p)_j and m(w) + s d(w); the lower
+end is the psi the certificate uses, and the LP raises NumericsError when the
+ends lie further apart than the gap tolerance.
 
 Backtests rebalance on the first trading day of each calendar month using
 the trailing window of losses, compound wealth by exp(-w . loss) daily, and
@@ -93,8 +95,8 @@ class LossPanel:
 class PortfolioWeights:
     w: np.ndarray
     gap: float | None = None  # set by optimize_md: its duality gap, LP count
-    lp_solves: int | None = None  # and each LP's pivots (basis changes and flips)
-    pivots: tuple[int, ...] | None = None
+    lp_solves: int | None = None  # and each LP's pivots: basis changes plus bound flips,
+    pivots: tuple[int, ...] | None = None  # not the refactors of the basis inverse
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -194,7 +196,9 @@ def parse_price_rows(rows, source: str = "<prices>") -> LossPanel:
                 price = float(cell)
             except ValueError as exc:
                 raise ValueError(f"{source}: row {lineno}: bad price {cell!r} for {ticker}") from exc
-            if not math.isfinite(price) or price <= 0.0:
+            if not math.isfinite(price):
+                raise ValueError(f"{source}: row {lineno}: non-finite price {cell!r} for {ticker}")
+            if price <= 0.0:
                 raise ValueError(f"{source}: row {lineno}: nonpositive price for {ticker}")
             values.append(price)
         dates.append(date)
@@ -260,14 +264,17 @@ def _tail_lp(window: np.ndarray, alpha: float, s: float, scale: float,
     """psi(s) = max eta s.t. eta <= (L^T p)_j for every asset j, sum p = 1 and
     (1 - s)/n <= p_i <= (1 - s)/n + s/((1 - alpha) n), with its optimal w.
 
-    A bounded-variable simplex on L / scale over (p, eta, slacks), so its
-    tolerances are relative to max|L|.  From weights w0 it starts feasible at
-    the tail vertex of L w0 (p at its upper bound on the largest losses, one p
-    basic); from a vertex at another s, a dual simplex repairs its basis (the
+    A revised bounded-variable simplex on L / scale over (p, eta, slacks), so
+    its tolerances are relative to max|L|.  From weights w0 it starts feasible
+    at the tail vertex of L w0 (p at its upper bound on the largest losses, one
+    p basic); from a vertex at another s, a dual simplex repairs its basis (the
     largest bound violation leaves, the least |d_j / alpha_rj| enters).  Then
-    Dantzig's rule prices, or Bland's after degenerate runs; x_B is solved
-    afresh each pivot.  w is the asset rows' duals; the primal bound psi =
-    min_j (L^T p)_j lies within the gap tolerance below the dual m + s d of L w.
+    Dantzig's rule prices, or Bland's after degenerate runs.  Each basis change
+    updates B^-1 by one eta (rank-1) step and x_B by the step taken; both are
+    solved afresh after k + 1 pivots, and always before optimality is declared,
+    so the returned vertex comes from a fresh inverse.  w is the asset rows'
+    duals; the primal bound psi = min_j (L^T p)_j lies within the gap
+    tolerance below the dual m + s d of L w.
     """
     n, k = window.shape
     lo, width = (1.0 - s) / n, s / ((1.0 - alpha) * n)
@@ -276,9 +283,9 @@ def _tail_lp(window: np.ndarray, alpha: float, s: float, scale: float,
     a = np.vstack([np.hstack([-window.T / scale, np.ones((k, 1)), np.eye(k)]),
                    np.concatenate([np.ones(n), np.zeros(k + 1)])])
     b = np.eye(k + 1)[k]
-    dual, degenerate, inverse = isinstance(start, _Vertex), 0, None
+    dual, degenerate = isinstance(start, _Vertex), 0
     if dual:
-        basis, x = start.basis.copy(), np.where(start.upper, upper, lower)
+        basis, x = start.basis.tolist(), np.where(start.upper, upper, lower)
     else:
         order = np.argsort(-(window @ start), kind="stable")
         tail, x = order[:min(int((1.0 - alpha) * n), n - 1)], lower.copy()
@@ -286,59 +293,76 @@ def _tail_lp(window: np.ndarray, alpha: float, s: float, scale: float,
         f = int(order[tail.size])  # the one basic p, at the fraction that makes sum p = 1
         x[f] = 1.0 - (np.sum(x[:n]) - x[f])
         tightest = int(np.argmin(x[:n] @ window))  # eta sits on this row, its slack at 0
-        basis = np.array([n, f] + [n + 1 + j for j in range(k) if j != tightest])
-    for pivots in range(10 * (n + k)):  # a warm start takes tens of pivots
-        if inverse is None:
-            inverse = np.linalg.inv(a[:, basis])
-        rest = x.copy()
-        rest[basis] = 0.0
-        x[basis] = xb = inverse @ (b - a @ rest)
+        basis = [n, f] + [n + 1 + j for j in range(k) if j != tightest]
+    side = (x < upper) - (x > lower).astype(float)  # +1 may rise, -1 may fall, 0 basic or fixed
+    side[basis] = 0.0
+    low, high, tol, cap = lower.tolist(), upper.tolist(), _EDGE_TOLERANCE, 10 * (n + k)
+    pivots, stale = 0, None  # stale: pivots since B^-1 and x_B were solved; None: solve now
+    while pivots < cap:  # a warm start takes tens of pivots
+        if stale is None:
+            inverse, stale, rest = np.linalg.inv(a[:, basis]), 0, x.copy()
+            rest[basis] = 0.0
+            xb = (inverse @ (b - a @ rest)).tolist()
         y = inverse[0]  # the duals: eta is basis[0] and, being free, never leaves
         d = -(y @ a)  # reduced costs off the basis, where the objective has no entry
         if dual:
-            excess = np.maximum(lower[basis] - xb, xb - upper[basis])
-            r = int(np.argmax(excess))
-            dual = excess[r] > _EDGE_TOLERANCE / n  # relative to the mean p
-        if dual:  # x_B[r] leaves at the bound it breaks; raising x_j helps it where toward > 0
-            toward = math.copysign(1.0, xb[r] - lower[basis[r]]) * (inverse[r] @ a)
-            able = (x < upper) & (toward > _EDGE_TOLERANCE) | (x > lower) & (toward < -_EDGE_TOLERANCE)
-            able[basis] = False
-            ratio = np.divide(np.abs(d), np.abs(toward), out=np.full(d.size, np.inf), where=able)
-            if not able[q := int(np.argmin(ratio))]:
+            excess = [max(low[j] - v, v - high[j]) for j, v in zip(basis, xb)]
+            r = excess.index(max(excess))
+            dual = excess[r] > tol / n  # relative to the mean p
+        if dual:  # x_B[r] leaves at the bound it breaks; moving x_j helps it where toward > 0
+            toward = math.copysign(1.0, xb[r] - low[basis[r]]) * side * (inverse[r] @ a)
+            able = toward > tol
+            ratio = np.divide(np.abs(d), toward, out=np.full(d.size, np.inf), where=able)
+            if not able[q := int(ratio.argmin())]:
                 raise NumericsError(f"tail LP at s = {s:.6g} found no entering variable")
-            x[basis[r]] = np.clip(xb[r], lower[basis[r]], upper[basis[r]])
-            basis[r], inverse = q, None
-            continue
-        gain = np.maximum(np.where(x < upper, d, 0.0), np.where(x > lower, -d, 0.0))
-        gain[basis] = 0.0
-        bland = degenerate > k
-        q = int(np.argmax(gain > _EDGE_TOLERANCE) if bland else np.argmax(gain))
-        if not gain[q] > _EDGE_TOLERANCE:
-            break
-        rate = -math.copysign(1.0, d[q]) * (inverse @ a[:, q])
-        room = np.divide(np.where(rate > 0.0, upper[basis], lower[basis]) - xb, rate,
-                         out=np.full(rate.size, np.inf), where=np.abs(rate) > _EDGE_TOLERANCE)
-        room = np.maximum(room, 0.0)  # x_B may sit a rounding error outside its bounds
-        ties = np.flatnonzero(room == room.min())
-        r = int(ties[np.argmin(basis[ties])] if bland else ties[0])
-        flip = upper[q] - lower[q]
-        if math.isinf(min(flip, room[r])):
-            raise NumericsError(f"tail LP at s = {s:.6g} is unbounded")
-        if flip <= room[r]:  # q crosses its box before any basic variable blocks it
-            x[q] = upper[q] if d[q] > 0.0 else lower[q]
+            column = (col := inverse @ a[:, q]).tolist()
+            bound = min(max(xb[r], low[basis[r]]), high[basis[r]])
+            step = (xb[r] - bound) / column[r]  # the change in x_q
         else:
-            x[basis[r]] = upper[basis[r]] if rate[r] > 0.0 else lower[basis[r]]
-            basis[r], inverse = q, None
-        degenerate = degenerate + 1 if min(flip, room[r]) <= _EDGE_TOLERANCE * width else 0
+            gain = side * d
+            bland = degenerate > k
+            q = int((gain > tol).argmax() if bland else gain.argmax())
+            if not gain[q] > tol:
+                if stale == 0:
+                    break
+                stale = None  # confirm optimality on a fresh B^-1 and x_B
+                continue
+            column, rising = (col := inverse @ a[:, q]).tolist(), side[q] > 0.0
+            rate = [-c if rising else c for c in column]
+            # x_B may sit a rounding error outside its bounds
+            room = [max(((high[j] if t > 0.0 else low[j]) - v) / t, 0.0) if abs(t) > tol
+                    else math.inf for j, v, t in zip(basis, xb, rate)]
+            least = min(room)
+            r = (min((i for i, t in enumerate(room) if t == least), key=basis.__getitem__)
+                 if bland else room.index(least))
+            flip = high[q] - low[q]
+            move = min(flip, room[r])
+            if math.isinf(move):
+                raise NumericsError(f"tail LP at s = {s:.6g} is unbounded")
+            degenerate = degenerate + 1 if move <= tol * width else 0
+            step = move if rising else -move
+            bound = high[basis[r]] if rate[r] > 0.0 else low[basis[r]]
+            if flip <= room[r]:  # q crosses its box before any basic variable blocks it
+                x[q], side[q], r = (high[q], -1.0, None) if rising else (low[q], 1.0, None)
+        xb = [v - step * c for v, c in zip(xb, column)]
+        if r is not None:  # q enters at row r; the leaving variable rests at its bound
+            j = basis[r]
+            x[j], side[j] = bound, (bound < high[j]) - (bound > low[j])
+            xb[r], side[q], basis[r] = float(x[q]) + step, 0.0, q
+            pivot = inverse[r] / column[r]
+            inverse -= col[:, None] * pivot
+            inverse[r] = pivot
+        pivots, stale = pivots + 1, None if stale == k else stale + 1
     else:
-        raise NumericsError(f"tail LP at s = {s:.6g} still open after {10 * (n + k)} pivots")
+        raise NumericsError(f"tail LP at s = {s:.6g} still open after {cap} pivots")
+    x[basis] = xb
     w = np.maximum(y[:k], 0.0)
     w = w / np.sum(w)
     psi = float(np.min(x[:n] @ window))
     mean, dev = _mean_and_deviation(window @ w, alpha)
     if not mean + s * dev - psi <= _GAP_TOLERANCE * scale:
         raise NumericsError(f"tail LP at s = {s:.6g} not certified: gap {mean + s * dev - psi:.3g}")
-    return _Vertex(s, psi, w, dev, psi - s * dev, basis, x >= upper, pivots)
+    return _Vertex(s, psi, w, dev, psi - s * dev, np.array(basis), x >= upper, pivots)
 
 
 def optimize_md(window: np.ndarray, cfg: BacktestConfig,

@@ -1,6 +1,7 @@
 import datetime as dt
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,9 +77,13 @@ class TestIngest:
             ingest_prices(self.write(
                 tmp_path, "date,A,B\n2024-01-02,1,2\n2024-01-03,1,\n"))
 
-    def test_nonpositive_price_names_row(self, tmp_path):
-        with pytest.raises(ValueError, match="row 2"):
-            ingest_prices(self.write(tmp_path, "date,A\n2024-01-02,-3\n2024-01-03,1\n"))
+    @pytest.mark.parametrize("cell, problem", [
+        ("-3", "nonpositive price"), ("inf", "non-finite price 'inf'"),
+        ("nan", "non-finite price 'nan'"), ("1e400", "non-finite price '1e400'")],
+        ids=["-3", "inf", "nan", "1e400"])
+    def test_nonpositive_price_names_row(self, tmp_path, cell, problem):
+        with pytest.raises(ValueError, match=re.escape(f"row 2: {problem} for A")):
+            ingest_prices(self.write(tmp_path, f"date,A\n2024-01-02,{cell}\n2024-01-03,1\n"))
 
     def test_unsorted_dates_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="row 3"):
@@ -280,15 +285,43 @@ def highs_tail_lp(window, alpha, s):
 class TestTailLP:
     @pytest.mark.parametrize("duplicate", [False, True], ids=["distinct", "duplicated-asset"])
     @pytest.mark.parametrize("s", [0.0, 1e-9, 0.05, 0.5, 0.99])
-    @pytest.mark.parametrize("shape", [(500, 10, 5), (300, 6, 9)])
+    # the 2000 x 20 window starts from a vertex of the simplex: a chain of hundreds
+    # of pivots that crosses several refactors of the basis inverse
+    @pytest.mark.parametrize("shape", [(500, 10, 5, "equal"), (300, 6, 9, "equal"),
+                                       (2000, 20, 1, "vertex")])
     def test_matches_highs(self, shape, s, duplicate):
-        n_days, n_assets, seed = shape
+        n_days, n_assets, seed, start = shape
         window = synthetic_panel(n_days, n_assets, seed=seed).losses
         if duplicate:  # a degenerate LP: asset 0's weight may split between its copies
             window = np.column_stack([window, window[:, 0]])
         k = window.shape[1]
-        mine = _tail_lp(window, 0.9, s, float(np.max(np.abs(window))), np.full(k, 1.0 / k))
+        w0 = np.full(k, 1.0 / k) if start == "equal" else np.eye(k)[0]
+        mine = _tail_lp(window, 0.9, s, float(np.max(np.abs(window))), w0)
         self.assert_matches_highs(window, s, mine, duplicate)
+
+    @pytest.mark.parametrize("restart", [False, True], ids=["cold", "restarted"])
+    def test_vertex_comes_from_a_fresh_inverse(self, restart):
+        # pivots update B^-1 in place; the returned vertex must be the one that a
+        # fresh inverse of its basis gives, bit for bit
+        window = synthetic_panel(500, 10, seed=5).losses
+        (n, k), scale, s = window.shape, float(np.max(np.abs(window))), 0.9
+        start = np.full(k, 1.0 / k)
+        mine = _tail_lp(window, 0.9, s, scale,
+                        _tail_lp(window, 0.9, 0.5, scale, start) if restart else start)
+        assert mine.pivots > k + 1  # at least one refactor on the way
+        lo, width = (1.0 - s) / n, s / ((1.0 - 0.9) * n)
+        lower = np.concatenate([np.full(n, lo), [-np.inf], np.zeros(k)])
+        upper = np.concatenate([np.full(n, lo + width), np.full(k + 1, np.inf)])
+        a = np.vstack([np.hstack([-window.T / scale, np.ones((k, 1)), np.eye(k)]),
+                       np.concatenate([np.ones(n), np.zeros(k + 1)])])
+        inverse = np.linalg.inv(a[:, mine.basis])
+        x = np.where(mine.upper, upper, lower)
+        x[mine.basis] = 0.0
+        x[mine.basis] = inverse @ (np.eye(k + 1)[k] - a @ x)
+        y = np.maximum(inverse[0, :k], 0.0)
+        assert np.array_equal(mine.w, y / np.sum(y))
+        assert mine.psi == float(np.min(x[:n] @ window))
+        assert np.array_equal(mine.upper, x >= upper)
 
     # a restart keeps the basis solved at s_from and repairs it by the dual simplex
     @pytest.mark.parametrize("kind", ["distinct", "duplicated-asset", "rounded"])

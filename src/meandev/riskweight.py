@@ -8,8 +8,10 @@ g, as is the segment table of a piecewise-linear g.  Linear g is the knot-free
 piecewise-linear weight.
 
 The shortfall families arise as g(x) = E[(x - Y)+] and the cap families as
-g(x) = E[x ^ Y] for exponential or Pareto Y; the two evaluations at the same
-parameter always sum to x.
+g(x) = E[x ^ Y] for exponential or Pareto Y, each pair on one base holding the
+parameter; the two evaluations at the same parameter always sum to x.  The
+rules every conjugate shares live in ``conjugate``, the closed forms on the
+families with a positive asymptotic slope.
 """
 from __future__ import annotations
 
@@ -71,6 +73,9 @@ class RiskWeightFunction:
     def _left_derivative(self, x: float) -> float:
         raise NotImplementedError
 
+    def _conjugate(self, y: float) -> float:
+        raise NotImplementedError
+
     def classify(self) -> GClassification:
         return self._classification
 
@@ -78,14 +83,9 @@ class RiskWeightFunction:
         return spec_of(self, _KINDS)
 
 
-def _exponent_cap(x, beta: float):
-    """x capped where beta * x cannot overflow: expm1(-t) is exactly -1.0 for t > 37.5."""
-    return np.minimum(x, 800.0 / beta)
-
-
 @dataclass(frozen=True)
-class ExpShortfallWeight(RiskWeightFunction):
-    """g(x) = x + (e^(-beta x) - 1) / beta = E[(x - Y)+], Y exponential(beta)."""
+class _ExpWeight(RiskWeightFunction):
+    """The exponential pair, Y exponential(beta)."""
 
     beta: float
 
@@ -93,24 +93,59 @@ class ExpShortfallWeight(RiskWeightFunction):
         if not 0.0 < self.beta < math.inf:
             raise ValueError(f"beta must be > 0, got {self.beta}")
 
+    def _expm1(self, x):
+        """e^(-beta x) - 1, x capped so beta * x cannot overflow (expm1 is -1.0 past 37.5)."""
+        return np.expm1(-self.beta * np.minimum(x, 800.0 / self.beta))
+
+
+class ExpShortfallWeight(_ExpWeight):
+    """g(x) = x + (e^(-beta x) - 1) / beta = E[(x - Y)+], Y exponential(beta)."""
+
     def _value(self, x):
-        return x + np.expm1(-self.beta * _exponent_cap(x, self.beta)) / self.beta
+        return x + self._expm1(x) / self.beta
 
     def _left_derivative(self, x: float) -> float:
         return -math.expm1(-self.beta * x)
 
+    def _conjugate(self, y: float) -> float:
+        # the sup sits at e^(-beta x) = 1 - y, and runs off to x = inf at y = 1
+        if y >= 1.0:
+            return 1.0 / self.beta
+        if y < 0.1:
+            # the closed form below cancels terms of order y down to y^2 / 2;
+            # its series, the sum over k >= 2 of y^k / (k (k - 1)), does not,
+            # and at y < 0.1 its terms past k = 19 fall below 1e-19 of the first
+            return math.fsum(y ** k / (k * (k - 1)) for k in range(2, 20)) / self.beta
+        return (y + (1.0 - y) * math.log1p(-y)) / self.beta
+
     _classification = _SHORTFALL
 
 
+class ExpCapWeight(_ExpWeight):
+    """g(x) = (1 - e^(-beta x)) / beta = E[x ^ Y], Y exponential(beta)."""
+
+    def _value(self, x):
+        return -self._expm1(x) / self.beta
+
+    def _left_derivative(self, x: float) -> float:
+        return math.exp(-self.beta * x)
+
+    _classification = _CAP
+
+
 @dataclass(frozen=True)
-class ParetoShortfallWeight(RiskWeightFunction):
-    """g(x) = E[(x - Y)+] for Y with survival (1 + y)^(-theta)."""
+class _ParetoWeight(RiskWeightFunction):
+    """The Pareto pair, Y with survival (1 + y)^(-theta)."""
 
     theta: float
 
     def __post_init__(self):
         if not 0.0 < self.theta < math.inf:
             raise ValueError(f"theta must be > 0, got {self.theta}")
+
+
+class ParetoShortfallWeight(_ParetoWeight):
+    """g(x) = E[(x - Y)+] for Y with survival (1 + y)^(-theta)."""
 
     def _value(self, x):
         if self.theta == 1.0:
@@ -120,37 +155,35 @@ class ParetoShortfallWeight(RiskWeightFunction):
     def _left_derivative(self, x: float) -> float:
         return 1.0 - (1.0 + x) ** (-self.theta)
 
+    def _conjugate(self, y: float) -> float:
+        # the sup sits at (1 + x)^(-theta) = 1 - y; with c = 1 - 1/theta it is
+        # -y - theta / (theta - 1) * ((1 - y)^c - 1), or -y - log(1 - y) at theta = 1
+        theta, c = self.theta, 1.0 - 1.0 / self.theta
+        if y >= 1.0:
+            return 1.0 / (theta - 1.0) if theta > 1.0 else math.inf
+        if y * max(1.0, (2.0 - c) / 3.0) < 0.1:
+            # the series sum over k >= 2 of a_k y^k, a_2 = 1 / (2 theta) and
+            # a_(k+1) = a_k (k - c) / (k + 1), has no cancellation; its term
+            # ratio is below 0.1 here, so the terms past k = 19 are negligible
+            terms = [y * y / (2.0 * theta)]
+            for k in range(2, 19):
+                terms.append(terms[-1] * y * (k - c) / (k + 1))
+            return math.fsum(terms)
+        if theta == 1.0:
+            return -y - math.log1p(-y)
+        if 0.5 <= theta <= 2.0:
+            # (theta - 1) / theta keeps c exact to rounding as theta -> 1
+            c = (theta - 1.0) / theta
+            return -y - math.expm1(c * math.log1p(-y)) / c
+        # with (1 - y)^c - 1 = (1 - y) expm1(-log(1 - y) / theta) - y the terms of
+        # order y / theta no longer cancel at large theta
+        return (y - theta * (1.0 - y) * math.expm1(-math.log1p(-y) / theta)) / (theta - 1.0)
+
     _classification = _SHORTFALL
 
 
-@dataclass(frozen=True)
-class ExpCapWeight(RiskWeightFunction):
-    """g(x) = (1 - e^(-beta x)) / beta = E[x ^ Y], Y exponential(beta)."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.beta < math.inf:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-
-    def _value(self, x):
-        return -np.expm1(-self.beta * _exponent_cap(x, self.beta)) / self.beta
-
-    def _left_derivative(self, x: float) -> float:
-        return math.exp(-self.beta * x)
-
-    _classification = _CAP
-
-
-@dataclass(frozen=True)
-class ParetoCapWeight(RiskWeightFunction):
+class ParetoCapWeight(_ParetoWeight):
     """g(x) = E[x ^ Y] for Y with survival (1 + y)^(-theta)."""
-
-    theta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.theta < math.inf:
-            raise ValueError(f"theta must be > 0, got {self.theta}")
 
     def _value(self, x):
         if self.theta == 1.0:
@@ -214,6 +247,11 @@ class PiecewiseLinearWeight(RiskWeightFunction):
         # slope on the segment whose half-open interval (edge, next edge] contains x
         return self.slopes[bisect.bisect_left(self.knots, x)]
 
+    def _conjugate(self, y: float) -> float:
+        # the objective is linear on each segment, so the sup sits at a knot
+        # (or at 0; the tail segment has slope y - a <= 0)
+        return float(max(x * y - gx for x, gx in zip(self._edges.tolist(), self._at_edges.tolist())))
+
 
 class LinearWeight(PiecewiseLinearWeight):
     """g(x) = lam * x, which makes g(D) + E[X] coherent: the knot-free
@@ -227,55 +265,14 @@ class LinearWeight(PiecewiseLinearWeight):
 
 
 def conjugate(g: RiskWeightFunction, y: float) -> float:
-    """g*(y) = sup over x >= 0 of x*y - g(x), in closed form for every family.
-
-    Zero for y <= 0 and +inf for y above the asymptotic slope (which covers
-    the cap families at any y > 0).  For the shortfall families the sup sits
-    where g'(x) = y, and at y = 1 it is the limit of x - g(x) as x -> inf.
-    """
+    """g*(y) = sup over x >= 0 of x*y - g(x): zero for y <= 0 and +inf above the
+    asymptotic slope (the cap families at any y > 0) for every g; in between,
+    the closed form that each family carries in ``_conjugate``."""
     if y <= 0.0:
         return 0.0
-    a = g.classify().asymptotic_slope
-    if y > a + 1e-15:
+    if y > g.classify().asymptotic_slope + 1e-15:
         return math.inf
-    if isinstance(g, ExpShortfallWeight):
-        # the sup sits at e^(-beta x) = 1 - y, and runs off to x = inf at y = 1
-        if y >= 1.0:
-            return 1.0 / g.beta
-        if y < 0.1:
-            # the closed form below cancels terms of order y down to y^2 / 2;
-            # its series, the sum over k >= 2 of y^k / (k (k - 1)), does not,
-            # and at y < 0.1 its terms past k = 19 fall below 1e-19 of the first
-            return math.fsum(y ** k / (k * (k - 1)) for k in range(2, 20)) / g.beta
-        return (y + (1.0 - y) * math.log1p(-y)) / g.beta
-    if isinstance(g, ParetoShortfallWeight):
-        # the sup sits at (1 + x)^(-theta) = 1 - y; with c = 1 - 1/theta it is
-        # -y - theta / (theta - 1) * ((1 - y)^c - 1), or -y - log(1 - y) at theta = 1
-        theta, c = g.theta, 1.0 - 1.0 / g.theta
-        if y >= 1.0:
-            return 1.0 / (theta - 1.0) if theta > 1.0 else math.inf
-        if y * max(1.0, (2.0 - c) / 3.0) < 0.1:
-            # the series sum over k >= 2 of a_k y^k, a_2 = 1 / (2 theta) and
-            # a_(k+1) = a_k (k - c) / (k + 1), has no cancellation; its term
-            # ratio is below 0.1 here, so the terms past k = 19 are negligible
-            terms = [y * y / (2.0 * theta)]
-            for k in range(2, 19):
-                terms.append(terms[-1] * y * (k - c) / (k + 1))
-            return math.fsum(terms)
-        if theta == 1.0:
-            return -y - math.log1p(-y)
-        if 0.5 <= theta <= 2.0:
-            # (theta - 1) / theta keeps c exact to rounding as theta -> 1
-            c = (theta - 1.0) / theta
-            return -y - math.expm1(c * math.log1p(-y)) / c
-        # with (1 - y)^c - 1 = (1 - y) expm1(-log(1 - y) / theta) - y the terms of
-        # order y / theta no longer cancel at large theta
-        return (y - theta * (1.0 - y) * math.expm1(-math.log1p(-y) / theta)) / (theta - 1.0)
-    if isinstance(g, PiecewiseLinearWeight):
-        # the objective is linear on each segment, so the sup sits at a knot
-        # (or at 0; the tail segment has slope y - a <= 0)
-        return float(max(x * y - gx for x, gx in zip(g._edges.tolist(), g._at_edges.tolist())))
-    raise TypeError(f"no conjugate for {type(g).__name__}")
+    return g._conjugate(y)
 
 
 # spec() writes the first kind of a class, so "gbeta" (the paper's g_beta) only builds

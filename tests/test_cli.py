@@ -1,5 +1,6 @@
 import ast
 import datetime as dt
+import importlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import meandev
 from meandev.cli import dispatch
 from meandev.distributions import Normal
 
@@ -310,6 +312,43 @@ class TestInputValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"meandev: error: {line}\n"
+
+    # "{file}" is a file written with the row's content, "{prices}" and "{sample}" the fixtures
+    @pytest.mark.parametrize("argv, content, line", [
+        (["ingest", "--prices", "{file}"], "", "{file}: empty price table"),
+        (["ingest", "--prices", "{file}"], "date,A\n2023-01-02,1\n2023-13-01,2\n",
+         "{file}: row 3: bad date '2023-13-01'"),
+        (["ingest", "--prices", "{file}"], "date,A\n2023-01-02,1\n2023-01-03,x\n",
+         "{file}: row 3: bad price 'x' for A"),
+        (["eval", "--g", LINEAR_G, "--h", GINI_H, "--data", "{file}"], "value\n1\nabc\n",
+         "{file}: line 3: 'abc' is not a number"),
+        (["backtest", "--prices", "{prices}", "--config", '{"g":3}'], None,
+         "risk-weight spec must be an object with a 'kind' field"),
+        (["eval", "--g", LINEAR_G, "--h", '{"kind":"es_dev","alpha":1.5}', "--data", "{sample}"],
+         None, "alpha must be in (0, 1), got 1.5"),
+        (["eval", "--g", LINEAR_G, "--h", '{"kind":"piecewise_linear","t":[0,0.5,1],"h":[0,0]}',
+          "--data", "{sample}"], None, "need matching 1-D arrays of knots and values, length >= 2"),
+    ], ids=["empty-prices", "bad-date", "bad-price", "bad-sample-cell", "config-g-not-object",
+            "es-alpha-above-one", "piecewise-h-lengths"])
+    def test_bad_input_is_one_exact_line(self, argv, content, line, sample_csv, prices_csv,
+                                         tmp_path, capsys):
+        path = str(tmp_path / "input.csv")
+        if content is not None:
+            (tmp_path / "input.csv").write_text(content)
+        paths = {"{file}": path, "{prices}": prices_csv, "{sample}": sample_csv}
+        assert dispatch([paths.get(a, a) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"meandev: error: {line.replace('{file}', path)}\n"
+
+    def test_blank_price_row_is_skipped(self, tmp_path, capsys):
+        blank, plain = tmp_path / "blank.csv", tmp_path / "plain.csv"
+        blank.write_text("date,A\n2023-01-02,1\n\n2023-01-03,2\n")
+        plain.write_text("date,A\n2023-01-02,1\n2023-01-03,2\n")
+        assert dispatch(["ingest", "--prices", str(blank)]) == 0
+        with_blank = capsys.readouterr()
+        assert dispatch(["ingest", "--prices", str(plain)]) == 0
+        assert with_blank.err == "" and with_blank.out == capsys.readouterr().out
 
 
 class TestOutputs:
@@ -633,6 +672,12 @@ class TestStartUp:
         assert proc.returncode == 0, proc.stderr
         assert ast.literal_eval(proc.stdout.decode()) == STAR_NAMES
         assert len(STAR_NAMES) == 61
+
+    @pytest.mark.parametrize("layer", sorted(meandev._EXPORTS))
+    def test_exports_are_in_the_layers_all(self, layer):
+        # the package's export table and each layer's __all__ are kept separately
+        module = importlib.import_module(f"meandev.{layer}")
+        assert set(meandev._EXPORTS[layer]) <= set(module.__all__)
 
 
 class TestDeterminism:

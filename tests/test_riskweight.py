@@ -247,6 +247,105 @@ class TestAgainstReferenceFormulas:
         assert g.spec() == {"kind": "linear", "lambda": lam}
         assert g_from_spec(g.spec()) == g
 
+    @pytest.mark.parametrize("kind, param", [
+        *((kind, p) for kind in ("exp_shortfall", "exp_cap")
+          for p in [1.0, *(10.0 ** np.random.default_rng(9).uniform(-2.0, 2.0, 8)).tolist()]),
+        *((kind, p) for kind in ("pareto_shortfall", "pareto_cap")
+          for p in [1.0, 0.5, 2.0, 0.3,
+                    *(10.0 ** np.random.default_rng(10).uniform(-1.5, 2.0, 8)).tolist()]),
+    ])
+    def test_exponential_and_pareto(self, kind, param):
+        cls, name, value, derivative, conjugate_of, classification = REFERENCE_FAMILIES[kind]
+        g = cls(param)
+        rng = np.random.default_rng(11)
+        edge = 800.0 / param
+        xs = np.concatenate([[0.0, 1e-300, 0.5 * edge, np.nextafter(edge, 0.0), edge,
+                              np.nextafter(edge, math.inf), 2.0 * edge],
+                             rng.exponential(2.0, size=50), [1e300]])
+        assert np.array_equal(g(xs), value(param, xs))
+        for x in xs.tolist():
+            assert g(x) == value(param, x)
+            if x > 0.0:
+                assert g.left_derivative(x) == derivative(param, x)
+        assert g.classify() == classification
+        for y in (-1.0, 0.0, 1e-12, 0.0999, 0.1, 0.5, 0.999, 1.0, 1.5,
+                  *rng.uniform(0.0, 1.0, size=20).tolist()):
+            assert conjugate(g, y) == conjugate_of(param, y)
+        assert g.spec() == {"kind": kind, name: param}
+        assert repr(g) == f"{cls.__name__}({name}={param!r})"
+        assert hash(g) == hash((param,))
+        pair = {ExpShortfallWeight: ExpCapWeight, ExpCapWeight: ExpShortfallWeight,
+                ParetoShortfallWeight: ParetoCapWeight, ParetoCapWeight: ParetoShortfallWeight}
+        assert g == cls(param) and g != pair[cls](param)
+
+
+def exp_capped(beta, x):
+    """e^(-beta x) - 1 with beta * x held at 800 at most."""
+    return np.expm1(-beta * np.minimum(np.asarray(x, dtype=float), 800.0 / beta))
+
+
+def pareto_power(theta, x):
+    return (1.0 + np.asarray(x, dtype=float)) ** (1.0 - theta)
+
+
+def exp_shortfall_conjugate(beta, y):
+    if y <= 0.0:
+        return 0.0
+    if y > 1.0 + 1e-15:
+        return math.inf
+    if y >= 1.0:
+        return 1.0 / beta
+    if y < 0.1:
+        return math.fsum(y ** k / (k * (k - 1)) for k in range(2, 20)) / beta
+    return (y + (1.0 - y) * math.log1p(-y)) / beta
+
+
+def pareto_shortfall_conjugate(theta, y):
+    if y <= 0.0:
+        return 0.0
+    if y > 1.0 + 1e-15:
+        return math.inf
+    if y >= 1.0:
+        return 1.0 / (theta - 1.0) if theta > 1.0 else math.inf
+    c = 1.0 - 1.0 / theta
+    if y * max(1.0, (2.0 - c) / 3.0) < 0.1:
+        terms = [y * y / (2.0 * theta)]
+        for k in range(2, 19):
+            terms.append(terms[-1] * y * (k - c) / (k + 1))
+        return math.fsum(terms)
+    if theta == 1.0:
+        return -y - math.log1p(-y)
+    if 0.5 <= theta <= 2.0:
+        c = (theta - 1.0) / theta
+        return -y - math.expm1(c * math.log1p(-y)) / c
+    return (y - theta * (1.0 - y) * math.expm1(-math.log1p(-y) / theta)) / (theta - 1.0)
+
+
+def cap_conjugate(param, y):
+    return 0.0 if y <= 0.0 else math.inf
+
+
+# kind -> (class, parameter, value, left derivative, conjugate, classification)
+REFERENCE_FAMILIES = {
+    "exp_shortfall": (ExpShortfallWeight, "beta",
+                      lambda b, x: np.asarray(x, dtype=float) + exp_capped(b, x) / b,
+                      lambda b, x: -math.expm1(-b * x), exp_shortfall_conjugate,
+                      GClassification(False, True, True, False, 1.0, 1.0)),
+    "exp_cap": (ExpCapWeight, "beta", lambda b, x: -exp_capped(b, x) / b,
+                lambda b, x: math.exp(-b * x), cap_conjugate,
+                GClassification(False, False, False, True, 0.0, 1.0)),
+    "pareto_shortfall": (ParetoShortfallWeight, "theta",
+                         lambda t, x: (np.asarray(x, dtype=float) - np.log1p(x)) if t == 1.0
+                         else np.asarray(x, dtype=float) + (pareto_power(t, x) - 1.0) / (t - 1.0),
+                         lambda t, x: 1.0 - (1.0 + x) ** (-t), pareto_shortfall_conjugate,
+                         GClassification(False, True, True, False, 1.0, 1.0)),
+    "pareto_cap": (ParetoCapWeight, "theta",
+                   lambda t, x: np.log1p(np.asarray(x, dtype=float)) if t == 1.0
+                   else (1.0 - pareto_power(t, x)) / (t - 1.0),
+                   lambda t, x: (1.0 + x) ** (-t), cap_conjugate,
+                   GClassification(False, False, False, True, 0.0, 1.0)),
+}
+
 
 def conjugate_oracle(g, y: float) -> float:
     """Dense log-spaced grid maximization of x*y - g(x)."""

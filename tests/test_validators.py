@@ -1,4 +1,5 @@
-"""Each value object's constructor rejects a bad field with its own message."""
+"""Each value object's constructor rejects a bad field, and each library function a
+bad argument, with its own message."""
 import math
 
 import numpy as np
@@ -7,7 +8,14 @@ import pytest
 from meandev.distortion import ESDeviation, PiecewiseLinearDistortion
 from meandev.distributions import Exponential, Lomax, Normal, StateVector
 from meandev.estimation import GaussianLimit
-from meandev.portfolio import BacktestConfig, LossPanel, PortfolioWeights
+from meandev.measures import adjusted_es_identity_gap, es_alpha, expectile
+from meandev.portfolio import (
+    BacktestConfig,
+    LossPanel,
+    PortfolioWeights,
+    markowitz_baseline,
+    optimize_md,
+)
 from meandev.riskweight import (
     ExpCapWeight,
     ExpShortfallWeight,
@@ -112,4 +120,31 @@ def test_constructor_rejects_with_its_message(name):
     build, message = CASES[name]
     with pytest.raises(ValueError) as exc:
         build()
+    assert str(exc.value) == message
+
+
+SAMPLE = StateVector([0.0, 1.0, 2.0, 3.0])
+WINDOW_MESSAGE = "need a 2-D loss window with at least two rows"
+
+CALLS = {
+    "es-alpha-one": (lambda: es_alpha(SAMPLE, 1.0), "alpha must be in [0, 1), got 1.0"),
+    "expectile-alpha-zero": (lambda: expectile(SAMPLE, 0.0), "alpha must be in (0, 1), got 0.0"),
+    "identity-gap-alpha-one": (lambda: adjusted_es_identity_gap(ExpShortfallWeight(1.0), 1.0,
+                                                                SAMPLE),
+                               "alpha must be in (0, 1), got 1.0"),
+    "identity-gap-grid-size": (lambda: adjusted_es_identity_gap(ExpShortfallWeight(1.0), 0.9,
+                                                                SAMPLE, grid_size=1),
+                               "grid_size must be >= 2"),
+    "optimize-1d-window": (lambda: optimize_md(np.zeros(5), BacktestConfig()), WINDOW_MESSAGE),
+    "optimize-one-row": (lambda: optimize_md(np.zeros((1, 2)), BacktestConfig()), WINDOW_MESSAGE),
+    "markowitz-1d-window": (lambda: markowitz_baseline(np.zeros(5)), WINDOW_MESSAGE),
+    "markowitz-one-row": (lambda: markowitz_baseline(np.zeros((1, 2))), WINDOW_MESSAGE),
+}
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_function_rejects_with_its_message(name):
+    call, message = CALLS[name]
+    with pytest.raises(ValueError) as exc:
+        call()
     assert str(exc.value) == message

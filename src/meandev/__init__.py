@@ -23,8 +23,8 @@ _EXPORTS = {
     "measures": ("MDMeasure", "adjusted_es_identity_gap", "es_alpha", "expectile", "md_eval",
                  "var_alpha"),
     "portfolio": ("BacktestConfig", "BacktestReport", "LossPanel", "MarkowitzResult",
-                  "PortfolioWeights", "ingest_prices", "markowitz_baseline", "optimize_md",
-                  "portfolio_objective", "project_simplex", "run_backtest"),
+                  "PortfolioWeights", "config_from_spec", "ingest_prices", "markowitz_baseline",
+                  "optimize_md", "portfolio_objective", "project_simplex", "run_backtest"),
     "riskweight": ("ExpCapWeight", "ExpShortfallWeight", "GClassification", "LinearWeight",
                    "ParetoCapWeight", "ParetoShortfallWeight", "PiecewiseLinearWeight",
                    "RiskWeightFunction", "conjugate", "g_from_spec"),

@@ -1,12 +1,12 @@
 """The JSON spec format, read and written in this module only.
 
-Each family keeps one table ``{kind: (class, fields)}``, where ``fields`` maps
-each JSON name to ``(attribute, reader)``; the backtest config is a bare
-``fields`` table with no kind.  A field is optional exactly when its class
-gives the attribute a default.  Every value passes through ``read``, so an
-unknown key, a missing field, or a value its reader refuses (a boolean, a
-string for a number, a non-number in a list, a fractional whole number) is a
-ValueError that names the field.
+Each family keeps one table ``{kind: (class, fields)}`` beside its classes, where
+``fields`` maps each JSON name to ``(attribute, reader)``; the backtest config's,
+in ``portfolio``, is a bare ``fields`` table with no kind.  A field is optional
+exactly when its class gives the attribute a default.  Every value passes through
+``read``, so an unknown key, a missing field, or a value its reader refuses (a
+boolean, a string for a number, a non-number in a list, a fractional whole number)
+is a ValueError that names the field.
 
 ``NumericsError`` lives here too, so that the CLI and every layer share one
 class without importing a layer for it.

@@ -3,10 +3,11 @@
 All numeric output is JSON on stdout with keys sorted and floats quantized
 to 12 significant digits, so a fixed seed yields byte-identical output
 across runs.  Usage errors exit 2; domain and numeric errors exit 1.
-Each command returns (stdout text, {path: file text}) and writes nothing;
-``dispatch`` writes them only once all are built and opened: an error writes none.
-Each command imports only the layers it runs, so ``--help`` and usage
-errors load no layer.
+``dispatch`` builds the spec flags ``--model``, ``--g`` and ``--h`` from JSON, in
+that order, before the command runs.  Each command returns (stdout text, {path:
+file text}) and writes nothing; ``dispatch`` writes them only once all are built
+and opened: an error writes none.  Each command and spec flag imports only its
+own layers, so ``--help`` and usage errors load no layer.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import datetime as dt
+import importlib
 import io
 import json
 import math
@@ -24,7 +26,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from ._spec import NumericsError, number, read, text, whole
+from ._spec import NumericsError
 
 __all__ = ["main", "dispatch"]
 
@@ -35,23 +37,11 @@ _SWEEP_MAX_POINTS = 100_000
 _MC_MAX_N = 10 ** 7
 _MC_MAX_REPS = 10 ** 6
 _NOT_FINITE = "is not a finite number; nothing was written"
-
-
-def _g_from_spec(spec):
-    """riskweight.g_from_spec, imported on first use so that loading cli loads no layer."""
-    from .riskweight import g_from_spec
-
-    return g_from_spec(spec)
-
-
-# backtest --config: JSON name -> (BacktestConfig field, reader); every field is optional
-_CONFIG_FIELDS = {
-    "window": ("window", whole),
-    "rebalance": ("rebalance", text),
-    "alpha": ("alpha", number),
-    "g": ("g_spec", _g_from_spec),
-    "risk_free_rate": ("risk_free_rate", number),
-    "initial_wealth": ("initial_wealth", number),
+# spec flag -> (layer, builder, noun), built in this order: the first bad flag is reported
+_SPEC_FLAGS = {
+    "model": ("distributions", "model_from_spec", "model"),
+    "g": ("riskweight", "g_from_spec", "risk-weight"),
+    "h": ("distortion", "distortion_from_spec", "distortion"),
 }
 
 
@@ -120,12 +110,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _whole(text: str) -> int:
+    """argparse type for an integer; argparse names a type that fails by its function."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+
+
 def _sweep(text: str) -> list[float]:
     """argparse type for start:stop:count, with finite bounds and 2 <= count <= the cap."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("sweep must look like start:stop:count")
-    count = int(parts[2])
+    count = _whole(parts[2])
     if not 2 <= count <= _SWEEP_MAX_POINTS:
         raise argparse.ArgumentTypeError(f"sweep count must be in [2, {_SWEEP_MAX_POINTS}]")
     # Python floats: an overflow in numpy scalars also prints a RuntimeWarning
@@ -135,7 +133,7 @@ def _sweep(text: str) -> list[float]:
 def _at_most(cap: int):
     """argparse type for an integer no larger than cap."""
     def count(text: str) -> int:
-        value = int(text)
+        value = _whole(text)
         if value > cap:
             raise argparse.ArgumentTypeError(f"must be at most {cap}, got {value}")
         return value
@@ -151,50 +149,38 @@ def _sweep_csv(parameters, values) -> str:
 
 
 def _cmd_classify(args) -> tuple[str, dict]:
-    g = _g_from_spec(_json_arg(args.g, "--g"))
-    c = g.classify()
-    return _json({"g": g.spec(), **asdict(c), "smallest_coherent_multiplier": c.sup_ratio}), {}
+    c = args.g.classify()
+    return _json({"g": args.g.spec(), **asdict(c), "smallest_coherent_multiplier": c.sup_ratio}), {}
 
 
 def _cmd_eval(args) -> tuple[str, dict]:
-    from .distortion import choquet_deviation, distortion_from_spec
+    from .distortion import choquet_deviation
     from .distributions import StateVector
 
-    g = _g_from_spec(_json_arg(args.g, "--g"))
-    h = distortion_from_spec(_json_arg(args.h, "--h"))
     x = StateVector.from_csv(args.data)
-    dev = choquet_deviation(h, x)
+    dev = choquet_deviation(args.h, x)
     return _json({
-        "md": float(g(dev)) + x.mean(),  # md_eval's expression, without a second sort
+        "md": float(args.g(dev)) + x.mean(),  # md_eval's expression, without a second sort
         "deviation": dev,
         "mean": x.mean(),
-        "classification": asdict(g.classify()),
+        "classification": asdict(args.g.classify()),
     }), {}
 
 
 def _cmd_asymvar(args) -> tuple[str, dict]:
-    from .distortion import distortion_from_spec
-    from .distributions import model_from_spec
     from .estimation import gaussian_limit
     from .measures import MDMeasure
 
-    model = model_from_spec(_json_arg(args.model, "--model"))
-    m = MDMeasure(_g_from_spec(_json_arg(args.g, "--g")),
-                  distortion_from_spec(_json_arg(args.h, "--h")))
-    limit = gaussian_limit(model, m)
+    limit = gaussian_limit(args.model, MDMeasure(args.g, args.h))
     return _json({"md_true": limit.center, "sigma2": limit.variance}), {}
 
 
 def _cmd_mc(args) -> tuple[str, dict]:
-    from .distortion import distortion_from_spec
-    from .distributions import model_from_spec
     from .estimation import monte_carlo
     from .measures import MDMeasure
 
-    model = model_from_spec(_json_arg(args.model, "--model"))
-    m = MDMeasure(_g_from_spec(_json_arg(args.g, "--g")),
-                  distortion_from_spec(_json_arg(args.h, "--h")))
-    report = monte_carlo(model, m, n=args.n, replications=args.reps, seed=args.seed)
+    report = monte_carlo(args.model, MDMeasure(args.g, args.h), n=args.n,
+                         replications=args.reps, seed=args.seed)
     files = {}
     if args.estimates_csv:
         files[args.estimates_csv] = _csv(["estimate"], ([v] for v in report.estimates))
@@ -202,51 +188,44 @@ def _cmd_mc(args) -> tuple[str, dict]:
 
 
 def _cmd_robust_moment(args) -> tuple[str, dict]:
-    from .distortion import distortion_from_spec
     from .robust import MomentUncertainty, worstcase_moment
 
-    g = _g_from_spec(_json_arg(args.g, "--g"))
-    h = distortion_from_spec(_json_arg(args.h, "--h"))
     if args.sweep is not None:
-        values = [worstcase_moment(g, h, MomentUncertainty(args.m, v, args.order))
+        values = [worstcase_moment(args.g, args.h, MomentUncertainty(args.m, v, args.order))
                   for v in args.sweep]
         return _sweep_csv(args.sweep, values), {}
     u = MomentUncertainty(m=args.m, v=args.v, a_order=args.order)
     return _json({
-        "worst_case": worstcase_moment(g, h, u),
+        "worst_case": worstcase_moment(args.g, args.h, u),
         "nominal": args.m,
         "uncertainty": {"kind": "moment", "m": args.m, "v": args.v, "order": args.order},
     }), {}
 
 
 def _cmd_robust_wasserstein(args) -> tuple[str, dict]:
-    from .distortion import distortion_from_spec
     from .distributions import StateVector
     from .measures import MDMeasure, md_eval
     from .robust import WassersteinUncertainty, worstcase_wasserstein
 
-    g = _g_from_spec(_json_arg(args.g, "--g"))
-    h = distortion_from_spec(_json_arg(args.h, "--h"))
     center = StateVector.from_csv(args.data)
     if args.sweep is not None:
-        values = [worstcase_wasserstein(g, h, WassersteinUncertainty(center, eps))
+        values = [worstcase_wasserstein(args.g, args.h, WassersteinUncertainty(center, eps))
                   for eps in args.sweep]
         return _sweep_csv(args.sweep, values), {}
-    nominal = md_eval(MDMeasure(g, h), center)
+    nominal = md_eval(MDMeasure(args.g, args.h), center)
     u = WassersteinUncertainty(center=center, epsilon=args.eps)
     return _json({
-        "worst_case": worstcase_wasserstein(g, h, u),
+        "worst_case": worstcase_wasserstein(args.g, args.h, u),
         "nominal": nominal,
         "uncertainty": {"kind": "wasserstein", "eps": args.eps, "n": center.n},
     }), {}
 
 
 def _cmd_backtest(args) -> tuple[str, dict]:
-    from .portfolio import BacktestConfig, ingest_prices, run_backtest
+    from .portfolio import config_from_spec, ingest_prices, run_backtest
 
     panel = ingest_prices(args.prices)
-    spec = _json_arg(args.config, "--config") if args.config else {}
-    cfg = read(BacktestConfig, _CONFIG_FIELDS, spec, "--config")
+    cfg = config_from_spec(_json_arg(args.config, "--config") if args.config else {})
     report = run_backtest(panel, cfg)
     files = {}
     if args.wealth_csv:
@@ -283,6 +262,11 @@ def _write_all(files: dict) -> None:
         raise
 
 
+def _add_spec_flags(parser, *names) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", required=True, help=f"{_SPEC_FLAGS[name][2]} spec as JSON")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meandev",
@@ -292,25 +276,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify a risk-weighting function")
-    p.add_argument("--g", required=True, help="risk-weight spec as JSON")
+    _add_spec_flags(p, "g")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("eval", help="evaluate g(D_h) + mean on a sample CSV")
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True, help="distortion spec as JSON")
+    _add_spec_flags(p, "g", "h")
     p.add_argument("--data", required=True, help="CSV with header 'value'")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("asymvar", help="population value and asymptotic variance")
-    p.add_argument("--model", required=True, help="model spec as JSON")
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True)
+    _add_spec_flags(p, "model", "g", "h")
     p.set_defaults(func=_cmd_asymvar)
 
     p = sub.add_parser("mc", help="Monte Carlo check of the Gaussian limit")
-    p.add_argument("--model", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True)
+    _add_spec_flags(p, "model", "g", "h")
     p.add_argument("--n", type=_at_most(_MC_MAX_N), required=True,
                    help="sample size per replication")
     p.add_argument("--reps", type=_at_most(_MC_MAX_REPS), required=True)
@@ -322,8 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     robust_sub = p.add_subparsers(dest="setting", required=True)
 
     q = robust_sub.add_parser("moment", help="mean and central-moment uncertainty")
-    q.add_argument("--g", required=True)
-    q.add_argument("--h", required=True)
+    _add_spec_flags(q, "g", "h")
     q.add_argument("--m", type=_finite_float, required=True, help="mean")
     q.add_argument("--v", type=_finite_float, default=1.0, help="dispersion level")
     q.add_argument("--order", type=_finite_float, default=2.0, help="central-moment order")
@@ -331,8 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_robust_moment)
 
     q = robust_sub.add_parser("wasserstein", help="type-2 Wasserstein ball")
-    q.add_argument("--g", required=True)
-    q.add_argument("--h", required=True)
+    _add_spec_flags(q, "g", "h")
     q.add_argument("--eps", type=_finite_float, default=0.0, help="ball radius")
     q.add_argument("--data", required=True, help="baseline sample CSV")
     q.add_argument("--sweep", type=_sweep, help="start:stop:count over eps; emits CSV")
@@ -359,6 +336,10 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for name, (layer, builder, _) in _SPEC_FLAGS.items():
+            if hasattr(args, name):
+                build = getattr(importlib.import_module(f"{__package__}.{layer}"), builder)
+                setattr(args, name, build(_json_arg(getattr(args, name), f"--{name}")))
         text, files = args.func(args)
         _write_all(files)
     except (ValueError, NumericsError, OSError, csv.Error) as exc:

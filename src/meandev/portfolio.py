@@ -32,15 +32,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._spec import NumericsError
+from ._spec import NumericsError, number, read, text, whole
 from .distributions import StateVector
 from .measures import es_alpha
-from .riskweight import ExpShortfallWeight, RiskWeightFunction, conjugate
+from .riskweight import ExpShortfallWeight, RiskWeightFunction, conjugate, g_from_spec
 
 __all__ = [
     "LossPanel",
     "PortfolioWeights",
     "BacktestConfig",
+    "config_from_spec",
     "BacktestReport",
     "MarkowitzResult",
     "ingest_prices",
@@ -132,6 +133,22 @@ class BacktestConfig:
             raise ValueError(f"risk-free rate must be finite, got {self.risk_free_rate}")
         if not 0.0 < self.initial_wealth < math.inf:
             raise ValueError("initial wealth must be positive")
+
+
+# the CLI's --config: JSON name -> (BacktestConfig field, reader); every field is optional
+_CONFIG_FIELDS = {
+    "window": ("window", whole),
+    "rebalance": ("rebalance", text),
+    "alpha": ("alpha", number),
+    "g": ("g_spec", g_from_spec),
+    "risk_free_rate": ("risk_free_rate", number),
+    "initial_wealth": ("initial_wealth", number),
+}
+
+
+def config_from_spec(spec: dict) -> BacktestConfig:
+    """Build a backtest config from a JSON-style dict; its messages name ``--config``."""
+    return read(BacktestConfig, _CONFIG_FIELDS, spec, "--config")
 
 
 @dataclass(frozen=True)

@@ -266,11 +266,12 @@ class LinearWeight(PiecewiseLinearWeight):
 
 def conjugate(g: RiskWeightFunction, y: float) -> float:
     """g*(y) = sup over x >= 0 of x*y - g(x): zero for y <= 0 and +inf above the
-    asymptotic slope (the cap families at any y > 0) for every g; in between,
+    asymptotic slope (at any y > 0 where that slope is 0) for every g; in between,
     the closed form that each family carries in ``_conjugate``."""
     if y <= 0.0:
         return 0.0
-    if y > g.classify().asymptotic_slope + 1e-15:
+    slope = g.classify().asymptotic_slope
+    if y > slope + 1e-15 or slope == 0.0:
         return math.inf
     return g._conjugate(y)
 

@@ -3,6 +3,7 @@ import datetime as dt
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -293,6 +294,22 @@ class TestInputValidation:
         assert captured.out == ""
         assert f"argument {flag}: must be at most {cap}, got {value}" in captured.err
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["robust", "moment", "--g", LINEAR_G, "--h", GINI_H, "--m", "0", "--sweep", "0:1:1e3"],
+         "--sweep", "1e3"),
+        (["mc", "--model", '{"kind":"normal"}', "--g", LINEAR_G, "--h", GINI_H, "--n", "1e3",
+          "--reps", "100", "--seed", "1"], "--n", "1e3"),
+        (["mc", "--model", '{"kind":"normal"}', "--g", LINEAR_G, "--h", GINI_H, "--n", "400",
+          "--reps", "x", "--seed", "1"], "--reps", "x"),
+    ], ids=["sweep", "n", "reps"])
+    def test_fractional_count_is_usage_error(self, argv, flag, value, capsys):
+        # argparse used to name the private type function: "invalid _sweep value"
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument {flag}: expected a whole number, got {value!r}\n")
+
     @pytest.mark.parametrize("error, line", [
         (MemoryError("Unable to allocate 745. GiB for an array with shape (99999999999,) "
                      "and data type float64"),
@@ -340,6 +357,28 @@ class TestInputValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"meandev: error: {line.replace('{file}', path)}\n"
+
+    # each spec flag that follows the command's first bad one is also bad
+    @pytest.mark.parametrize("argv, first", [
+        (["asymvar", "--model", "{}", "--g", "{}", "--h", "{}"], "model"),
+        (["asymvar", "--h", "{}", "--g", "{}", "--model", "{}"], "model"),
+        (["asymvar", "--model", '{"kind":"normal"}', "--h", "{}", "--g", "{}"], "risk-weight"),
+        (["mc", "--h", "{}", "--model", "{}", "--g", LINEAR_G, "--n", "400", "--reps", "100",
+          "--seed", "1"], "model"),
+        (["mc", "--model", '{"kind":"normal"}', "--h", "{}", "--g", "{}", "--n", "400",
+          "--reps", "100", "--seed", "1"], "risk-weight"),
+        (["eval", "--h", "{}", "--g", "{}", "--data", "{sample}"], "risk-weight"),
+        (["eval", "--g", LINEAR_G, "--h", "{}", "--data", "{sample}"], "distortion"),
+        (["robust", "wasserstein", "--h", "{}", "--g", "{}", "--data", "{sample}"],
+         "risk-weight"),
+    ], ids=["asymvar", "asymvar-reversed", "asymvar-g-h", "mc-model-h", "mc-g-h", "eval",
+            "eval-h", "robust-wasserstein"])
+    def test_first_bad_spec_flag_is_reported(self, argv, first, sample_csv, capsys):
+        # dispatch builds --model, then --g, then --h, whatever order they are given in
+        assert dispatch([sample_csv if a == "{sample}" else a for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"meandev: error: {first} spec must be an object with a 'kind' field\n"
 
     def test_blank_price_row_is_skipped(self, tmp_path, capsys):
         blank, plain = tmp_path / "blank.csv", tmp_path / "plain.csv"
@@ -551,7 +590,8 @@ LAYER_PROBE = (
 )
 CLASSIFY_MODULES = ["_spec", "cli", "riskweight"]
 EVAL_MODULES = sorted(CLASSIFY_MODULES + ["distortion", "distributions"])
-# the names `from meandev import *` gave while the package imported every layer eagerly
+# the names `from meandev import *` gave while the package imported every layer
+# eagerly, and config_from_spec
 STAR_NAMES = sorted("""
     distortion distributions estimation measures portfolio riskweight robust
     DistortionFunction ESDeviation Gini MeanAbsDevHalf PiecewiseLinearDistortion
@@ -560,8 +600,8 @@ STAR_NAMES = sorted("""
     GaussianLimit MonteCarloReport NumericsError deviation_true gaussian_limit md_true
     monte_carlo sigma_g_squared
     MDMeasure adjusted_es_identity_gap es_alpha expectile md_eval var_alpha
-    BacktestConfig BacktestReport LossPanel MarkowitzResult PortfolioWeights ingest_prices
-    markowitz_baseline optimize_md portfolio_objective project_simplex run_backtest
+    BacktestConfig BacktestReport LossPanel MarkowitzResult PortfolioWeights config_from_spec
+    ingest_prices markowitz_baseline optimize_md portfolio_objective project_simplex run_backtest
     ExpCapWeight ExpShortfallWeight GClassification LinearWeight ParetoCapWeight
     ParetoShortfallWeight PiecewiseLinearWeight RiskWeightFunction conjugate g_from_spec
     MomentUncertainty WassersteinUncertainty worstcase_moment worstcase_wasserstein
@@ -644,10 +684,23 @@ class TestStartUp:
         assert loaded == sorted(modules)
         assert random == (argv[0] == "mc")  # only Monte Carlo draws
 
-    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["eval", "--g", LINEAR_G], 2)],
-                             ids=["help", "usage-error"])
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["eval", "--g", LINEAR_G], 2), (["eval", "--help"], 0),
+        (["asymvar", "--help"], 0), (["robust", "wasserstein", "--help"], 0),
+    ], ids=["help", "usage-error", "eval-help", "asymvar-help", "robust-wasserstein-help"])
     def test_help_and_usage_error_load_no_layer(self, argv, code):
         assert probe_layers(argv) == (code, (["_spec", "cli"], False))
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["classify"], ["--g"]), (["eval"], ["--g", "--h"]),
+        (["asymvar"], ["--model", "--g", "--h"]), (["mc"], ["--model", "--g", "--h"]),
+        (["robust", "moment"], ["--g", "--h"]), (["robust", "wasserstein"], ["--g", "--h"]),
+    ], ids=["classify", "eval", "asymvar", "mc", "robust-moment", "robust-wasserstein"])
+    def test_help_describes_each_spec_flag(self, argv, flags, capsys):
+        assert dispatch([*argv, "--help"]) == 0
+        nouns = {"--model": "model", "--g": "risk-weight", "--h": "distortion"}
+        found = re.findall(r"^  (--model|--g|--h) \S+ *(.*)$", capsys.readouterr().out, re.M)
+        assert found == [(flag, f"{nouns[flag]} spec as JSON") for flag in flags]
 
     def test_first_public_name_loads_every_layer(self):
         # perfbench's Tracer.install looks each traced layer up in sys.modules
@@ -671,7 +724,7 @@ class TestStartUp:
             capture_output=True)
         assert proc.returncode == 0, proc.stderr
         assert ast.literal_eval(proc.stdout.decode()) == STAR_NAMES
-        assert len(STAR_NAMES) == 61
+        assert len(STAR_NAMES) == 62
 
     @pytest.mark.parametrize("layer", sorted(meandev._EXPORTS))
     def test_exports_are_in_the_layers_all(self, layer):

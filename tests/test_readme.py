@@ -4,22 +4,16 @@ import json
 import re
 from pathlib import Path
 
-from meandev import BacktestConfig, distortion_from_spec, g_from_spec, model_from_spec
-from meandev._spec import read
-from meandev.cli import _CONFIG_FIELDS
+from meandev import (BacktestConfig, config_from_spec, distortion_from_spec, g_from_spec,
+                     model_from_spec)
 from meandev.distortion import _KINDS as H_KINDS
 from meandev.distributions import _KINDS as MODEL_KINDS
+from meandev.portfolio import _CONFIG_FIELDS
 from meandev.riskweight import _KINDS as G_KINDS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 CLI = README[README.index("\n## CLI\n"):README.index("\n## Demos\n")]
 KINDS = {"--g": G_KINDS, "--h": H_KINDS, "--model": MODEL_KINDS}
-
-
-def config_from_spec(spec):
-    return read(BacktestConfig, _CONFIG_FIELDS, spec, "--config")
-
-
 BUILDERS = {"--g": g_from_spec, "--h": distortion_from_spec, "--model": model_from_spec,
             "--config": config_from_spec}
 

@@ -428,6 +428,15 @@ class TestConjugate:
         assert conjugate(ExpCapWeight(1.0), 0.5) == math.inf
         assert conjugate(PiecewiseLinearWeight(knots=(1.0,), slopes=(1.0, 0.5)), 0.75) == math.inf
 
+    @pytest.mark.parametrize("g", [ExpCapWeight(1.0), ParetoCapWeight(2.0),
+                                   PiecewiseLinearWeight(knots=(1.0,), slopes=(0.5, 0.0))],
+                             ids=["exp-cap", "pareto-cap", "piecewise-flat"])
+    @pytest.mark.parametrize("y", [1e-16, 1e-15])
+    def test_zero_slope_infinite_above_zero(self, g, y):
+        # g grows sublinearly, so x*y - g(x) is unbounded at every y > 0; the 1e-15
+        # allowance above a positive slope used to let these y through
+        assert conjugate(g, y) == math.inf
+
     @pytest.mark.parametrize("g", [LinearWeight(0.7), ExpShortfallWeight(1.0),
                                    ParetoShortfallWeight(4.0),
                                    PiecewiseLinearWeight(knots=(1.0,), slopes=(0.0, 1.0))])

@@ -6,7 +6,8 @@ in ``portfolio``, is a bare ``fields`` table with no kind.  A field is optional
 exactly when its class gives the attribute a default.  Every value passes through
 ``read``, so an unknown key, a missing field, or a value its reader refuses (a
 boolean, a string for a number, a non-number in a list, a fractional whole number)
-is a ValueError that names the field.
+is a ValueError that names the field; so is a nested spec's own error, as of the
+backtest config's ``g``.
 
 ``NumericsError`` lives here too, so that the CLI and every layer share one
 class without importing a layer for it.
@@ -65,6 +66,9 @@ def read(cls, table: dict, spec: dict, what: str):
             except (TypeError, OverflowError):
                 raise ValueError(f"{what} has a bad value for the field {name!r}: "
                                  f"{spec[name]!r}") from None
+            except ValueError as exc:  # a nested spec's own message, as of the config's g
+                raise ValueError(f"{what} has a bad value for the field {name!r}: "
+                                 f"{exc}") from None
         elif attr not in optional:
             raise ValueError(f"{what} is missing the field {name!r}")
     return cls(**values)

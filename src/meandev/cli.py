@@ -130,6 +130,14 @@ def _sweep(text: str) -> list[float]:
     return np.linspace(_finite_float(parts[0]), _finite_float(parts[1]), count).tolist()
 
 
+def _non_negative(text: str) -> int:
+    """argparse type for an integer no smaller than 0."""
+    value = _whole(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _at_most(cap: int):
     """argparse type for an integer no larger than cap."""
     def count(text: str) -> int:
@@ -293,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_most(_MC_MAX_N), required=True,
                    help="sample size per replication")
     p.add_argument("--reps", type=_at_most(_MC_MAX_REPS), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative, required=True)
     p.add_argument("--estimates-csv", help="write per-replication estimates here")
     p.set_defaults(func=_cmd_mc)
 

@@ -5,7 +5,8 @@ losses L, the per-period program min over the simplex of m(w) + g(d(w)) is
 solved exactly through the LP value psi(s) = min over the simplex of
 m(w) + s d(w): one LP at s = lambda for linear g; for convex g, where the
 optimum minimizes psi at s* = g'(d(w*)), a breakpoint search over the
-vertices of psi.  The certificate is the duality gap f(w) - [psi(s) - g*(s)]
+vertices of psi, which starts at a given s0 or else at g' of the equal-weight
+deviation.  The certificate is the duality gap f(w) - [psi(s) - g*(s)]
 against a lower bound on the optimum that holds for every s, as
 g(d) >= s d - g*(s); at s = g'(d0), d0 = d(w), the bound is
 g(d0) - s d0 + psi(s).
@@ -13,15 +14,19 @@ g(d0) - s d0 + psi(s).
 Each psi(s) is an LP over the tail probabilities p of the window's days, with
 k + 1 rows for k assets, solved by an in-house revised bounded-variable simplex:
 the first from the tail of L w0, later ones by a dual simplex from the nearest
-solved basis.  A pivot updates the basis inverse by one rank-1 step; it is
-refactored every k + 1 pivots and before optimality is declared.  Its primal p
-and dual w bracket psi(s) between min_j (L^T p)_j and m(w) + s d(w); the lower
-end is the psi the certificate uses, and the LP raises NumericsError when the
-ends lie further apart than the gap tolerance.
+solved basis.  Only the bounds on p depend on s, so each solve builds the
+constraint matrix of its window once and shares it among its LPs.  A pivot
+updates the basis inverse by one rank-1 step; it is refactored every k + 1
+pivots and before optimality is declared.  Its primal p and dual w bracket
+psi(s) between min_j (L^T p)_j and m(w) + s d(w); the lower end is the psi the
+certificate uses, and the LP raises NumericsError when the ends lie further
+apart than the gap tolerance.
 
 Backtests rebalance on the first trading day of each calendar month using
 the trailing window of losses, compound wealth by exp(-w . loss) daily, and
-report annualized return, volatility, and the Sharpe ratio.
+report annualized return, volatility, and the Sharpe ratio.  Consecutive
+windows share most of their days, so each rebalance's solve starts from the
+previous one's weights and from the slope s of its certificate.
 """
 from __future__ import annotations
 
@@ -97,7 +102,8 @@ class PortfolioWeights:
     w: np.ndarray
     gap: float | None = None  # set by optimize_md: its duality gap, LP count
     lp_solves: int | None = None  # and each LP's pivots: basis changes plus bound flips,
-    pivots: tuple[int, ...] | None = None  # not the refactors of the basis inverse
+    pivots: tuple[int, ...] | None = None  # not the refactors of the basis inverse,
+    slope: float | None = None  # and the s of its certificate's LP, the next rebalance's s0
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -276,8 +282,16 @@ class _Vertex:
     pivots: int
 
 
+def _tail_rows(window: np.ndarray, scale: float) -> np.ndarray:
+    """The tail LP's equality rows over (p, eta, slacks), the same at every s:
+    eta - (L^T p)_j / scale + slack_j = 0 for each asset j, and sum p = 1."""
+    n, k = window.shape
+    return np.vstack([np.hstack([-window.T / scale, np.ones((k, 1)), np.eye(k)]),
+                      np.concatenate([np.ones(n), np.zeros(k + 1)])])
+
+
 def _tail_lp(window: np.ndarray, alpha: float, s: float, scale: float,
-             start: np.ndarray | _Vertex) -> _Vertex:
+             start: np.ndarray | _Vertex, a: np.ndarray | None = None) -> _Vertex:
     """psi(s) = max eta s.t. eta <= (L^T p)_j for every asset j, sum p = 1 and
     (1 - s)/n <= p_i <= (1 - s)/n + s/((1 - alpha) n), with its optimal w.
 
@@ -291,14 +305,14 @@ def _tail_lp(window: np.ndarray, alpha: float, s: float, scale: float,
     solved afresh after k + 1 pivots, and always before optimality is declared,
     so the returned vertex comes from a fresh inverse.  w is the asset rows'
     duals; the primal bound psi = min_j (L^T p)_j lies within the gap
-    tolerance below the dual m + s d of L w.
+    tolerance below the dual m + s d of L w.  a is ``_tail_rows(window, scale)``,
+    built here when not given.
     """
     n, k = window.shape
     lo, width = (1.0 - s) / n, s / ((1.0 - alpha) * n)
     lower = np.concatenate([np.full(n, lo), [-np.inf], np.zeros(k)])
     upper = np.concatenate([np.full(n, lo + width), np.full(k + 1, np.inf)])
-    a = np.vstack([np.hstack([-window.T / scale, np.ones((k, 1)), np.eye(k)]),
-                   np.concatenate([np.ones(n), np.zeros(k + 1)])])
+    a = _tail_rows(window, scale) if a is None else a
     b = np.eye(k + 1)[k]
     dual, degenerate = isinstance(start, _Vertex), 0
     if dual:
@@ -382,15 +396,18 @@ def _tail_lp(window: np.ndarray, alpha: float, s: float, scale: float,
     return _Vertex(s, psi, w, dev, psi - s * dev, np.array(basis), x >= upper, pivots)
 
 
-def optimize_md(window: np.ndarray, cfg: BacktestConfig,
-                w0: np.ndarray | None = None) -> PortfolioWeights:
+def optimize_md(window: np.ndarray, cfg: BacktestConfig, w0: np.ndarray | None = None,
+                s0: float | None = None) -> PortfolioWeights:
     """Minimize the per-period objective over the simplex, with a certificate.
 
-    s -> g'(d(w_s)) is nonincreasing, so g' at equal weights and its image
-    bracket s*.  An LP where the lines of the two ends cross either finds a
-    vertex between them, which replaces the end on its side of s*, or shows
-    them adjacent; then m + s d = psi(s) on their edge, and the optimum is the
-    edge point minimizing g(d) - s d; the first LP starts at the tail of L w0.
+    s -> g'(d(w_s)) is nonincreasing, so any s0 and its image g'(d(w_s0))
+    bracket s*; s0 defaults to g' at equal weights, and a backtest passes the
+    previous rebalance's ``slope``.  An LP where the lines of the two ends cross
+    either finds a vertex between them, which replaces the end on its side of
+    s*, or shows them adjacent; then m + s d = psi(s) on their edge, and the
+    optimum is the edge point minimizing g(d) - s d.  The first LP starts at the
+    tail of L w0; every LP shares the window's one constraint matrix.  The
+    result's ``slope`` is the s of the LP that the certificate reads.
     Raises NumericsError when an LP fails or the duality gap exceeds its tolerance.
     """
     window = np.asarray(window, dtype=float)
@@ -407,18 +424,21 @@ def optimize_md(window: np.ndarray, cfg: BacktestConfig,
     scale = float(np.max(np.abs(window))) or 1.0
     tol = _EDGE_TOLERANCE * scale
     w0 = np.full(window.shape[1], 1.0 / window.shape[1]) if w0 is None else w0
+    a = _tail_rows(window, scale)
     solved: dict[float, _Vertex] = {}
 
     def vertex(s: float) -> _Vertex:
         if s not in solved:
             near = min(solved.values(), key=lambda v: abs(v.s - s), default=None)
-            solved[s] = _tail_lp(window, alpha, s, scale, w0 if near is None else near)
+            solved[s] = _tail_lp(window, alpha, s, scale, w0 if near is None else near, a)
         return solved[s]
 
     def slope(d: float) -> float:
         return g.left_derivative(max(d, 1e-12))  # a left derivative needs d > 0
 
-    first = vertex(slope(_mean_and_deviation(window.mean(axis=1), alpha)[1]))
+    if s0 is None:
+        s0 = slope(_mean_and_deviation(window.mean(axis=1), alpha)[1])
+    first = vertex(s0)
     lo, hi = sorted((first, vertex(slope(first.dev))), key=lambda v: v.s)
     for _ in range(_MAX_LP_SOLVES):
         if lo.dev - hi.dev <= tol:
@@ -443,7 +463,7 @@ def optimize_md(window: np.ndarray, cfg: BacktestConfig,
     if not abs(gap) <= _GAP_TOLERANCE * scale:
         raise NumericsError(f"portfolio solve not certified: duality gap {gap:.3g}")
     return PortfolioWeights(w, gap=gap, lp_solves=len(solved),
-                            pivots=tuple(v.pivots for v in solved.values()))
+                            pivots=tuple(v.pivots for v in solved.values()), slope=s)
 
 
 def _month_starts(dates) -> list[int]:
@@ -480,8 +500,8 @@ def run_backtest(panel: LossPanel, cfg: BacktestConfig) -> BacktestReport:
     periods, solves = [], []
     for j, start in enumerate(rebalance_rows):
         end = rebalance_rows[j + 1] if j + 1 < len(rebalance_rows) else panel.n_days
-        weights = optimize_md(panel.losses[start - cfg.window : start], cfg,
-                              w0=periods[-1][3] if periods else None)
+        warm = {"w0": solves[-1].w, "s0": solves[-1].slope} if solves else {}
+        weights = optimize_md(panel.losses[start - cfg.window : start], cfg, **warm)
         periods.append((panel.dates[start], start, end, weights.w))
         solves.append(weights)
     periods = tuple(periods)

@@ -294,6 +294,15 @@ class TestInputValidation:
         assert captured.out == ""
         assert f"argument {flag}: must be at most {cap}, got {value}" in captured.err
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        # used to pass argparse and exit 1 with numpy's bare "expected non-negative integer"
+        argv = ["mc", "--model", '{"kind":"normal"}', "--g", LINEAR_G, "--h", GINI_H,
+                "--n", "400", "--reps", "100", "--seed", "-1"]
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: argument --seed: must be non-negative, got -1\n")
+
     @pytest.mark.parametrize("argv, flag, value", [
         (["robust", "moment", "--g", LINEAR_G, "--h", GINI_H, "--m", "0", "--sweep", "0:1:1e3"],
          "--sweep", "1e3"),
@@ -301,7 +310,9 @@ class TestInputValidation:
           "--reps", "100", "--seed", "1"], "--n", "1e3"),
         (["mc", "--model", '{"kind":"normal"}', "--g", LINEAR_G, "--h", GINI_H, "--n", "400",
           "--reps", "x", "--seed", "1"], "--reps", "x"),
-    ], ids=["sweep", "n", "reps"])
+        (["mc", "--model", '{"kind":"normal"}', "--g", LINEAR_G, "--h", GINI_H, "--n", "400",
+          "--reps", "100", "--seed", "1.5"], "--seed", "1.5"),
+    ], ids=["sweep", "n", "reps", "seed"])
     def test_fractional_count_is_usage_error(self, argv, flag, value, capsys):
         # argparse used to name the private type function: "invalid _sweep value"
         assert dispatch(argv) == 2
@@ -340,6 +351,7 @@ class TestInputValidation:
         (["eval", "--g", LINEAR_G, "--h", GINI_H, "--data", "{file}"], "value\n1\nabc\n",
          "{file}: line 3: 'abc' is not a number"),
         (["backtest", "--prices", "{prices}", "--config", '{"g":3}'], None,
+         "--config has a bad value for the field 'g': "
          "risk-weight spec must be an object with a 'kind' field"),
         (["eval", "--g", LINEAR_G, "--h", '{"kind":"es_dev","alpha":1.5}', "--data", "{sample}"],
          None, "alpha must be in (0, 1), got 1.5"),

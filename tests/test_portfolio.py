@@ -172,17 +172,21 @@ class TestOptimizeMD:
                              ids=["convex", "linear"])
     def test_w0_start_matches_cold(self, g):
         # the losses of the benchmark's backtest panel, which synthetic_panel draws
-        # alike; the second rebalance starts from the first one's weights
+        # alike; the second rebalance starts from the first one's weights and
+        # certified slope, or from its weights alone, or from a vertex
         losses = synthetic_panel(580, 10, seed=61).losses
         cfg = BacktestConfig(window=500, alpha=0.9, g_spec=g)
-        previous = optimize_md(losses[:500], cfg).w
+        previous = optimize_md(losses[:500], cfg)
         window = losses[21:521]
         cold = optimize_md(window, cfg)
-        for w0 in (previous, np.eye(10)[3]):
-            warm = optimize_md(window, cfg, w0=w0)
+        for w0, s0 in ((previous.w, previous.slope), (previous.w, None), (np.eye(10)[3], None)):
+            warm = optimize_md(window, cfg, w0=w0, s0=s0)
             assert abs(warm.gap) <= 1e-9 * float(np.max(np.abs(window)))
             assert portfolio_objective(window, warm.w, g, 0.9) == pytest.approx(
                 portfolio_objective(window, cold.w, g, 0.9), rel=1e-12)
+            if isinstance(g, LinearWeight):  # its one LP sits at lambda whatever the start
+                assert warm.slope == previous.slope == 1.0
+                assert np.array_equal(warm.w, optimize_md(window, cfg, w0=w0).w)
 
     def test_convexity_certificate(self, rng):
         window = synthetic_panel(300, 6, seed=9).losses
@@ -257,7 +261,7 @@ class TestCertificate:
 
     def test_single_asset_needs_no_lp(self):
         res = optimize_md(np.zeros((10, 1)), CFG)
-        assert res.gap == 0.0 and res.lp_solves == 0 and res.pivots == ()
+        assert res.gap == 0.0 and res.lp_solves == 0 and res.pivots == () and res.slope is None
 
 
 def highs_tail_lp(window, alpha, s):
@@ -408,6 +412,25 @@ class TestBacktest:
         assert 0.0 <= report.max_gap <= 1e-9 * float(np.max(np.abs(panel.losses)))
         assert report.lp_solves >= len(report.periods) and report.pivots > 0
 
+    def test_warm_started_rebalances_match_cold_solves(self):
+        # the benchmark's convex backtest panel: each rebalance's breakpoint search
+        # starts at the previous one's weights and certified slope, which reaches
+        # the optimum of a solve from equal weights in fewer LPs
+        panel = synthetic_panel(580, 10, seed=61)
+        cfg = BacktestConfig(window=500, alpha=0.9, g_spec=ExpShortfallWeight(3.0))
+        report = run_backtest(panel, cfg)
+        tol = 1e-9 * float(np.max(np.abs(panel.losses)))
+        cold_lps = 0
+        for _, start, _, w in report.periods:
+            window = panel.losses[start - cfg.window : start]
+            cold = optimize_md(window, cfg)
+            cold_lps += cold.lp_solves
+            assert abs(cold.gap) <= tol
+            assert portfolio_objective(window, w, cfg.g_spec, cfg.alpha) == pytest.approx(
+                portfolio_objective(window, cold.w, cfg.g_spec, cfg.alpha), rel=1e-12)
+        assert len(report.periods) > 1 and report.max_gap <= tol
+        assert report.lp_solves < cold_lps
+
     @pytest.mark.parametrize("seed", [21, 3, 5])
     def test_certified_as_alpha_nears_one(self, seed):
         # d(w) = ES - mean at these levels divides by 1 - alpha, so an ES that
@@ -494,7 +517,7 @@ class TestMarkowitz:
     def test_carries_no_certificate(self):
         res = markowitz_baseline(self.exact_moment_window(1.0))
         assert res.weights.gap is None and res.weights.lp_solves is None
-        assert res.weights.pivots is None
+        assert res.weights.pivots is None and res.weights.slope is None
 
     def test_single_asset(self):
         res = markowitz_baseline(np.zeros((10, 1)))

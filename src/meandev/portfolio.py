@@ -3,24 +3,24 @@
 With m(w) = mean(L w) and d(w) = ES_alpha(L w) - m(w) on the window's
 losses L, the per-period program min over the simplex of m(w) + g(d(w)) is
 solved exactly through the LP value psi(s) = min over the simplex of
-m(w) + s d(w): one LP at s = lambda for linear g; for convex g, where the
-optimum minimizes psi at s* = g'(d(w*)), a breakpoint search over the
-vertices of psi, which starts at a given s0 or else at g' of the equal-weight
-deviation.  The certificate is the duality gap f(w) - [psi(s) - g*(s)]
-against a lower bound on the optimum that holds for every s, as
-g(d) >= s d - g*(s); at s = g'(d0), d0 = d(w), the bound is
-g(d0) - s d0 + psi(s).
+m(w) + s d(w), concave and piecewise linear in s: one LP at s = lambda for
+linear g; for convex g, whose optimum is max_s psi(s) - g*(s), reached at
+s* = g'(d(w*)), one LP at a given s0, or else at g' of the equal-weight
+deviation, and a parametric walk from it over psi's bases (Gass and Saaty
+1955).  The certificate is the duality gap f(w) - [psi(s) - g*(s)] against a
+lower bound on the optimum that holds for every s, as g(d) >= s d - g*(s);
+at s = g'(d0), d0 = d(w), the bound is g(d0) - s d0 + psi(s).
 
-Each psi(s) is an LP over the tail probabilities p of the window's days, with
-k + 1 rows for k assets, solved by an in-house revised bounded-variable simplex:
-the first from the tail of L w0, later ones by a dual simplex from the nearest
-solved basis.  Only the bounds on p depend on s, so each solve builds the
-constraint matrix of its window once and shares it among its LPs.  A pivot
-updates the basis inverse by one rank-1 step; it is refactored every k + 1
-pivots and before optimality is declared.  Its primal p and dual w bracket
-psi(s) between min_j (L^T p)_j and m(w) + s d(w); the lower end is the psi the
-certificate uses, and the LP raises NumericsError when the ends lie further
-apart than the gap tolerance.
+psi(s) is an LP over the tail probabilities p of the window's days, with
+k + 1 rows for k assets, where only the bounds on p depend on s, linearly, so
+that each basis is optimal on an interval of s.  An in-house revised
+bounded-variable simplex solves it from the tail of L w0 and then walks: a
+ratio test finds where the basis stops being feasible, and one dual-simplex
+pivot there gives the next.  A pivot updates the basis inverse by one rank-1
+step; it is refactored every k + 1 pivots and before optimality is declared.
+Its primal p and dual w bracket psi(s) between min_j (L^T p)_j and
+m(w) + s d(w); the lower end is the psi the certificate uses, so ends further
+apart than the gap tolerance fail the certificate.
 
 Backtests rebalance on the first trading day of each calendar month using
 the trailing window of losses, compound wealth by exp(-w . loss) daily, and
@@ -62,7 +62,6 @@ __all__ = [
 TRADING_DAYS_PER_YEAR = 252
 _GAP_TOLERANCE = 1e-9  # relative to max|L| (Markowitz: max|2S| and unit weight), as is the next
 _EDGE_TOLERANCE = 1e-12
-_MAX_LP_SOLVES = 100  # every LP of the breakpoint search finds a new vertex of psi
 
 
 @dataclass(frozen=True)
@@ -100,10 +99,9 @@ class LossPanel:
 @dataclass(frozen=True)
 class PortfolioWeights:
     w: np.ndarray
-    gap: float | None = None  # set by optimize_md: its duality gap, LP count
-    lp_solves: int | None = None  # and each LP's pivots: basis changes plus bound flips,
-    pivots: tuple[int, ...] | None = None  # not the refactors of the basis inverse,
-    slope: float | None = None  # and the s of its certificate's LP, the next rebalance's s0
+    gap: float | None = None  # set by optimize_md: its duality gap, the pivots of its
+    pivots: int | None = None  # LP and walk (basis changes plus bound flips, not refactors)
+    slope: float | None = None  # and the s where its certificate reads psi, the next s0
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -166,7 +164,6 @@ class BacktestReport:
     sharpe_ratio: float
     periods: tuple  # (rebalance date, start row, end row, weight vector)
     max_gap: float  # largest |duality gap| of the rebalance solves
-    lp_solves: int  # tail LPs over all rebalance solves
     pivots: int  # their simplex pivots
 
     def as_dict(self) -> dict:
@@ -268,96 +265,78 @@ def portfolio_objective(
 
 @dataclass(frozen=True)
 class _Vertex:
-    """An optimal w of the tail LP at s, and the basis and bound sides that
-    restart it at another s.  Its line mean + t dev supports psi at s, with
-    mean = psi - s dev exactly even where w is optimal only to its tolerance."""
+    """An optimal w of the tail LP at s, its basis and nonbasic variables at their
+    upper bound; edge: at a breakpoint where a walk stopped, both bases' w, larger d first."""
 
     s: float
     psi: float
     w: np.ndarray
-    dev: float
-    mean: float
     basis: np.ndarray
     upper: np.ndarray
     pivots: int
+    edge: tuple[np.ndarray, np.ndarray] | None
 
 
-def _tail_rows(window: np.ndarray, scale: float) -> np.ndarray:
-    """The tail LP's equality rows over (p, eta, slacks), the same at every s:
-    eta - (L^T p)_j / scale + slack_j = 0 for each asset j, and sum p = 1."""
-    n, k = window.shape
-    return np.vstack([np.hstack([-window.T / scale, np.ones((k, 1)), np.eye(k)]),
-                      np.concatenate([np.ones(n), np.zeros(k + 1)])])
-
-
-def _tail_lp(window: np.ndarray, alpha: float, s: float, scale: float,
-             start: np.ndarray | _Vertex, a: np.ndarray | None = None) -> _Vertex:
+def _tail_lp(window: np.ndarray, alpha: float, s: float, scale: float, w0: np.ndarray,
+             slope=None) -> _Vertex:
     """psi(s) = max eta s.t. eta <= (L^T p)_j for every asset j, sum p = 1 and
-    (1 - s)/n <= p_i <= (1 - s)/n + s/((1 - alpha) n), with its optimal w.
+    (1 - s)/n <= p_i <= (1 - s)/n + s/((1 - alpha) n), with its optimal w;
+    given slope, g', it then walks s toward g'(d), d = psi'(s).
 
     A revised bounded-variable simplex on L / scale over (p, eta, slacks), so
-    its tolerances are relative to max|L|.  From weights w0 it starts feasible
-    at the tail vertex of L w0 (p at its upper bound on the largest losses, one
-    p basic); from a vertex at another s, a dual simplex repairs its basis (the
-    largest bound violation leaves, the least |d_j / alpha_rj| enters).  Then
-    Dantzig's rule prices, or Bland's after degenerate runs.  Each basis change
-    updates B^-1 by one eta (rank-1) step and x_B by the step taken; both are
-    solved afresh after k + 1 pivots, and always before optimality is declared,
-    so the returned vertex comes from a fresh inverse.  w is the asset rows'
-    duals; the primal bound psi = min_j (L^T p)_j lies within the gap
-    tolerance below the dual m + s d of L w.  a is ``_tail_rows(window, scale)``,
-    built here when not given.
+    its tolerances are relative to max|L|, started feasible at the tail vertex
+    of L w0 (p at its upper bound on the largest losses, one p basic); Dantzig's
+    rule prices, or Bland's after degenerate runs.  On an optimal basis, w and d
+    are fixed and x_B is linear in s: the walk stops at g'(d) if the basis stays
+    feasible up to there, else the first basic variable to meet a bound leaves
+    by a dual-simplex pivot (the least |d_j / alpha_rj| enters); it also stops
+    at a breakpoint that g'(d) crosses, and edge holds the two bases' w there.
+    Each basis change updates B^-1 by one eta (rank-1) step and x_B by the step
+    taken; both are solved afresh after k + 1 pivots and at the final s before
+    optimality is declared, so w and psi come from a fresh inverse.  w is the
+    asset rows' duals, and psi = min_j (L^T p)_j.
     """
     n, k = window.shape
-    lo, width = (1.0 - s) / n, s / ((1.0 - alpha) * n)
-    lower = np.concatenate([np.full(n, lo), [-np.inf], np.zeros(k)])
-    upper = np.concatenate([np.full(n, lo + width), np.full(k + 1, np.inf)])
-    a = _tail_rows(window, scale) if a is None else a
+
+    def box(s: float):  # only the bounds on p depend on s
+        lo, width = (1.0 - s) / n, s / ((1.0 - alpha) * n)
+        return (width, np.concatenate([np.full(n, lo), [-np.inf], np.zeros(k)]),
+                np.concatenate([np.full(n, lo + width), np.full(k + 1, np.inf)]))
+
+    def weights(duals: np.ndarray) -> np.ndarray:
+        w = np.maximum(duals[:k], 0.0)
+        return w / np.sum(w)
+
+    width, lower, upper = box(s)
+    rate_low = np.concatenate([np.full(n, -1.0 / n), np.zeros(k + 1)])  # the bounds' d/ds
+    rate_high = np.concatenate([np.full(n, alpha / ((1.0 - alpha) * n)), np.zeros(k + 1)])
+    # eta - (L^T p)_j / scale + slack_j = 0 for each asset j, and sum p = 1
+    a = np.vstack([np.hstack([-window.T / scale, np.ones((k, 1)), np.eye(k)]),
+                   np.concatenate([np.ones(n), np.zeros(k + 1)])])
     b = np.eye(k + 1)[k]
-    dual, degenerate = isinstance(start, _Vertex), 0
-    if dual:
-        basis, x = start.basis.tolist(), np.where(start.upper, upper, lower)
-    else:
-        order = np.argsort(-(window @ start), kind="stable")
-        tail, x = order[:min(int((1.0 - alpha) * n), n - 1)], lower.copy()
-        x[tail], x[n] = upper[tail], 0.0
-        f = int(order[tail.size])  # the one basic p, at the fraction that makes sum p = 1
-        x[f] = 1.0 - (np.sum(x[:n]) - x[f])
-        tightest = int(np.argmin(x[:n] @ window))  # eta sits on this row, its slack at 0
-        basis = [n, f] + [n + 1 + j for j in range(k) if j != tightest]
-    side = (x < upper) - (x > lower).astype(float)  # +1 may rise, -1 may fall, 0 basic or fixed
-    side[basis] = 0.0
+    order = np.argsort(-(window @ w0), kind="stable")
+    up = np.zeros(n + k + 1, dtype=bool)  # the nonbasic variables at their upper bound
+    up[order[:min(int((1.0 - alpha) * n), n - 1)]] = True  # the tail of L w0
+    f, x = int(order[np.count_nonzero(up)]), np.where(up, upper, lower)
+    x[f] = 1.0 - (np.sum(x[:n]) - x[f])  # the one basic p, at the fraction that makes sum p = 1
+    tightest = int(np.argmin(x[:n] @ window))  # eta sits on this row, its slack at 0
+    basis = [n, f] + [n + 1 + j for j in range(k) if j != tightest]
+    side = np.where(up, -1.0, 1.0)  # +1 may rise, -1 may fall, 0 basic; a p fixed at s = 0
+    side[basis] = 0.0  # is priced too, so that it rests at the bound still optimal for s > 0
     low, high, tol, cap = lower.tolist(), upper.tolist(), _EDGE_TOLERANCE, 10 * (n + k)
-    pivots, stale = 0, None  # stale: pivots since B^-1 and x_B were solved; None: solve now
-    while pivots < cap:  # a warm start takes tens of pivots
+    pivots, stale, degenerate = 0, None, 0  # stale: pivots since B^-1 and x_B were solved
+    walking, prev, edge = slope is not None, None, None  # prev: the basis before a breakpoint
+    while pivots < cap:
         if stale is None:
             inverse, stale, rest = np.linalg.inv(a[:, basis]), 0, x.copy()
             rest[basis] = 0.0
             xb = (inverse @ (b - a @ rest)).tolist()
         y = inverse[0]  # the duals: eta is basis[0] and, being free, never leaves
         d = -(y @ a)  # reduced costs off the basis, where the objective has no entry
-        if dual:
-            excess = [max(low[j] - v, v - high[j]) for j, v in zip(basis, xb)]
-            r = excess.index(max(excess))
-            dual = excess[r] > tol / n  # relative to the mean p
-        if dual:  # x_B[r] leaves at the bound it breaks; moving x_j helps it where toward > 0
-            toward = math.copysign(1.0, xb[r] - low[basis[r]]) * side * (inverse[r] @ a)
-            able = toward > tol
-            ratio = np.divide(np.abs(d), toward, out=np.full(d.size, np.inf), where=able)
-            if not able[q := int(ratio.argmin())]:
-                raise NumericsError(f"tail LP at s = {s:.6g} found no entering variable")
-            column = (col := inverse @ a[:, q]).tolist()
-            bound = min(max(xb[r], low[basis[r]]), high[basis[r]])
-            step = (xb[r] - bound) / column[r]  # the change in x_q
-        else:
-            gain = side * d
-            bland = degenerate > k
-            q = int((gain > tol).argmax() if bland else gain.argmax())
-            if not gain[q] > tol:
-                if stale == 0:
-                    break
-                stale = None  # confirm optimality on a fresh B^-1 and x_B
-                continue
+        gain = side * d
+        bland = degenerate > k
+        q = int((gain > tol).argmax() if bland else gain.argmax())
+        if gain[q] > tol:
             column, rising = (col := inverse @ a[:, q]).tolist(), side[q] > 0.0
             rate = [-c if rising else c for c in column]
             # x_B may sit a rounding error outside its bounds
@@ -372,13 +351,51 @@ def _tail_lp(window: np.ndarray, alpha: float, s: float, scale: float,
                 raise NumericsError(f"tail LP at s = {s:.6g} is unbounded")
             degenerate = degenerate + 1 if move <= tol * width else 0
             step = move if rising else -move
-            bound = high[basis[r]] if rate[r] > 0.0 else low[basis[r]]
+            at_high = rate[r] > 0.0
+            bound = high[basis[r]] if at_high else low[basis[r]]
             if flip <= room[r]:  # q crosses its box before any basic variable blocks it
-                x[q], side[q], r = (high[q], -1.0, None) if rising else (low[q], 1.0, None)
+                x[q], side[q], up[q], r = (high[q], -1.0, True, None) if rising else (
+                    low[q], 1.0, False, None)
+        elif walking:
+            drift = np.where(up, rate_high, rate_low)  # the nonbasic x's d/ds
+            drift[basis] = 0.0
+            dxb = -(inverse @ (a @ drift))  # x_B's d/ds; eta's entry is psi'(s) / scale
+            t = slope(scale * dxb[0])
+            heading = math.copysign(1.0, t - s) if prev is None else heading  # the walk's way
+            ahead = heading * (t - s)  # < 0 where g'(d) crossed s at this breakpoint
+            j, v = np.array(basis), np.array(xb)
+            closing = heading * np.array([dxb - rate_high[j], rate_low[j] - dxb])
+            room = np.divide(tol / n - np.array([v - upper[j], lower[j] - v]), closing,
+                             out=np.full(closing.shape, np.inf), where=closing > 0.0)
+            i = int(room.argmin())
+            stop = ahead <= room.flat[i]  # the basis holds g'(d), or g'(d) crossed s
+            move = max(ahead, 0.0) if stop else max(room.flat[i], 0.0)
+            xb = (v + heading * move * dxb).tolist()
+            s = t if stop and ahead > 0.0 else s + heading * move
+            width, lower, upper = box(s)
+            low, high, x = lower.tolist(), upper.tolist(), np.where(up, upper, lower)
+            if stop:
+                walking, stale, edge = False, None, prev if ahead < 0.0 else None
+                continue
+            # x_B[r] met a bound and leaves at it; moving x_j takes it back where toward > 0
+            r, at_high = i % (k + 1), i <= k
+            toward = (1.0 if at_high else -1.0) * side * (inverse[r] @ a)
+            able = toward > tol
+            ratio = np.divide(np.abs(d), toward, out=np.full(d.size, np.inf), where=able)
+            if not able[q := int(ratio.argmin())]:
+                raise NumericsError(f"tail LP at s = {s:.6g} found no entering variable")
+            column = (col := inverse @ a[:, q]).tolist()
+            bound = high[basis[r]] if at_high else low[basis[r]]
+            step, prev = (xb[r] - bound) / column[r], list(basis)  # the change in x_q
+        elif stale == 0:
+            break
+        else:
+            stale = None  # confirm optimality on a fresh B^-1 and x_B
+            continue
         xb = [v - step * c for v, c in zip(xb, column)]
         if r is not None:  # q enters at row r; the leaving variable rests at its bound
             j = basis[r]
-            x[j], side[j] = bound, (bound < high[j]) - (bound > low[j])
+            x[j], side[j], up[j] = bound, -1.0 if at_high else 1.0, at_high
             xb[r], side[q], basis[r] = float(x[q]) + step, 0.0, q
             pivot = inverse[r] / column[r]
             inverse -= col[:, None] * pivot
@@ -387,83 +404,67 @@ def _tail_lp(window: np.ndarray, alpha: float, s: float, scale: float,
     else:
         raise NumericsError(f"tail LP at s = {s:.6g} still open after {cap} pivots")
     x[basis] = xb
-    w = np.maximum(y[:k], 0.0)
-    w = w / np.sum(w)
-    psi = float(np.min(x[:n] @ window))
-    mean, dev = _mean_and_deviation(window @ w, alpha)
-    if not mean + s * dev - psi <= _GAP_TOLERANCE * scale:
-        raise NumericsError(f"tail LP at s = {s:.6g} not certified: gap {mean + s * dev - psi:.3g}")
-    return _Vertex(s, psi, w, dev, psi - s * dev, np.array(basis), x >= upper, pivots)
+    w = weights(y)
+    if edge is not None:  # walking up, the basis before the breakpoint has the larger d
+        other = weights(np.linalg.inv(a[:, edge])[0])
+        edge = (other, w) if heading > 0.0 else (w, other)
+    return _Vertex(s, float(np.min(x[:n] @ window)), w, np.array(basis), up, pivots, edge)
 
 
 def optimize_md(window: np.ndarray, cfg: BacktestConfig, w0: np.ndarray | None = None,
                 s0: float | None = None) -> PortfolioWeights:
     """Minimize the per-period objective over the simplex, with a certificate.
 
-    s -> g'(d(w_s)) is nonincreasing, so any s0 and its image g'(d(w_s0))
-    bracket s*; s0 defaults to g' at equal weights, and a backtest passes the
-    previous rebalance's ``slope``.  An LP where the lines of the two ends cross
-    either finds a vertex between them, which replaces the end on its side of
-    s*, or shows them adjacent; then m + s d = psi(s) on their edge, and the
-    optimum is the edge point minimizing g(d) - s d.  The first LP starts at the
-    tail of L w0; every LP shares the window's one constraint matrix.  The
-    result's ``slope`` is the s of the LP that the certificate reads.
-    Raises NumericsError when an LP fails or the duality gap exceeds its tolerance.
+    s -> g'(d(w_s)) is nonincreasing, so the walk of one tail LP from s0 (from
+    the tail of L w0) moves one way: to a basis whose w is optimal, as its
+    interval of s holds g'(d), or to a breakpoint s that g'(d) crosses.  There
+    the optimum is the point of the edge between the two bases' w minimizing
+    g(d) - s d, at the s where the lines m + s d of its ends, each from its own
+    w, cross.  w0 defaults to equal weights and s0, in [0, 1] as every g' is,
+    to g' at equal weights; a backtest passes the previous rebalance's w and
+    ``slope``, the s at which the certificate reads psi.
+    Raises NumericsError when the LP fails or the duality gap exceeds its tolerance.
     """
     window = np.asarray(window, dtype=float)
     if window.ndim != 2 or window.shape[0] < 2:
         raise ValueError("need a 2-D loss window with at least two rows")
+    k = window.shape[1]
+    w0 = np.full(k, 1.0 / k) if w0 is None else np.asarray(w0, dtype=float)
+    if w0.shape != (k,) or not np.all(np.isfinite(w0)):
+        raise ValueError(f"w0 must hold one finite weight per asset, {k} here")
+    if s0 is not None and not 0.0 <= s0 <= 1.0:
+        raise ValueError(f"s0 must be finite and in [0, 1], got {s0}")
     g = cfg.g_spec
     if not g.classify().is_convex:
         raise ValueError("the per-period program is convex only for convex "
                          "risk-weighting functions; got a non-convex one")
-    if window.shape[1] == 1:
-        return PortfolioWeights(np.array([1.0]), gap=0.0, lp_solves=0, pivots=())
+    if k == 1:
+        return PortfolioWeights(np.array([1.0]), gap=0.0, pivots=0)
 
     alpha = cfg.alpha
     scale = float(np.max(np.abs(window))) or 1.0
-    tol = _EDGE_TOLERANCE * scale
-    w0 = np.full(window.shape[1], 1.0 / window.shape[1]) if w0 is None else w0
-    a = _tail_rows(window, scale)
-    solved: dict[float, _Vertex] = {}
-
-    def vertex(s: float) -> _Vertex:
-        if s not in solved:
-            near = min(solved.values(), key=lambda v: abs(v.s - s), default=None)
-            solved[s] = _tail_lp(window, alpha, s, scale, w0 if near is None else near, a)
-        return solved[s]
 
     def slope(d: float) -> float:
         return g.left_derivative(max(d, 1e-12))  # a left derivative needs d > 0
 
     if s0 is None:
         s0 = slope(_mean_and_deviation(window.mean(axis=1), alpha)[1])
-    first = vertex(s0)
-    lo, hi = sorted((first, vertex(slope(first.dev))), key=lambda v: v.s)
-    for _ in range(_MAX_LP_SOLVES):
-        if lo.dev - hi.dev <= tol:
-            w, d = lo.w, lo.dev
-            break
-        s = min(max((hi.mean - lo.mean) / (lo.dev - hi.dev), lo.s), hi.s)
-        mid = vertex(s)
-        if mid.psi >= lo.mean + s * lo.dev - tol:  # adjacent: bisect on g'(d) <= s
-            d, d_hi = (lo.dev, lo.dev) if slope(lo.dev) <= s else (hi.dev, lo.dev)
-            while d < 0.5 * (d + d_hi) < d_hi:
-                d_mid = 0.5 * (d + d_hi)
-                d, d_hi = (d_mid, d_hi) if slope(d_mid) <= s else (d, d_mid)
-            w = lo.w + (lo.dev - d) / (lo.dev - hi.dev) * (hi.w - lo.w)
-            break
-        lo, hi = (mid, hi) if slope(mid.dev) >= s else (lo, mid)
-    else:
-        raise NumericsError(f"breakpoint search still open after {_MAX_LP_SOLVES} LPs")
-    if not hi.dev < d < lo.dev:  # inside an edge the kink s is in the subdifferential
-        s = slope(d)
+    v = _tail_lp(window, alpha, s0, scale, w0, slope)
+    w = v.w
+    if v.edge is not None:  # lo is the end of larger d; bisect on g'(d) <= s
+        (m_lo, d_lo), (m_hi, d_hi) = (_mean_and_deviation(window @ u, alpha) for u in v.edge)
+        if d_lo > d_hi:
+            s = (m_hi - m_lo) / (d_lo - d_hi)
+            d, d_top = (d_lo, d_lo) if slope(d_lo) <= s else (d_hi, d_lo)
+            while d < 0.5 * (d + d_top) < d_top:
+                d_mid = 0.5 * (d + d_top)
+                d, d_top = (d_mid, d_top) if slope(d_mid) <= s else (d, d_mid)
+            w = v.edge[0] + (d_lo - d) / (d_lo - d_hi) * (v.edge[1] - v.edge[0])
     mean, dev = _mean_and_deviation(window @ w, alpha)
-    gap = mean + float(g(max(dev, 0.0))) - vertex(s).psi + conjugate(g, s)
+    gap = mean + float(g(max(dev, 0.0))) - v.psi + conjugate(g, v.s)
     if not abs(gap) <= _GAP_TOLERANCE * scale:
         raise NumericsError(f"portfolio solve not certified: duality gap {gap:.3g}")
-    return PortfolioWeights(w, gap=gap, lp_solves=len(solved),
-                            pivots=tuple(v.pivots for v in solved.values()), slope=s)
+    return PortfolioWeights(w, gap=gap, pivots=v.pivots, slope=v.s)
 
 
 def _month_starts(dates) -> list[int]:
@@ -531,8 +532,7 @@ def run_backtest(panel: LossPanel, cfg: BacktestConfig) -> BacktestReport:
         sharpe_ratio=sr,
         periods=periods,
         max_gap=max(abs(weights.gap) for weights in solves),
-        lp_solves=sum(weights.lp_solves for weights in solves),
-        pivots=sum(sum(weights.pivots) for weights in solves),
+        pivots=sum(weights.pivots for weights in solves),
     )
 
 

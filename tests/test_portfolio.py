@@ -188,6 +188,30 @@ class TestOptimizeMD:
                 assert warm.slope == previous.slope == 1.0
                 assert np.array_equal(warm.w, optimize_md(window, cfg, w0=w0).w)
 
+    # beta = 1e-300 walks at s near 1e-303, where the box of each p is about
+    # 1e-304 wide; beta = 1e300 and the knot at 1e-300 put g' at 1 for every
+    # deviation the window has; alpha sits at either end of (0, 1).  A walk from
+    # s0 = 0, where every p is fixed, must leave each p at the bound its reduced
+    # cost asks for once s > 0
+    @pytest.mark.parametrize("g, alpha", [
+        (ExpShortfallWeight(1e-300), 0.9), (ExpShortfallWeight(1e300), 0.9),
+        (PiecewiseLinearWeight(knots=(1e-300,), slopes=(0.0, 1.0)), 0.9),
+        (ExpShortfallWeight(3.0), 1e-300), (ExpShortfallWeight(3.0), 1.0 - 2.0 ** -53),
+        (ExpShortfallWeight(3.0), 0.9)],
+        ids=["beta-1e-300", "beta-1e300", "knot-1e-300", "alpha-1e-300", "alpha-1-2^-53",
+             "beta-3"])
+    @pytest.mark.parametrize("shape", [(580, 10, 61, 500), (90, 2, 7, 40)])
+    def test_certified_at_extreme_s(self, g, alpha, shape):
+        n_days, n_assets, seed, n = shape
+        losses = synthetic_panel(n_days, n_assets, seed=seed).losses
+        cfg = BacktestConfig(window=n, alpha=alpha, g_spec=g)
+        tol = 1e-9 * float(np.max(np.abs(losses)))
+        first = optimize_md(losses[:n], cfg)
+        for w0, s0 in ((None, None), (first.w, first.slope), (None, 0.0)):
+            for start in range(0, n_days - n, 10):
+                res = optimize_md(losses[start : start + n], cfg, w0=w0, s0=s0)
+                assert abs(res.gap) <= tol and 0.0 <= res.slope <= 1.0
+
     def test_convexity_certificate(self, rng):
         window = synthetic_panel(300, 6, seed=9).losses
         w_star = optimize_md(window, CFG).w
@@ -245,7 +269,7 @@ class TestCertificate:
         window = synthetic_panel(n_days, n_assets, seed=seed).losses
         res = optimize_md(window, BacktestConfig(window=n_days, alpha=0.9, g_spec=g))
         assert -1e-12 <= res.gap <= 1e-9
-        assert len(res.pivots) == res.lp_solves and sum(res.pivots) > 0
+        assert res.pivots > 0
         f = portfolio_objective(window, res.w, g, 0.9)
         losses = StateVector(window @ res.w)
         d0 = max(0.0, es_alpha(losses, 0.9) - losses.mean())
@@ -253,15 +277,19 @@ class TestCertificate:
         assert -1e-9 <= f - bound <= 1e-9
 
     def test_linear_g_is_one_lp(self):
+        # g' is lambda at every d, so the LP at s = lambda takes no walk
         window = synthetic_panel(500, 10, seed=5).losses
+        scale, equal = float(np.max(np.abs(window))), np.full(10, 0.1)
         for lam in (0.5, 1.0):
             res = optimize_md(window, BacktestConfig(window=500, alpha=0.9,
                                                      g_spec=LinearWeight(lam)))
-            assert res.lp_solves == 1
+            lp = _tail_lp(window, 0.9, lam, scale, equal)
+            assert res.slope == lam and res.pivots == lp.pivots > 0
+            assert res.w == pytest.approx(lp.w, abs=1e-15)
 
     def test_single_asset_needs_no_lp(self):
         res = optimize_md(np.zeros((10, 1)), CFG)
-        assert res.gap == 0.0 and res.lp_solves == 0 and res.pivots == () and res.slope is None
+        assert res.gap == 0.0 and res.pivots == 0 and res.slope is None
 
 
 def highs_tail_lp(window, alpha, s):
@@ -301,19 +329,20 @@ class TestTailLP:
         k = window.shape[1]
         w0 = np.full(k, 1.0 / k) if start == "equal" else np.eye(k)[0]
         mine = _tail_lp(window, 0.9, s, float(np.max(np.abs(window))), w0)
-        self.assert_matches_highs(window, s, mine, duplicate)
+        self.assert_matches_highs(window, s, mine.psi, mine.w, duplicate)
 
     @pytest.mark.parametrize("restart", [False, True], ids=["cold", "restarted"])
     def test_vertex_comes_from_a_fresh_inverse(self, restart):
         # pivots update B^-1 in place; the returned vertex must be the one that a
-        # fresh inverse of its basis gives, bit for bit
+        # fresh inverse of its basis gives at its s, bit for bit, also after a
+        # walk from the LP at s = 0.5 on to s = 0.9
         window = synthetic_panel(500, 10, seed=5).losses
-        (n, k), scale, s = window.shape, float(np.max(np.abs(window))), 0.9
+        (n, k), scale = window.shape, float(np.max(np.abs(window)))
         start = np.full(k, 1.0 / k)
-        mine = _tail_lp(window, 0.9, s, scale,
-                        _tail_lp(window, 0.9, 0.5, scale, start) if restart else start)
-        assert mine.pivots > k + 1  # at least one refactor on the way
-        lo, width = (1.0 - s) / n, s / ((1.0 - 0.9) * n)
+        mine = (_tail_lp(window, 0.9, 0.5, scale, start, LinearWeight(0.9).left_derivative)
+                if restart else _tail_lp(window, 0.9, 0.9, scale, start))
+        assert mine.s == 0.9 and mine.pivots > k + 1  # at least one refactor on the way
+        lo, width = (1.0 - mine.s) / n, mine.s / ((1.0 - 0.9) * n)
         lower = np.concatenate([np.full(n, lo), [-np.inf], np.zeros(k)])
         upper = np.concatenate([np.full(n, lo + width), np.full(k + 1, np.inf)])
         a = np.vstack([np.hstack([-window.T / scale, np.ones((k, 1)), np.eye(k)]),
@@ -325,53 +354,66 @@ class TestTailLP:
         y = np.maximum(inverse[0, :k], 0.0)
         assert np.array_equal(mine.w, y / np.sum(y))
         assert mine.psi == float(np.min(x[:n] @ window))
-        assert np.array_equal(mine.upper, x >= upper)
+        assert np.all(x >= lower - 1e-12 / n) and np.all(x <= upper + 1e-12 / n)
 
-    # a restart keeps the basis solved at s_from and repairs it by the dual simplex
+    # optimize_md at s0 = s_from with g = s_to walks its LP from s_from to s_to; the
+    # first four pairs, which reach an end of (0, 1], keep the ids they had when s
+    # could lie outside it
     @pytest.mark.parametrize("kind", ["distinct", "duplicated-asset", "rounded"])
     @pytest.mark.parametrize("s_from, s_to", [
-        (0.5, 0.55), (0.55, 0.5), (1.02, 1.05), (1.05, 1.02),
-        (0.0, 0.99), (0.99, 0.0), (1e-9, 0.99), (0.99, 1e-9), (1e-6, 0.99), (0.99, 1e-6)])
+        pytest.param(1e-12, 0.99, id="0.0-0.99"), pytest.param(0.99, 1e-12, id="0.99-0.0"),
+        pytest.param(0.8, 1.0, id="1.02-1.05"), pytest.param(1.0, 0.8, id="1.05-1.02"),
+        (0.5, 0.55), (0.55, 0.5), (1e-9, 0.99), (0.99, 1e-9), (1e-6, 0.99), (0.99, 1e-6)])
     def test_restart_matches_highs(self, s_from, s_to, kind):
         window = synthetic_panel(500, 10, seed=5).losses
         if kind == "duplicated-asset":
             window = np.column_stack([window, window[:, 0]])
         elif kind == "rounded":  # many tied losses, so psi has degenerate vertices
             window = np.round(window, 3)
-        k, scale = window.shape[1], float(np.max(np.abs(window)))
-        near = _tail_lp(window, 0.9, s_from, scale, np.full(k, 1.0 / k))
-        mine = _tail_lp(window, 0.9, s_to, scale, near)
+        k = window.shape[1]
+        cfg = BacktestConfig(window=500, alpha=0.9, g_spec=LinearWeight(s_to))
+        res = optimize_md(window, cfg, w0=np.full(k, 1.0 / k), s0=s_from)
+        assert res.slope == s_to
+        # for linear g the certificate reads gap = m + s_to d - psi(s_to)
+        losses = StateVector(window @ res.w)
+        psi = losses.mean() + s_to * (es_alpha(losses, 0.9) - losses.mean()) - res.gap
         # ties leave the optimal w of a rounded window free to move along a face
-        self.assert_matches_highs(window, s_to, mine, kind == "duplicated-asset",
+        self.assert_matches_highs(window, s_to, psi, res.w, kind == "duplicated-asset",
                                   compare_w=kind != "rounded")
 
     @staticmethod
-    def assert_matches_highs(window, s, mine, duplicate, compare_w=True):
+    def assert_matches_highs(window, s, mine_psi, mine_w, duplicate, compare_w=True):
         psi, w = highs_tail_lp(window, 0.9, s)
-        assert mine.psi == pytest.approx(psi, rel=1e-12)
-        losses = StateVector(window @ mine.w)
+        assert mine_psi == pytest.approx(psi, rel=1e-12)
+        losses = StateVector(window @ mine_w)
         dual_bound = losses.mean() + s * (es_alpha(losses, 0.9) - losses.mean())
         assert dual_bound == pytest.approx(psi, rel=1e-12)
         if duplicate:
-            mine_w, w = np.append(mine.w[1:-1], mine.w[0] + mine.w[-1]), np.append(w[1:-1], w[0] + w[-1])
-        else:
-            mine_w = mine.w
+            mine_w, w = np.append(mine_w[1:-1], mine_w[0] + mine_w[-1]), np.append(w[1:-1], w[0] + w[-1])
         if compare_w:
             assert mine_w == pytest.approx(w, abs=1e-9)
 
     def test_restart_takes_no_more_pivots_than_a_cold_start(self):
-        # the benchmark's first 500 x 10 window; s takes a convex search's second
-        # step and longer jumps
+        # the benchmark's first 500 x 10 window: the walk from the LP at a convex
+        # solve's first s on to s, against one LP at s started from that LP's w
         window = synthetic_panel(580, 10, seed=61).losses[:500]
-        k, scale, g = 10, float(np.max(np.abs(window))), ExpShortfallWeight(3.0)
+        k, g = 10, ExpShortfallWeight(3.0)
         equal = StateVector(window.mean(axis=1))
-        near = _tail_lp(window, 0.9, g.left_derivative(es_alpha(equal, 0.9) - equal.mean()),
-                        scale, np.full(k, 1.0 / k))
-        for s in (g.left_derivative(near.dev), 1.0, 1.5, 0.5 * (near.s + 1.0)):
-            restart = _tail_lp(window, 0.9, s, scale, near)
-            cold = _tail_lp(window, 0.9, s, scale, near.w)
-            assert restart.psi == pytest.approx(cold.psi, rel=1e-12)
-            assert restart.pivots <= cold.pivots
+        s_near = g.left_derivative(es_alpha(equal, 0.9) - equal.mean())
+
+        def solve(s, **start):
+            return optimize_md(window, BacktestConfig(window=500, alpha=0.9,
+                                                      g_spec=LinearWeight(s)), **start)
+
+        near = solve(s_near, w0=np.full(k, 1.0 / k))
+        losses = StateVector(window @ near.w)
+        for s in (g.left_derivative(es_alpha(losses, 0.9) - losses.mean()), 1.0,
+                  0.5 * (s_near + 1.0)):
+            walk = solve(s, w0=np.full(k, 1.0 / k), s0=s_near)
+            cold = solve(s, w0=near.w)
+            assert portfolio_objective(window, walk.w, LinearWeight(s), 0.9) == pytest.approx(
+                portfolio_objective(window, cold.w, LinearWeight(s), 0.9), rel=1e-12)
+            assert walk.pivots - near.pivots <= cold.pivots
 
     @pytest.mark.parametrize("s", [1e-12, 1e-10, 0.5])
     def test_small_s_is_exact(self, s):
@@ -410,26 +452,28 @@ class TestBacktest:
         cfg = BacktestConfig(window=60, alpha=0.9, g_spec=ExpShortfallWeight(3.0))
         report = run_backtest(panel, cfg)
         assert 0.0 <= report.max_gap <= 1e-9 * float(np.max(np.abs(panel.losses)))
-        assert report.lp_solves >= len(report.periods) and report.pivots > 0
+        assert report.pivots > 0
 
     def test_warm_started_rebalances_match_cold_solves(self):
-        # the benchmark's convex backtest panel: each rebalance's breakpoint search
-        # starts at the previous one's weights and certified slope, which reaches
-        # the optimum of a solve from equal weights in fewer LPs
+        # the benchmark's convex backtest panel: each rebalance's walk starts at
+        # the previous one's weights and certified slope, which reaches the
+        # optimum of a solve from equal weights in fewer pivots; both end on the
+        # same basis or edge, whose ends come from fresh inverses
         panel = synthetic_panel(580, 10, seed=61)
         cfg = BacktestConfig(window=500, alpha=0.9, g_spec=ExpShortfallWeight(3.0))
         report = run_backtest(panel, cfg)
         tol = 1e-9 * float(np.max(np.abs(panel.losses)))
-        cold_lps = 0
+        cold_pivots = 0
         for _, start, _, w in report.periods:
             window = panel.losses[start - cfg.window : start]
             cold = optimize_md(window, cfg)
-            cold_lps += cold.lp_solves
+            cold_pivots += cold.pivots
             assert abs(cold.gap) <= tol
             assert portfolio_objective(window, w, cfg.g_spec, cfg.alpha) == pytest.approx(
                 portfolio_objective(window, cold.w, cfg.g_spec, cfg.alpha), rel=1e-12)
+            assert np.max(np.abs(w - cold.w)) <= 1e-12
         assert len(report.periods) > 1 and report.max_gap <= tol
-        assert report.lp_solves < cold_lps
+        assert report.pivots < cold_pivots
 
     @pytest.mark.parametrize("seed", [21, 3, 5])
     def test_certified_as_alpha_nears_one(self, seed):
@@ -516,8 +560,8 @@ class TestMarkowitz:
 
     def test_carries_no_certificate(self):
         res = markowitz_baseline(self.exact_moment_window(1.0))
-        assert res.weights.gap is None and res.weights.lp_solves is None
-        assert res.weights.pivots is None and res.weights.slope is None
+        assert res.weights.gap is None and res.weights.pivots is None
+        assert res.weights.slope is None
 
     def test_single_asset(self):
         res = markowitz_baseline(np.zeros((10, 1)))

@@ -137,6 +137,18 @@ CALLS = {
                                "grid_size must be >= 2"),
     "optimize-1d-window": (lambda: optimize_md(np.zeros(5), BacktestConfig()), WINDOW_MESSAGE),
     "optimize-one-row": (lambda: optimize_md(np.zeros((1, 2)), BacktestConfig()), WINDOW_MESSAGE),
+    "optimize-s0-negative": (lambda: optimize_md(np.zeros((5, 4)), BacktestConfig(), s0=-0.5),
+                             "s0 must be finite and in [0, 1], got -0.5"),
+    "optimize-s0-nan": (lambda: optimize_md(np.zeros((5, 4)), BacktestConfig(), s0=NAN),
+                        "s0 must be finite and in [0, 1], got nan"),
+    "optimize-s0-inf": (lambda: optimize_md(np.zeros((5, 4)), BacktestConfig(), s0=INF),
+                        "s0 must be finite and in [0, 1], got inf"),
+    "optimize-w0-short": (lambda: optimize_md(np.zeros((5, 4)), BacktestConfig(),
+                                              w0=np.full(3, 1.0 / 3.0)),
+                          "w0 must hold one finite weight per asset, 4 here"),
+    "optimize-w0-nan": (lambda: optimize_md(np.zeros((5, 4)), BacktestConfig(),
+                                            w0=np.array([0.5, NAN, 0.25, 0.25])),
+                        "w0 must hold one finite weight per asset, 4 here"),
     "markowitz-1d-window": (lambda: markowitz_baseline(np.zeros(5)), WINDOW_MESSAGE),
     "markowitz-one-row": (lambda: markowitz_baseline(np.zeros((1, 2))), WINDOW_MESSAGE),
 }

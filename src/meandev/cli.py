@@ -32,7 +32,7 @@ __all__ = ["main", "dispatch"]
 
 # a sweep evaluates one worst case per point
 _SWEEP_MAX_POINTS = 100_000
-# mc holds about 70 bytes per sample point on two threads (0.7 GB at the cap)
+# mc holds about 25 bytes per sample point on two threads (0.25 GB at the cap)
 # and 375 bytes of spawned seed state per replication (0.4 GB at the cap)
 _MC_MAX_N = 10 ** 7
 _MC_MAX_REPS = 10 ** 6

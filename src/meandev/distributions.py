@@ -113,7 +113,8 @@ class ParametricModel:
     the far tail.
     """
 
-    def quantile(self, u):
+    def quantile(self, u, out=None):
+        """F^{-1}(u); an array ``out`` of u's shape receives the result, and may be u."""
         raise NotImplementedError
 
     def quantile_upper(self, eps):
@@ -140,23 +141,23 @@ class ParametricModel:
         """Inverse-transform sample of size n from a seeded PCG64 stream."""
         return StateVector(self.sample_block(n, [seed])[0])
 
-    def sample_block(self, n: int, seeds) -> np.ndarray:
+    def sample_block(self, n: int, seeds, out=None) -> np.ndarray:
         """A (len(seeds), n) array whose row i is the sample of size n from seeds[i].
 
-        Each seed's PCG64 stream fills its own row; one clip, one quantile
+        The block is new, or the first len(seeds) * n values of the contiguous
+        float array ``out`` (its first rows when ``out`` is (m, n)).  Each
+        seed's PCG64 stream fills its own row; one clip, one in-place quantile
         call and one check cover the block, and every row passes the check
-        that a ``StateVector`` of it would.  The quantiles build their result
-        in one new array and update it in place: with more block-sized
-        temporaries, glibc trimmed the freed heap after each block and the
-        next one page-faulted it back in.
+        that a ``StateVector`` of it would.  With block-sized temporaries, glibc
+        trimmed the freed heap after each block and the next one faulted it back in.
         """
         if n < 1:
             raise ValueError(f"sample size must be >= 1, got {n}")
-        u = np.empty((len(seeds), n))
+        u = np.ndarray((len(seeds), n), buffer=out)  # new memory when out is None
         for row, seed in zip(u, seeds):
             np.random.Generator(np.random.PCG64(seed)).random(out=row)
         np.clip(u, _UNIFORM_EPS, 1.0 - _UNIFORM_EPS, out=u)
-        x = self.quantile(u)
+        x = self.quantile(u, out=u)
         _check_values(x, n)
         return x
 
@@ -194,10 +195,10 @@ class Normal(ParametricModel):
         if not 0.0 < self.sd < math.inf:
             raise ValueError(f"sd must be > 0, got {self.sd}")
 
-    def quantile(self, u):
+    def quantile(self, u, out=None):
         from scipy.special import ndtri
 
-        x = ndtri(_check_prob(u))
+        x = ndtri(_check_prob(u), out=out)
         x *= self.sd
         x += self.mu
         return x
@@ -238,8 +239,8 @@ class Lomax(ParametricModel):
         if not 0.0 < self.theta < math.inf:
             raise ValueError(f"theta must be > 0, got {self.theta}")
 
-    def quantile(self, u):
-        x = 1.0 - _check_prob(u)
+    def quantile(self, u, out=None):
+        x = np.subtract(1.0, _check_prob(u), out=out)
         x **= -1.0 / self.theta
         x -= 1.0
         return x
@@ -276,8 +277,8 @@ class Exponential(ParametricModel):
         if not 0.0 < self.rate < math.inf:
             raise ValueError(f"rate must be > 0, got {self.rate}")
 
-    def quantile(self, u):
-        x = -_check_prob(u)  # a new array, or a scalar for a scalar level
+    def quantile(self, u, out=None):
+        x = np.negative(_check_prob(u), out=out)  # an array, or a scalar for a scalar level
         x = np.log1p(x, out=x) if isinstance(x, np.ndarray) else np.log1p(x)
         x /= -self.rate
         return x

@@ -79,9 +79,9 @@ _TAIL_CHECK = 30.0
 # largest share of an integral allowed in the window [_TAIL_CHECK, _TAIL_CUTOFF]
 _TAIL_SHARE = 1e-3
 # sample values per Monte Carlo block: enough rows that numpy's element work,
-# not the per-row Python calls, takes the time, and few enough that a
-# block's arrays stay a few hundred KiB
-_BLOCK_VALUES = 2 ** 15
+# not the per-row calls or the shares' GIL handoffs, takes the time, and few
+# enough that each share's one 1 MiB block buffer fits in a 2 MiB L2 cache
+_BLOCK_VALUES = 2 ** 17
 # largest float spacing at the Monte Carlo center as a share of the estimates'
 # standard deviation sqrt(sigma^2 / n), so rounding moves an estimate by a few
 # hundredths of one at most (Normal(1e12, 1) at n = 400 reads 1.3e-3)
@@ -301,16 +301,17 @@ def monte_carlo(
 
     Per-replication generators come from spawning the master seed, so the
     result does not depend on execution order.  Replications run in blocks
-    of max(1, 2^15 // n) rows; each block is drawn, averaged and sorted a
-    block at a time by numpy, and writes its own slots of the estimates.
-    Share k of w = min(worker_count(), blocks) takes blocks k, k + w, k + 2w,
-    ... and runs on a pool thread while the calling thread waits.  The
-    staircase weights depend only on n, so they are built once; each sorted
-    row forms its gaps one chunk at a time, and each estimate is the float
-    that `md_eval` gives on ``model.sample(n, child)``.  Raises NumericsError
-    when the asymptotic variance is too small to standardize the estimates
-    (it underflows to 0, or n / sigma^2 overflows), or when the float spacing
-    at the center is not small against their standard deviation sqrt(sigma^2 / n).
+    of min(replications, max(1, 2^17 // n)) rows.  Share k of
+    w = min(worker_count(), blocks) takes blocks k, k + w, k + 2w, ... on a
+    pool thread while the calling thread waits; it draws each block into one
+    buffer of its own, where numpy averages and sorts it, and writes the
+    block's own slots of the estimates.  The staircase weights depend only
+    on n, so they are built once; each sorted row forms its gaps one chunk
+    at a time, and each estimate is the float that `md_eval` gives on
+    ``model.sample(n, child)``.  Raises NumericsError when the asymptotic
+    variance is too small to standardize the estimates (it underflows to 0,
+    or n / sigma^2 overflows), or when the float spacing at the center is
+    not small against their standard deviation sqrt(sigma^2 / n).
     """
     if n < 100:
         raise ValueError(f"sample size must be >= 100, got {n}")
@@ -332,13 +333,14 @@ def monte_carlo(
 
     weights = staircase_weights(m.h, n)
     children = np.random.SeedSequence(seed).spawn(replications)
-    rows = max(1, _BLOCK_VALUES // n)
+    rows = min(replications, max(1, _BLOCK_VALUES // n))
     workers = min(worker_count(), -(-replications // rows))
     estimates = np.empty(replications)
 
     def share(k: int) -> None:
+        block = np.empty((rows, n))
         for start in range(k * rows, replications, workers * rows):
-            x = model.sample_block(n, children[start:start + rows])
+            x = model.sample_block(n, children[start:start + rows], out=block)
             means = np.mean(x, axis=1)
             x.sort(axis=1)
             for i, (row, mean) in enumerate(zip(x, means.tolist())):

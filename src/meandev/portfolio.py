@@ -107,7 +107,7 @@ class PortfolioWeights:
         w = np.asarray(self.w, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must form a nonempty vector")
-        if np.any(w < -1e-12) or np.any(w > 1.0 + 1e-12):
+        if not np.all((w >= -1e-12) & (w <= 1.0 + 1e-12)):  # NaN fails too
             raise ValueError("weights must lie in [0, 1]")
         if abs(float(np.sum(w)) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")

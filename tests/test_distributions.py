@@ -33,6 +33,16 @@ class TestQuantile:
         q = model.quantile(grid)
         assert np.all(np.diff(q) > 0)
 
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_out_receives_the_quantiles(self, model):
+        u = np.linspace(0.01, 0.99, 99).reshape(9, 11)
+        levels = u.copy()
+        expected = model.quantile(levels)
+        assert np.array_equal(levels, u)  # without out, the levels are left as they were
+        assert model.quantile(u, out=u) is u
+        assert np.array_equal(u, expected)
+        assert isinstance(model.quantile(0.3), float)  # a scalar level gives a scalar
+
     @pytest.mark.parametrize("u", [0.0, 1.0, -0.2, 1.3, math.nan])
     def test_domain_errors(self, u):
         for model in (Normal(), Lomax(4.0), Exponential(1.0)):
@@ -130,6 +140,18 @@ class TestSampling:
             expected = model.quantile(np.clip(u, 2.0 ** -53, 1.0 - 2.0 ** -53))
             assert np.array_equal(row, expected)
             assert np.array_equal(row, model.sample(n, seed).values)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_block_fills_the_first_rows_of_out(self, model):
+        # a ragged last block: fewer seeds than the buffer has rows
+        n, seeds = 1001, [3, np.random.SeedSequence(4)]
+        buf = np.full((3, n), -7.0)
+        block = model.sample_block(n, seeds, out=buf)
+        assert block.shape == (2, n) and block.base is buf
+        assert np.array_equal(block, model.sample_block(n, seeds))
+        assert np.all(buf[2] == -7.0)
+        with pytest.raises(TypeError, match="buffer is too small"):
+            model.sample_block(n, seeds, out=buf[:1])
 
     def test_block_check_is_the_state_vector_check(self):
         with pytest.raises(ValueError) as from_vector:

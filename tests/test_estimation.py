@@ -227,18 +227,21 @@ class TestMonteCarlo:
 class _HugeTopDraws(Normal):
     # the population integrals take the quantile below u = 1/2 only, so just
     # the sample blocks see levels above 0.999
-    def quantile(self, u):
-        return np.where(np.asarray(u) > 0.999, 1e306, super().quantile(u))
+    def quantile(self, u, out=None):
+        top = np.asarray(u) > 0.999  # before out, which may be u, is written
+        x = super().quantile(u, out=out)
+        x[top] = 1e306
+        return x
 
 
 def _failing_at(*starts):
     """A standard normal whose blocks starting at these replications raise."""
     class FailsAt(Normal):
-        def sample_block(self, n, seeds):
+        def sample_block(self, n, seeds, out=None):
             start = seeds[0].spawn_key[-1]
             if start in starts:
                 raise ValueError(f"block at replication {start}")
-            return super().sample_block(n, seeds)
+            return super().sample_block(n, seeds, out=out)
     return FailsAt()
 
 
@@ -248,7 +251,7 @@ class TestMonteCarloBlocks:
     @pytest.mark.parametrize("n, reps", [(10 ** 4, 101), (10 ** 5 + 3, 101)],
                              ids=["ragged-last-block", "one-row-blocks"])
     def test_threads_match_one_thread_and_md_eval(self, n, reps, monkeypatch):
-        # n = 1e4 gives 3-row blocks, the last one holding 2 rows
+        # n = 1e4 gives 13-row blocks, the last one holding 10 rows
         threaded = monte_carlo(Normal(), self.M, n=n, replications=reps, seed=8)
         blocks = -(-reps // max(1, meandev.estimation._BLOCK_VALUES // n))
         assert threaded.workers == min(meandev.estimation.worker_count(), blocks)
@@ -262,15 +265,19 @@ class TestMonteCarloBlocks:
         assert serial.as_dict() == threaded.as_dict()
 
     def test_more_threads_than_cores(self, monkeypatch):
-        # eight shares of 34 blocks switching every 10 us: a lost or misplaced
-        # write would leave a slot unlike the one-thread result
+        # 17 blocks over eight shares switching every 10 us, each share drawing
+        # two or three of them into its one buffer: a lost or misplaced write, or
+        # rows left over from a share's previous block, would leave a slot unlike
+        # the one-thread result
+        n = 10 ** 4
+        reps = 16 * max(1, meandev.estimation._BLOCK_VALUES // n) + 1
         monkeypatch.setattr(meandev.estimation, "worker_count", lambda: 1)
-        serial = monte_carlo(Lomax(4.0), self.M, n=10 ** 4, replications=101, seed=21)
+        serial = monte_carlo(Lomax(4.0), self.M, n=n, replications=reps, seed=21)
         monkeypatch.setattr(meandev.estimation, "worker_count", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            threaded = monte_carlo(Lomax(4.0), self.M, n=10 ** 4, replications=101, seed=21)
+            threaded = monte_carlo(Lomax(4.0), self.M, n=n, replications=reps, seed=21)
         finally:
             sys.setswitchinterval(interval)
         assert threaded.workers == 8
@@ -284,16 +291,19 @@ class TestMonteCarloBlocks:
                         n=10 ** 4, replications=101, seed=3)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("starts, raised", [((99,), 99), ((99, 96), 96)],
-                             ids=["second-share-only", "both-shares"])
-    def test_first_failing_share_raises(self, starts, raised, monkeypatch):
-        # two shares of 34 three-row blocks (two rows in the last): share 0
-        # takes the even blocks, the last starting at replication 96, and
-        # share 1 the odd ones, the last starting at 99
+    @pytest.mark.parametrize("shares", [(1,), (1, 0)], ids=["second-share-only", "both-shares"])
+    def test_first_failing_share_raises(self, shares, monkeypatch):
+        # two shares: share 0 takes the even blocks and share 1 the odd ones,
+        # and the blocks of `shares` fail at the last block each share takes
+        n, reps = 10 ** 4, 101
+        block_starts = range(0, reps, max(1, meandev.estimation._BLOCK_VALUES // n))
+        assert len(block_starts) >= 4  # so each share fails after a block it finished
+        last = [block_starts[k::2][-1] for k in (0, 1)]
         monkeypatch.setattr(meandev.estimation, "worker_count", lambda: 2)
         before = threading.active_count()
-        with pytest.raises(ValueError, match=f"^block at replication {raised}$"):
-            monte_carlo(_failing_at(*starts), self.M, n=10 ** 4, replications=101, seed=3)
+        with pytest.raises(ValueError, match=f"^block at replication {last[min(shares)]}$"):
+            monte_carlo(_failing_at(*(last[k] for k in shares)), self.M, n=n,
+                        replications=reps, seed=3)
         assert threading.active_count() == before
 
     def test_scaled_variance_standard_error(self):

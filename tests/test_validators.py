@@ -35,6 +35,9 @@ CASES = {
                    "weights must form a nonempty vector"),
     "weights-outside-unit": (lambda: PortfolioWeights(np.array([1.5, -0.5])),
                              "weights must lie in [0, 1]"),
+    "weights-nan": (lambda: PortfolioWeights(np.array([NAN, NAN])), "weights must lie in [0, 1]"),
+    "weights-nan-middle": (lambda: PortfolioWeights(np.array([0.5, NAN, 0.5])),
+                           "weights must lie in [0, 1]"),
     "weights-sum": (lambda: PortfolioWeights(np.array([0.3, 0.3])), "weights must sum to 1"),
     "panel-1d": (lambda: LossPanel((1, 2), ("A",), np.zeros(2)), "losses must be a 2-D matrix"),
     "panel-tickers": (lambda: LossPanel((1, 2), ("A",), np.zeros((2, 2))),

@@ -92,30 +92,6 @@ def expectile(x: StateVector, alpha: float) -> float:
                  / (alpha * (n - k) + (1.0 - alpha) * k))
 
 
-def _grid_sup(objective, grid: np.ndarray) -> float:
-    """Supremum of a scalar function over the span of an increasing grid.
-
-    The best grid point is refined by golden-section search between its two
-    grid neighbours, down to a bracket of 1e-10.
-    """
-    values = [objective(x) for x in grid]
-    best = int(np.argmax(values))
-    a, b = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, grid.size - 1)])
-    shrink = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - shrink * (b - a), a + shrink * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > 1e-10:
-        if fc >= fd:  # the larger interior value stays inside the bracket
-            b, d, fd = d, c, fc
-            c = b - shrink * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + shrink * (b - a)
-            fd = objective(d)
-    return float(max(values[best], fc, fd))
-
-
 def md_eval(m: MDMeasure, x: StateVector) -> float:
     """g(D_h(x)) + mean(x)."""
     return float(m.g(choquet_deviation(m.h, x))) + x.mean()
@@ -131,12 +107,12 @@ def adjusted_es_identity_gap(
 
         sup over y in [0, 1] of  y * ES_alpha(x) + (1 - y) * mean(x) - g*(y),
 
-    a penalized mixture of the tail average and the mean.  (Parametrizing
-    the mixture weight as y = (1-alpha) gamma / (alpha (1-gamma)) maps the
-    dual variable to a tail level gamma in [0, alpha].)  The sup is taken
-    on a uniform gamma grid, refined by golden-section search around the
-    best grid point (the dual objective is concave in y), and the returned
-    value is the absolute difference from the direct evaluation.
+    a penalized mixture of the tail average and the mean.  Every y gives a
+    lower bound (weak duality), and the Fenchel-Young point y* = g'(d), with
+    d = max(ES_alpha - mean, 0) and y* = 0 at d = 0, attains the sup; so the
+    dual is evaluated once, at y*, and the returned value is its absolute
+    difference from the direct evaluation.  ``grid_size`` is still checked
+    but no longer changes the value.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -151,12 +127,7 @@ def adjusted_es_identity_gap(
 
     es = es_alpha(x, alpha)
     mean = x.mean()
-
-    def dual_objective(gamma: float) -> float:
-        # written so gamma == alpha maps to exactly y = 1.0
-        y = ((1.0 - alpha) * gamma) / (alpha * (1.0 - gamma))
-        return y * es + (1.0 - y) * mean - conjugate(g, y)
-
-    sup = _grid_sup(dual_objective, np.linspace(0.0, alpha, grid_size))
-    md = float(g(es - mean)) + mean
-    return abs(sup - md)
+    d = max(es - mean, 0.0)  # on a constant sample es - mean can round below 0
+    y = g.left_derivative(d) if d > 0.0 else 0.0
+    dual = y * es + (1.0 - y) * mean - conjugate(g, y)
+    return abs(dual - (float(g(d)) + mean))

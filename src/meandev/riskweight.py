@@ -76,6 +76,9 @@ class RiskWeightFunction:
     def _conjugate(self, y: float) -> float:
         raise NotImplementedError
 
+    def kink_points(self) -> tuple[float, ...]:
+        return ()  # the points of (0, inf) where g' jumps
+
     def classify(self) -> GClassification:
         return self._classification
 
@@ -148,9 +151,10 @@ class ParetoShortfallWeight(_ParetoWeight):
     """g(x) = E[(x - Y)+] for Y with survival (1 + y)^(-theta)."""
 
     def _value(self, x):
+        y = np.minimum(x, np.finfo(float).max)  # so that g(inf) = inf - (a finite part)
         if self.theta == 1.0:
-            return x - np.log1p(x)
-        return x + ((1.0 + x) ** (1.0 - self.theta) - 1.0) / (self.theta - 1.0)
+            return x - np.log1p(y)
+        return x + ((1.0 + y) ** (1.0 - self.theta) - 1.0) / (self.theta - 1.0)
 
     def _left_derivative(self, x: float) -> float:
         return 1.0 - (1.0 + x) ** (-self.theta)
@@ -239,6 +243,8 @@ class PiecewiseLinearWeight(RiskWeightFunction):
             is_convex and is_concave, is_convex, is_star, is_concave, float(slopes[-1]), sup_ratio))
 
     def _value(self, x):
+        if self.slopes[-1] == 0.0:  # g is flat past the last knot, also at x = inf
+            x = np.minimum(x, self._edges[-1])
         # segment whose half-open interval [edge, next edge) contains x >= 0 = edges[0]
         i = np.searchsorted(self._edges, x, side="right") - 1
         return self._at_edges[i] + self._slopes[i] * (x - self._edges[i])
@@ -246,6 +252,9 @@ class PiecewiseLinearWeight(RiskWeightFunction):
     def _left_derivative(self, x: float) -> float:
         # slope on the segment whose half-open interval (edge, next edge] contains x
         return self.slopes[bisect.bisect_left(self.knots, x)]
+
+    def kink_points(self) -> tuple[float, ...]:
+        return self.knots
 
     def _conjugate(self, y: float) -> float:
         # the objective is linear on each segment, so the sup sits at a knot

@@ -4,18 +4,16 @@ Two uncertainty settings are covered: all distributions with a given mean
 and central-moment level, and a type-2 Wasserstein ball around an empirical
 baseline.  Both reduce to closed forms in the norms of h', with the
 Wasserstein case leaving a one-dimensional trade-off between shifting the
-mean and inflating the deviation.
+mean and inflating the deviation, which is solved to adjacent floats by
+bisecting the sign of its derivative between the kinks of g.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distortion import DistortionFunction, choquet_deviation
 from .distributions import StateVector
-from .measures import _grid_sup
 from .riskweight import RiskWeightFunction
 
 __all__ = [
@@ -24,8 +22,6 @@ __all__ = [
     "worstcase_moment",
     "worstcase_wasserstein",
 ]
-
-_GRID_SIZE = 200
 
 
 @dataclass(frozen=True)
@@ -77,27 +73,43 @@ def worstcase_wasserstein(
     """Largest value of g(D_h) + mean over the Wasserstein ball.
 
     The ball budget epsilon splits between a mean shift t*epsilon and a
-    deviation inflation epsilon*sqrt(1-t^2)*||h'||_2 on top of the nominal
-    deviation.  The objective is even in t apart from the increasing shift,
-    so t < 0 never beats -t: the supremum over t in [0, 1] is located on a
-    grid and refined by golden-section search.  For linear g = lambda x it
-    is closed, lambda D + epsilon sqrt(1 + lambda^2 ||h'||_2^2) + mean, by
-    Cauchy-Schwarz in (t, sqrt(1 - t^2)).
+    deviation inflation epsilon*c*N on top of the nominal deviation D, with
+    c = sqrt(1 - t^2) and N = ||h'||_2; t < 0 never beats -t, so c runs over
+    [0, 1].  For linear g = lambda x the supremum is closed, lambda D +
+    epsilon sqrt(1 + lambda^2 N^2) + mean, by Cauchy-Schwarz in (t, c).
+    Otherwise the derivative in c, epsilon (N g' - c / sqrt(1 - c^2)), falls
+    from + to - at most once between the kinks of g: g' is decreasing on the
+    cap families, constant on each piece of a piecewise-linear g, and concave
+    from g'(0) >= 0 on the shortfall families.  Each piece is bisected on its
+    sign down to two adjacent floats, with no grid and no tolerance.
     """
     nominal_dev = choquet_deviation(h, u.center)
     mean = u.center.mean()
     if u.epsilon == 0.0:
         return float(g(nominal_dev)) + mean
 
-    norm = h.q_norm(2.0)
+    norm = float(h.q_norm(2.0))
     eps = u.epsilon
     cls = g.classify()
     if cls.is_linear:
         lam = cls.asymptotic_slope
         return lam * nominal_dev + eps * math.hypot(1.0, lam * norm) + mean
 
-    def objective(t: float) -> float:
-        spread = eps * math.sqrt(max(1.0 - t * t, 0.0)) * norm
-        return float(g(spread + nominal_dev)) + t * eps + mean
+    def objective(c: float) -> float:  # eps * c first: at c = 0 it is 0 where eps * norm overflows
+        t = math.sqrt((1.0 - c) * (1.0 + c))
+        return float(g(nominal_dev + eps * c * norm)) + t * eps + mean
 
-    return _grid_sup(objective, np.linspace(0.0, 1.0, _GRID_SIZE))
+    def falls(c: float) -> bool:  # the derivative is <= 0 at c
+        # a left derivative needs x > 0; at x = 0 the slope just above it is the one wanted
+        slope = g.left_derivative(max(nominal_dev + eps * c * norm, math.ulp(0.0)))
+        return norm * slope * math.sqrt((1.0 - c) * (1.0 + c)) <= c
+
+    spread = eps * norm
+    cuts = sorted({0.0, 1.0, *((x - nominal_dev) / spread for x in g.kink_points()
+                               if nominal_dev < x < nominal_dev + spread)})
+    best = -math.inf
+    for lo, hi in zip(cuts, cuts[1:]):
+        while lo < (mid := 0.5 * (lo + hi)) < hi:  # until lo and hi are adjacent floats
+            lo, hi = (lo, mid) if falls(mid) else (mid, hi)
+        best = max(best, objective(lo), objective(hi))
+    return best

@@ -170,6 +170,18 @@ class TestInputValidation:
         assert proc.stdout == b""
         assert proc.stderr == b"meandev: error: worst_case is not a finite number; nothing was written\n"
 
+    @pytest.mark.parametrize("setting, flags", [
+        ("moment", ["--m", "0", "--v", "1e308"]), ("wasserstein", ["--eps", "1e308"])])
+    def test_overflowing_nonlinear_worst_case_error_is_one_line(self, setting, flags, sample_csv):
+        # g(inf) of x - log(1 + x) used to be inf - inf = NaN, and the Wasserstein
+        # search overflowed in a numpy scalar add: each warned ahead of the error
+        data = ["--data", sample_csv] if setting == "wasserstein" else []
+        proc = run_cli("robust", setting, "--g", '{"kind":"pareto_shortfall","theta":1}',
+                       "--h", '{"kind":"es_dev","alpha":0.9}', *flags, *data)
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr == b"meandev: error: worst_case is not a finite number; nothing was written\n"
+
     def test_extreme_model_error_is_one_line(self):
         # numpy's overflow warnings used to print four lines ahead of the error
         proc = run_cli("asymvar", "--model", '{"kind":"exponential","beta":1e-300}',
@@ -680,7 +692,7 @@ class TestStartUp:
         (["mc", "--model", '{"kind":"exponential","beta":1.0}', "--g", LINEAR_G, "--h", GINI_H,
           "--n", "200", "--reps", "100", "--seed", "5"], EVAL_MODULES + ["measures", "estimation"]),
         (["robust", "moment", "--g", LINEAR_G, "--h", GINI_H, "--m", "1.0"],
-         EVAL_MODULES + ["measures", "robust"]),
+         EVAL_MODULES + ["robust"]),
         (["robust", "wasserstein", "--g", LINEAR_G, "--h", GINI_H, "--data", None],
          EVAL_MODULES + ["measures", "robust"]),
         (["backtest", "--prices", None, "--config", '{"window":40}'],

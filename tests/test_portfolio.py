@@ -49,6 +49,12 @@ def synthetic_panel(n_days: int, n_assets: int, seed: int) -> LossPanel:
     return LossPanel(dates=trading_dates(n_days), tickers=tickers, losses=losses)
 
 
+def rounding_floor(window) -> float:
+    """An absolute tolerance of a few roundings at the window's scale, beside rel
+    1e-12, for a psi or an objective near 0."""
+    return 4.0 * np.finfo(float).eps * float(np.max(np.abs(window)))
+
+
 class TestIngest:
     def write(self, tmp_path, text):
         path = tmp_path / "prices.csv"
@@ -183,7 +189,7 @@ class TestOptimizeMD:
             warm = optimize_md(window, cfg, w0=w0, s0=s0)
             assert abs(warm.gap) <= 1e-9 * float(np.max(np.abs(window)))
             assert portfolio_objective(window, warm.w, g, 0.9) == pytest.approx(
-                portfolio_objective(window, cold.w, g, 0.9), rel=1e-12)
+                portfolio_objective(window, cold.w, g, 0.9), rel=1e-12, abs=rounding_floor(window))
             if isinstance(g, LinearWeight):  # its one LP sits at lambda whatever the start
                 assert warm.slope == previous.slope == 1.0
                 assert np.array_equal(warm.w, optimize_md(window, cfg, w0=w0).w)
@@ -384,10 +390,10 @@ class TestTailLP:
     @staticmethod
     def assert_matches_highs(window, s, mine_psi, mine_w, duplicate, compare_w=True):
         psi, w = highs_tail_lp(window, 0.9, s)
-        assert mine_psi == pytest.approx(psi, rel=1e-12)
+        assert mine_psi == pytest.approx(psi, rel=1e-12, abs=rounding_floor(window))
         losses = StateVector(window @ mine_w)
         dual_bound = losses.mean() + s * (es_alpha(losses, 0.9) - losses.mean())
-        assert dual_bound == pytest.approx(psi, rel=1e-12)
+        assert dual_bound == pytest.approx(psi, rel=1e-12, abs=rounding_floor(window))
         if duplicate:
             mine_w, w = np.append(mine_w[1:-1], mine_w[0] + mine_w[-1]), np.append(w[1:-1], w[0] + w[-1])
         if compare_w:
@@ -470,7 +476,8 @@ class TestBacktest:
             cold_pivots += cold.pivots
             assert abs(cold.gap) <= tol
             assert portfolio_objective(window, w, cfg.g_spec, cfg.alpha) == pytest.approx(
-                portfolio_objective(window, cold.w, cfg.g_spec, cfg.alpha), rel=1e-12)
+                portfolio_objective(window, cold.w, cfg.g_spec, cfg.alpha), rel=1e-12,
+                abs=rounding_floor(window))
             assert np.max(np.abs(w - cold.w)) <= 1e-12
         assert len(report.periods) > 1 and report.max_gap <= tol
         assert report.pivots < cold_pivots

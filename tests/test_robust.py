@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from meandev.distortion import ESDeviation, Gini, MeanAbsDevHalf, RangeDistortion
-from meandev.distributions import Normal
+from meandev.distributions import Normal, StateVector
 from meandev.measures import MDMeasure, md_eval
 from meandev.riskweight import (
     ExpCapWeight,
     ExpShortfallWeight,
     LinearWeight,
+    ParetoCapWeight,
     ParetoShortfallWeight,
     PiecewiseLinearWeight,
 )
@@ -86,20 +87,31 @@ class TestWassersteinWorstCase:
             assert worstcase_wasserstein(LinearWeight(1.0), h, u) == pytest.approx(
                 expected, abs=1e-8)
 
-    @pytest.mark.parametrize("lam", [0.3, 1.0])
-    def test_linear_closed_form_matches_the_grid_search(self, lam):
-        # the grid and golden-section search that every nonlinear g takes
+    @pytest.mark.parametrize("g", [
+        LinearWeight(0.3), LinearWeight(1.0), ExpShortfallWeight(1.0), ExpShortfallWeight(30.0),
+        ParetoShortfallWeight(0.5), ParetoShortfallWeight(1.0), ParetoShortfallWeight(4.0),
+        ExpCapWeight(0.1), ExpCapWeight(10.0), ParetoCapWeight(0.5), ParetoCapWeight(1.0),
+        ParetoCapWeight(3.0), PiecewiseLinearWeight((1.0,), (1.0, 0.2)),
+        # convex, and its objective has two local maxima
+        PiecewiseLinearWeight((0.5, 1.0), (0.0, 0.3, 1.0)),
+    ], ids=["linear-0.3", "linear-1.0", "exp-shortfall-1", "exp-shortfall-30",
+            "pareto-shortfall-0.5", "pareto-shortfall-1", "pareto-shortfall-4", "exp-cap-0.1",
+            "exp-cap-10", "pareto-cap-0.5", "pareto-cap-1", "pareto-cap-3", "piecewise-concave",
+            "piecewise-two-maxima"])
+    def test_matches_a_dense_scan(self, g):
+        # the objective over c = sqrt(1 - t^2) and over t, each on a dense grid; the
+        # sup is never below the grid's maximum, and is attained, so not far above
         from meandev.distortion import choquet_deviation
-        from meandev.measures import _grid_sup
-        h = Gini()
-        dev, mean, norm = choquet_deviation(h, self.center), self.center.mean(), h.q_norm(2.0)
-        for eps in (0.1, 1.0, 5.0):
-            searched = _grid_sup(
-                lambda t: lam * (eps * math.sqrt(1.0 - t * t) * norm + dev) + t * eps + mean,
-                np.linspace(0.0, 1.0, 200))
-            u = WassersteinUncertainty(self.center, eps)
-            assert worstcase_wasserstein(LinearWeight(lam), h, u) == pytest.approx(
-                searched, abs=1e-9)
+        grid = np.linspace(0.0, 1.0, 100001)
+        for center in (self.center, StateVector([0.7] * 50)):  # D = 0 on the constant one
+            for h in (ESDeviation(0.9), Gini(), MeanAbsDevHalf()):
+                dev, mean, norm = choquet_deviation(h, center), center.mean(), h.q_norm(2.0)
+                # at 0.4, 2.5 and 6 the maximum past the kinks of the two-maxima g wins
+                for eps in (1e-3, 0.1, 0.4, 1.0, 2.5, 6.0, 10.0):
+                    scan = max(np.max(g(dev + eps * grid * norm) + eps * np.sqrt(1 - grid ** 2)),
+                               np.max(g(dev + eps * np.sqrt(1 - grid ** 2) * norm) + eps * grid))
+                    got = worstcase_wasserstein(g, h, WassersteinUncertainty(center, eps)) - mean
+                    assert scan - 1e-12 * abs(scan) <= got <= scan + 1e-6 * eps
 
     @pytest.mark.parametrize("lam", [0.1, 0.37, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("h", [Gini(), ESDeviation(0.9), MeanAbsDevHalf()])

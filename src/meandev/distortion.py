@@ -3,15 +3,24 @@
 A distortion h is concave on [0, 1] with h(0) = h(1) = 0.  On a sample it
 induces the deviation
 
-    D_h(x) = sum_i h((n - i) / n) * (x_(i+1) - x_(i)),
+    D_h(x) = sum_i h((n - i) / n) * (x_(i+1) - x_(i))
+           = sum_i (h((n - i) / n) - h((n - i - 1) / n)) * x_(i),
 
 the exact staircase integral of the empirical quantile weighted by h'.
 The deviation is translation invariant, positively homogeneous, and (h
 being concave) subadditive.  h'(1) = -1 is the range-normalization
 criterion that makes D_h + mean a coherent functional with tight constant.
+
+For a piecewise-linear h the order-statistic weights in the second form are
+constant between the knots, so D_h needs only the order statistic at each
+knot's rank and the sums of the blocks between them: one selection per knot,
+not a sort (Rockafellar & Uryasev 2002 for ES).  Any other h takes the sort
+and the staircase of the first form.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +37,7 @@ __all__ = [
     "RangeDistortion",
     "PiecewiseLinearDistortion",
     "choquet_deviation",
+    "row_deviations",
     "staircase_weights",
     "staircase_sum",
     "is_range_normalized",
@@ -300,15 +310,90 @@ def staircase_sum(weights_of, xs: np.ndarray) -> float:
     return float(total)
 
 
-def choquet_deviation(h: DistortionFunction, x: StateVector) -> float:
-    """Signed Choquet deviation of a sample: the order-statistic staircase sum.
+@functools.lru_cache(maxsize=64)
+def _selection_plan(h: PiecewiseLinearDistortion, n: int):
+    """The ranks to select at, the blocks between them and their weights, for h at size n.
 
-    Equals the integral of the empirical quantile against h'(1 - u), computed
-    exactly; zero on constant vectors, translation invariant, positively
-    homogeneous, and subadditive for concave h.  Holds one sorted copy plus one chunk.
+    Knot t sits at q = n (1 - t) in the order-statistic index, where x_(i)
+    covers [i, i + 1].  Each knot is selected at rank floor(q), from the top
+    rank down; a q that is not whole makes that order statistic a block of
+    its own, whose weight is h's exact difference across it.  Every other
+    block lies on one segment of h and weighs its slope / n.  The arithmetic
+    is on whole numbers over the knots' common power-of-two denominator, so
+    each block's share of each segment is exact before it is rounded.
+    Returns the ranks in descending order, the block starts, the block
+    weights and the pivot: the rank nearest the median, None with no
+    interior knot.  The arrays are read-only because all callers share them.
     """
-    xs = x.sorted_values()
-    return staircase_sum(lambda a, b: staircase_weights(h, xs.size, a, b), xs)
+    ratios = [t.as_integer_ratio() for t in h.t[1:-1]]
+    den = max((d for _, d in ratios), default=1)
+    # the segment edges in ascending q, in units of 1 / den; between edges m
+    # and m + 1 the weight per unit of q is h._u_slopes[m] / n
+    edges = [0, *(n * (d - a) * (den // d) for a, d in reversed(ratios)), n * den]
+    ranks = sorted({q // den for q in edges[1:-1]}, reverse=True)
+    starts = sorted({0, *ranks, *(q // den + 1 for q in edges[1:-1] if q % den)} - {n})
+    weights = []
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        lo, hi = lo * den, hi * den
+        first, stop = bisect.bisect_right(edges, lo) - 1, bisect.bisect_left(edges, hi)
+        weights.append(math.fsum(
+            h._u_slopes[m] * ((min(edges[m + 1], hi) - max(edges[m], lo)) / (hi - lo))
+            for m in range(first, stop)) / n)
+    pivot = min(ranks, key=lambda r: abs(2 * r - n), default=None)
+    starts, weights = np.array(starts), np.array(weights)
+    for a in (starts, weights):
+        a.setflags(write=False)
+    return tuple(ranks), starts, weights, pivot
+
+
+def row_deviations(h: DistortionFunction, rows: np.ndarray) -> np.ndarray:
+    """D_h of each row of an (m, n) float array, whose values it overwrites.
+
+    For a piecewise-linear h each row is partitioned in place at each knot's
+    rank, from the top rank down, each partition on the part below the last;
+    then shifted by its pivot order statistic, so a constant row gives exactly
+    0.0 and a large location does not swamp the sums; then its blocks are
+    summed and weighed.  Every other h sorts the rows in place and takes
+    `staircase_sum` of each, with weights that are bit for bit the same
+    whether built for the block or one chunk at a time.  A row's arithmetic
+    does not depend on the other rows, so it gives the same float in any block.
+    """
+    n = rows.shape[1]
+    if not isinstance(h, PiecewiseLinearDistortion):
+        rows.sort(axis=1)
+        weights = staircase_weights(h, n) if rows.shape[0] > 1 else None
+
+        def weights_of(a: int, b: int) -> np.ndarray:
+            # a block shares one set of weights; a single row builds one chunk at a time
+            return staircase_weights(h, n, a, b) if weights is None else weights[a:b]
+
+        return np.array([staircase_sum(weights_of, row) for row in rows])
+    ranks, starts, weights, pivot = _selection_plan(h, n)
+    if not ranks:  # no interior knot: h = 0, and 0 * a negative sum would read -0.0
+        return np.zeros(rows.shape[0])
+    part = rows
+    for r in ranks:
+        # one kth per call: a multi-kth partition is several times slower
+        part.partition(r, axis=1)
+        part = rows[:, :r]
+    rows -= rows[:, pivot:pivot + 1].copy()
+    sums = np.add.reduceat(rows, starts, axis=1)
+    sums *= weights
+    dev = sums[:, 0]
+    for j in range(1, weights.size):  # in block order, one column at a time
+        dev += sums[:, j]
+    return dev
+
+
+def choquet_deviation(h: DistortionFunction, x: StateVector) -> float:
+    """Signed Choquet deviation of a sample: `row_deviations` of one copy of it.
+
+    Equals the integral of the empirical quantile against h'(1 - u);
+    zero on constant vectors, translation invariant, positively homogeneous,
+    and subadditive for concave h.  Holds the copy plus, for an h that is not
+    piecewise linear, one chunk of gaps and weights.
+    """
+    return float(row_deviations(h, x.values[None].copy())[0])
 
 
 def is_range_normalized(h: DistortionFunction) -> bool:

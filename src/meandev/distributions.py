@@ -181,10 +181,61 @@ def _check_prob(u) -> np.ndarray:
     return arr
 
 
+# cephes' erf and erfc rational approximations (Moshier), as scipy.special.ndtr
+# evaluates them: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and
+# erfc(x) = e^(-x^2) P(x) / Q(x) on [1, 8), e^(-x^2) R(x) / S(x) from 8
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2  # log of the largest float: e^(-x^2) underflows past it
+_SQRT1_2 = 0.70710678118654752440
+
+
+def _horner(x, coefficients, monic=False):
+    """The polynomial with these coefficients, highest power first, by Horner's rule;
+    ``monic`` puts a leading coefficient 1 in front of them."""
+    y = x + coefficients[0] if monic else coefficients[0]
+    for c in coefficients[1:]:
+        y = y * x + c
+    return y
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """Phi(a): a port of cephes ndtr, erf and erfc, bit for bit scipy.special.ndtr.
+
+    Every operation is one IEEE operation in cephes' order, and e^(-x^2) is
+    math.exp, the C library's exp that cephes calls.
+    """
+    x = a * _SQRT1_2
+    z = np.abs(x)
+    with np.errstate(all="ignore"):  # the branches not taken may overflow
+        zz = z * z
+        erf = z * _horner(zz, _ERF_T) / _horner(zz, _ERF_U, monic=True)
+        low = z < 8.0
+        p = np.where(low, _horner(z, _ERFC_P), _horner(z, _ERFC_R))
+        q = np.where(low, _horner(z, _ERFC_Q, monic=True), _horner(z, _ERFC_S, monic=True))
+        decay = np.fromiter((math.exp(-v) for v in zz.flat), float, zz.size).reshape(zz.shape)
+        erfc = np.where(z < 1.0, 1.0 - erf, np.where(zz > _MAXLOG, 0.0, decay * p / q))
+    half = 0.5 * erfc
+    return np.where(z < _SQRT1_2, 0.5 + 0.5 * np.copysign(erf, x),
+                    np.where(x > 0.0, 1.0 - half, half))[()]
+
+
 @dataclass(frozen=True)
 class Normal(ParametricModel):
-    """N(mu, sd^2).  Its methods import scipy.special themselves, so that
-    importing meandev does not load scipy."""
+    """N(mu, sd^2).  Its quantile methods import scipy.special themselves, so
+    that importing meandev does not load scipy; its cdf needs no scipy."""
 
     mu: float = 0.0
     sd: float = 1.0
@@ -209,9 +260,7 @@ class Normal(ParametricModel):
         return self.mu - self.sd * ndtri(_check_prob(eps))
 
     def cdf(self, x):
-        from scipy.special import ndtr
-
-        return ndtr((np.asarray(x, dtype=float) - self.mu) / self.sd)
+        return _ndtr((np.asarray(x, dtype=float) - self.mu) / self.sd)
 
     def density_quantile(self, u):
         from scipy.special import ndtri

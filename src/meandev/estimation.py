@@ -41,10 +41,11 @@ Monte Carlo draws its replications in blocks of rows, one row per spawned
 seed, and shares the blocks out over every core the process may run on:
 each share runs on a thread of a `concurrent.futures` pool while the calling
 thread waits.  A block's element work (the PCG64 fill, the quantile, the row
-means and sorts) runs in numpy, which releases the GIL.  Each sorted row goes
-through `distortion.staircase_sum`, the kernel of `choquet_deviation`, which
-holds one chunk of gaps and weights beside the row; so each estimate is the
-float that `md_eval` gives on the same sample, whatever the thread count.
+means and the deviations) runs in numpy, which releases the GIL.  Each block
+goes through `distortion.row_deviations`, the kernel of `choquet_deviation`,
+which selects at h's knots for a piecewise-linear h and sorts otherwise; a
+row's arithmetic does not depend on its block, so each estimate is the float
+that `md_eval` gives on the same sample, whatever the thread count.
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from ._spec import NumericsError
-from .distortion import staircase_sum, staircase_weights
+from .distortion import row_deviations
 from .distributions import Normal, ParametricModel
 from .measures import MDMeasure
 
@@ -304,10 +305,9 @@ def monte_carlo(
     of min(replications, max(1, 2^17 // n)) rows.  Share k of
     w = min(worker_count(), blocks) takes blocks k, k + w, k + 2w, ... on a
     pool thread while the calling thread waits; it draws each block into one
-    buffer of its own, where numpy averages and sorts it, and writes the
-    block's own slots of the estimates.  The staircase weights depend only
-    on n, so they are built once; each sorted row forms its gaps one chunk
-    at a time, and each estimate is the float that `md_eval` gives on
+    buffer of its own, where numpy averages it and `row_deviations` takes
+    each row's deviation in place, and writes the block's own slots of the
+    estimates.  Each estimate is the float that `md_eval` gives on
     ``model.sample(n, child)``.  Raises NumericsError when the asymptotic
     variance is too small to standardize the estimates (it underflows to 0,
     or n / sigma^2 overflows), or when the float spacing at the center is
@@ -331,7 +331,6 @@ def monte_carlo(
             "so the draws cannot resolve the estimator's spread")
     from concurrent.futures import ThreadPoolExecutor  # kept out of `import meandev`
 
-    weights = staircase_weights(m.h, n)
     children = np.random.SeedSequence(seed).spawn(replications)
     rows = min(replications, max(1, _BLOCK_VALUES // n))
     workers = min(worker_count(), -(-replications // rows))
@@ -342,9 +341,8 @@ def monte_carlo(
         for start in range(k * rows, replications, workers * rows):
             x = model.sample_block(n, children[start:start + rows], out=block)
             means = np.mean(x, axis=1)
-            x.sort(axis=1)
-            for i, (row, mean) in enumerate(zip(x, means.tolist())):
-                dev = staircase_sum(lambda a, b: weights[a:b], row)
+            devs = row_deviations(m.h, x)
+            for i, (dev, mean) in enumerate(zip(devs.tolist(), means.tolist())):
                 estimates[start + i] = float(m.g(dev)) + mean
 
     # map yields in share order, so the error raised is the first failing

@@ -36,11 +36,11 @@ class MDMeasure:
 
 
 def var_alpha(x: StateVector, alpha: float) -> float:
-    """Left quantile of the sample: order statistic at index ceil(n * alpha)."""
+    """Left quantile of the sample: order statistic at index ceil(n * alpha), selected."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     k = max(math.ceil(x.n * alpha), 1)
-    return float(x.sorted_values()[k - 1])
+    return float(np.partition(x.values, k - 1)[k - 1])
 
 
 def _sorted_with_prefix(x: StateVector):

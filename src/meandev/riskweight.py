@@ -157,7 +157,8 @@ class ParetoShortfallWeight(_ParetoWeight):
         return x + ((1.0 + y) ** (1.0 - self.theta) - 1.0) / (self.theta - 1.0)
 
     def _left_derivative(self, x: float) -> float:
-        return 1.0 - (1.0 + x) ** (-self.theta)
+        # 1 - (1 + x)^(-theta), which cancels to 0 as x -> 0
+        return -math.expm1(-self.theta * math.log1p(x))
 
     def _conjugate(self, y: float) -> float:
         # the sup sits at (1 + x)^(-theta) = 1 - y; with c = 1 - 1/theta it is

@@ -20,6 +20,7 @@ from meandev.distortion import (
     choquet_deviation,
     distortion_from_spec,
     is_range_normalized,
+    row_deviations,
     staircase_sum,
     staircase_weights,
 )
@@ -233,7 +234,7 @@ class TestStaircaseSum:
     @pytest.mark.parametrize("n", [2, 1000, 10_000, 10_001])
     def test_is_one_dot_up_to_ten_thousand_gaps(self, n, rng):
         h, xs = ESDeviation(0.9), np.sort(rng.standard_normal(n))
-        assert choquet_deviation(h, StateVector(xs)) == float(
+        assert staircase_sum(lambda a, b: staircase_weights(h, n, a, b), xs) == float(
             np.dot(staircase_weights(h, n), np.diff(xs)))
 
     @pytest.mark.parametrize("n", [10_002, 25_001, 10**6])
@@ -256,7 +257,11 @@ class TestStaircaseSum:
         full = np.dot(weights[:10_000], gaps[:10_000])
         for a in range(10_000, n - 1, 10_000):
             full += np.dot(weights[a:a + 10_000], gaps[a:a + 10_000])
-        assert choquet_deviation(h, StateVector(xs)) == float(full)
+        assert staircase_sum(lambda a, b: staircase_weights(h, n, a, b), xs) == float(full)
+        if isinstance(h, Gini):  # a piecewise-linear h is selected at its knots instead
+            assert choquet_deviation(h, StateVector(xs)) == float(full)
+        else:
+            assert choquet_deviation(h, StateVector(xs)) == pytest.approx(float(full), rel=1e-12)
         for a, b in ((0, n - 1), (0, min(n - 1, 7)), (n // 3, n - 1)):
             assert np.array_equal(staircase_weights(h, n, a, b), weights[a:b])
 
@@ -284,6 +289,100 @@ class TestStaircaseSum:
                                   env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout
                    for threads in ("1", "2")]
         assert outputs[0].count("\n") == 2 and outputs[0] == outputs[1]
+
+
+def exact_deviation(h: PiecewiseLinearDistortion, xs) -> Fraction:
+    """Sum over i of (h((n - i) / n) - h((n - i - 1) / n)) x_(i), in rational arithmetic."""
+    t, v = [Fraction(a) for a in h.t], [Fraction(a) for a in h.h]
+
+    def at(s: Fraction) -> Fraction:
+        j = next(j for j in range(len(t) - 1) if s <= t[j + 1])
+        return v[j] + (v[j + 1] - v[j]) * (s - t[j]) / (t[j + 1] - t[j])
+
+    n, xs = len(xs), sorted(xs)
+    levels = [at(Fraction(n - i, n)) for i in range(n + 1)]
+    return sum((levels[i] - levels[i + 1]) * Fraction(x) for i, x in enumerate(xs))
+
+
+def random_piecewise(rng, knots) -> PiecewiseLinearDistortion:
+    """A concave piecewise-linear h with these interior knots and random slopes."""
+    t = [0.0, *sorted(knots), 1.0]
+    lengths = np.diff(t)
+    slopes = np.sort(rng.uniform(-1.0, 3.0, lengths.size))[::-1]
+    slopes -= slopes @ lengths  # so that h(1) = 0, up to rounding
+    h = np.concatenate(([0.0], np.cumsum(slopes * lengths)))
+    h[-1] = 0.0
+    return PiecewiseLinearDistortion(tuple(t), tuple(h.tolist()))
+
+
+PIECEWISE_H = [ESDeviation(0.9), ESDeviation(0.37), ESDeviation(0.5), MeanAbsDevHalf(),
+               PiecewiseLinearDistortion(t=(0.0, 0.2, 0.6, 1.0), h=(0.0, 0.5, 0.4, 0.0))]
+PIECEWISE_IDS = ["es09", "es037", "es05", "mad_half", "piecewise3"]
+
+
+class TestRowDeviations:
+    """Selection at the knots of a piecewise-linear h against the exact staircase."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 17, 32, 39, 48, 59, 60])
+    @pytest.mark.parametrize("dyadic", [False, True], ids=["straddling", "dyadic"])
+    def test_matches_rational_oracle(self, n, dyadic, rng):
+        # knots at multiples of 1/16 fall between order statistics when 16 | n;
+        # random knots fall inside one, whose weight is then h's exact difference
+        for k in (1, 2, 3):
+            knots = rng.integers(1, 16, k) / 16 if dyadic else rng.uniform(0.01, 0.99, k)
+            h = random_piecewise(rng, set(knots.tolist()))
+            for loc, scale in ((0.0, 1.0), (1e3, 1e-3), (-5.0, 1e3)):
+                xs = loc + scale * rng.standard_normal(n)
+                want = exact_deviation(h, xs.tolist())
+                got = choquet_deviation(h, StateVector(xs))
+                assert abs(Fraction(got) - want) <= 6 * math.ulp(float(want)), (h, xs)
+
+    @pytest.mark.parametrize("h", PIECEWISE_H, ids=PIECEWISE_IDS)
+    @pytest.mark.parametrize("n", [2, 7, 100, 1001, 10_000])
+    def test_named_distortions_match_rational_oracle(self, h, n, rng):
+        xs = 1e3 + rng.standard_normal(n)
+        want = exact_deviation(h, xs.tolist())
+        assert abs(Fraction(choquet_deviation(h, StateVector(xs))) - want) <= 6 * math.ulp(
+            float(want))
+
+    @pytest.mark.parametrize("h", PIECEWISE_H, ids=PIECEWISE_IDS)
+    def test_constant_samples_give_exactly_zero(self, h):
+        for n in range(1, 70):
+            for c in (0.1, -3.7, 1e8, 1e-300, -2.5e300 / n):
+                assert choquet_deviation(h, StateVector([c] * n)) == 0.0
+        assert np.array_equal(row_deviations(h, np.full((4, 33), 0.3)), np.zeros(4))
+
+    def test_zero_distortion_gives_positive_zero(self):
+        zero = PiecewiseLinearDistortion(t=(0.0, 1.0), h=(0.0, 0.0))
+        devs = row_deviations(zero, np.array([[3.0, 1.0, 2.0], [1.0, 3.0, 2.0]]))
+        assert np.array_equal(devs, [0.0, 0.0]) and not np.signbit(devs).any()
+
+    @pytest.mark.parametrize("h", PIECEWISE_H, ids=PIECEWISE_IDS)
+    def test_shift_by_1e8_moves_only_by_the_rounding_of_the_shift(self, h, rng):
+        # x + 1e8 rounds each value by up to ulp(1e8) / 2, and the weights'
+        # absolute values sum to at most 2 max h, so D moves by at most
+        # max h * ulp(1e8); the arithmetic adds a few ulps of D
+        for n in (10, 1000, 100_001):
+            x = StateVector(rng.standard_normal(n))
+            base = choquet_deviation(h, x)
+            bound = max(h.h) * math.ulp(1e8) + 8 * math.ulp(base)
+            assert abs(choquet_deviation(h, x + 1e8) - base) <= bound
+
+    @pytest.mark.parametrize("h", PIECEWISE_H, ids=PIECEWISE_IDS)
+    def test_ties(self, h, rng):
+        for n in (4, 20, 57, 1000):
+            xs = rng.integers(0, 3, n).astype(float)
+            want = exact_deviation(h, xs.tolist())
+            assert abs(Fraction(choquet_deviation(h, StateVector(xs))) - want) <= 6 * math.ulp(
+                float(want))
+
+    @pytest.mark.parametrize("h", [*PIECEWISE_H, Gini(), RangeDistortion()],
+                             ids=[*PIECEWISE_IDS, "gini", "range"])
+    @pytest.mark.parametrize("n", [1, 37, 1000, 10_001])
+    def test_each_row_gives_its_choquet_deviation_bitwise(self, h, n, rng):
+        block = rng.standard_normal((5, n)) * rng.uniform(0.1, 10.0, (5, 1))
+        expected = [choquet_deviation(h, StateVector(row)) for row in block]
+        assert np.array_equal(row_deviations(h, block), expected)
 
 
 class TestNorms:

@@ -161,6 +161,35 @@ class TestSampling:
         assert str(from_block.value) == str(from_vector.value)
 
 
+class TestNormalCdf:
+    """The in-house Phi is a port of cephes ndtr: bit for bit scipy.special.ndtr."""
+
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 3.0, 10.0, 40.0])
+    def test_equals_scipy_ndtr_bitwise(self, scale, rng):
+        from scipy.special import ndtr
+
+        z = scale * rng.standard_normal(200_000)
+        assert np.array_equal(Normal().cdf(z), ndtr(z))
+
+    def test_edges_equal_scipy_ndtr(self):
+        from scipy.special import ndtr
+
+        # the branch points 1/sqrt(2), 1 and 8 of |x| = |z| / sqrt(2), the
+        # underflow of e^(-x^2), signed zeros, subnormals and infinities
+        edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, math.sqrt(2.0), 1.0 / math.sqrt(0.5),
+                 8.0 * math.sqrt(2.0), 37.5, -37.5, 38.5, -38.6, 1e300, -1e300, math.inf,
+                 -math.inf, math.nan]
+        z = np.array([v for e in edges for v in (np.nextafter(e, -math.inf), e,
+                                                  np.nextafter(e, math.inf))])
+        assert np.array_equal(Normal().cdf(z), ndtr(z), equal_nan=True)
+
+    def test_location_scale_and_scalars(self):
+        from scipy.special import ndtr
+
+        assert Normal(1.5, 2.0).cdf(0.3) == ndtr((0.3 - 1.5) / 2.0)
+        assert np.shape(Normal().cdf(0.3)) == () and Normal().cdf([[0.3]]).shape == (1, 1)
+
+
 class TestStateVector:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 import meandev.estimation
-from meandev.distortion import ESDeviation, Gini, PiecewiseLinearDistortion
+from meandev.distortion import ESDeviation, Gini, MeanAbsDevHalf, PiecewiseLinearDistortion
 from meandev.distributions import Exponential, Lomax, Normal
 from meandev.estimation import (
     GaussianLimit,
@@ -207,9 +207,10 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("model", [Normal(), Lomax(4.0)], ids=["normal", "lomax4"])
     @pytest.mark.parametrize("h", [
         H09, Gini(), PiecewiseLinearDistortion(t=(0.0, 0.2, 0.6, 1.0), h=(0.0, 0.5, 0.4, 0.0)),
-    ], ids=["es09", "gini", "piecewise3"])
+        MeanAbsDevHalf(),
+    ], ids=["es09", "gini", "piecewise3", "mad_half"])
     def test_estimates_equal_md_eval(self, model, h):
-        # the hoisted staircase weights give exactly md_eval's float per sample
+        # each row of a block gives exactly md_eval's float on its sample
         m = MDMeasure(ExpShortfallWeight(1.0), h)
         report = monte_carlo(model, m, n=300, replications=100, seed=61)
         children = np.random.SeedSequence(61).spawn(100)

@@ -70,6 +70,14 @@ class TestVaR:
         with pytest.raises(ValueError):
             var_alpha(StateVector([1.0]), 1.0)
 
+    def test_selection_is_the_sorted_order_statistic_bitwise(self, rng):
+        for n in (1, 2, 7, 100, 1001, 10**5):
+            for values in (rng.standard_normal(n), np.round(rng.standard_normal(n), 1)):
+                x = StateVector(values)
+                for alpha in (1e-9, 0.1, 0.37, 0.5, 0.9, 0.95, 1.0 - 1e-9):
+                    k = max(math.ceil(n * alpha), 1)
+                    assert var_alpha(x, alpha) == x.sorted_values()[k - 1]
+
 
 class TestES:
     def test_two_states(self):

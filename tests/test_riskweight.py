@@ -101,6 +101,16 @@ class TestLeftDerivative:
         with pytest.raises(ValueError):
             LinearWeight(1.0).left_derivative(0.0)
 
+    @pytest.mark.parametrize("theta", [1.0, 4.0])
+    @pytest.mark.parametrize("x", [1e-300, 1e-12, 1e-10, 1.0, 1e3])
+    def test_pareto_shortfall_relative_accuracy(self, theta, x):
+        # 1 - (1 + x)^(-theta) in 400 digits, enough to resolve x = 1e-300;
+        # 1 - (1.0 + x)**(-theta) read 0.0 there and was 8.9e-5 off at 1e-12
+        with mpmath.workdps(400):
+            exact = float(1 - (1 + mpmath.mpf(x)) ** (-theta))
+        assert ParetoShortfallWeight(theta).left_derivative(x) == pytest.approx(
+            exact, rel=4e-16, abs=0.0)
+
 
 class TestClassification:
     def test_linear(self):
@@ -337,7 +347,7 @@ REFERENCE_FAMILIES = {
     "pareto_shortfall": (ParetoShortfallWeight, "theta",
                          lambda t, x: (np.asarray(x, dtype=float) - np.log1p(x)) if t == 1.0
                          else np.asarray(x, dtype=float) + (pareto_power(t, x) - 1.0) / (t - 1.0),
-                         lambda t, x: 1.0 - (1.0 + x) ** (-t), pareto_shortfall_conjugate,
+                         lambda t, x: -math.expm1(-t * math.log1p(x)), pareto_shortfall_conjugate,
                          GClassification(False, True, True, False, 1.0, 1.0)),
     "pareto_cap": (ParetoCapWeight, "theta",
                    lambda t, x: np.log1p(np.asarray(x, dtype=float)) if t == 1.0

@@ -7,10 +7,14 @@ Run from the repository root.  The parent commit is exported with
 ``git archive`` into a temporary directory, so the repository gains no
 worktree entry.  Each pair runs ``perfbench/run.py --trace 0`` once on each
 side with the same workload, seed and the ``run_seconds`` of
-``BENCHMARK.json``; the side that runs first alternates from pair to pair.
+``BENCHMARK.json``; the side that runs first alternates from pair to pair,
+and N must be even, so each side runs first equally often.
 The output file holds each side's machine record and, per workload and
 end-to-end metric of ``BENCHMARK.json``, each side's runs, median and
 quartiles, and how many pairs the change won (ties count for neither side).
+Per workload it also holds each side's per-operation medians of every run,
+normalized and raw as ``perfbench/common.op_medians`` computes them from the
+run's ``perfbench/results`` file, with their median and quartiles over the runs.
 """
 from __future__ import annotations
 
@@ -27,6 +31,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RUN_TIMEOUT_S = 900
 
+sys.path.insert(0, str(ROOT / "perfbench"))
+import common  # noqa: E402  (perfbench/common.py: Op and op_medians)
+
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -42,8 +49,8 @@ def parse_args(argv=None):
 
 def parse_pairs(parser, item: str) -> tuple[str, int]:
     name, _, count = item.partition("=")
-    if not count.isdigit() or int(count) < 2:
-        parser.error(f"--pairs {item!r}: expected WORKLOAD=N with N >= 2")
+    if not count.isdigit() or int(count) < 2 or int(count) % 2:
+        parser.error(f"--pairs {item!r}: expected WORKLOAD=N with N even and >= 2")
     return name, int(count)
 
 
@@ -62,8 +69,8 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One benchmark run in ``tree``: (result line, machine record)."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict, dict]:
+    """One benchmark run in ``tree``: (result line, machine record, per-op medians)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
@@ -72,7 +79,17 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     lines = out.stdout.splitlines()
     machine = next(json.loads(line[len("# machine "):]) for line in lines
                    if line.startswith("# machine "))
-    return json.loads(lines[-1]), machine
+    return json.loads(lines[-1]), machine, op_medians(tree, workload, seed)
+
+
+def op_medians(tree: Path, workload: str, seed: int) -> dict:
+    """Per-op medians of the run just made in ``tree``, read from its results file
+    before the next run of that workload and seed there overwrites it."""
+    path = tree / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    batches = [(0.0, [common.Op(name, seconds, ref) for name, seconds, ref in ops])
+               for ops in json.loads(path.read_text())["op_seconds_ref"]]
+    return {"normalized": common.op_medians(batches),
+            "raw": common.op_medians(batches, normalized=False)}
 
 
 def summary(values: list[float]) -> dict:
@@ -97,6 +114,12 @@ def compare(spec: dict, parent_runs: list[dict], change_runs: list[dict]) -> dic
     return out
 
 
+def per_op(runs: list[dict]) -> dict:
+    """Per kind (normalized, raw) and op: the summary of its medians over the runs."""
+    return {kind: {name: summary([run[kind][name] for run in runs]) for name in runs[0][kind]}
+            for kind in ("normalized", "raw")}
+
+
 def error_rates(runs: list[dict]) -> list[float]:
     return [run["failed"] / max(run["attempted"], 1) for run in runs]
 
@@ -113,14 +136,16 @@ def main(argv=None) -> int:
                             "uncommitted": bool(git("status", "--porcelain"))}
         for workload, pairs in args.pairs:
             runs = {"parent": [], "change": []}
+            ops = {"parent": [], "change": []}
             order = []
             for i in range(pairs):
                 sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 order.append(sides[0])
                 for side in sides:
                     tree = parent_tree if side == "parent" else ROOT
-                    result, machine = run_once(tree, workload, args.seed, seconds)
+                    result, machine, medians = run_once(tree, workload, args.seed, seconds)
                     runs[side].append(result)
+                    ops[side].append(medians)
                     report["machine"].setdefault(side, machine)
                     print(f"{workload} pair {i + 1}/{pairs} {side}: "
                           f"wall_norm_s {result['metrics']['wall_norm_s']['value']:.4f}",
@@ -130,6 +155,7 @@ def main(argv=None) -> int:
                 "first_in_pair": order,
                 "error_rate": {side: error_rates(r) for side, r in runs.items()},
                 "metrics": compare(spec, runs["parent"], runs["change"]),
+                "op_medians_s": {side: per_op(r) for side, r in ops.items()},
             }
     # a machine record also names the run's workload, seed and length
     for machine in report["machine"].values():

@@ -225,7 +225,9 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
         low = z < 8.0
         p = np.where(low, _horner(z, _ERFC_P), _horner(z, _ERFC_R))
         q = np.where(low, _horner(z, _ERFC_Q, monic=True), _horner(z, _ERFC_S, monic=True))
-        decay = np.fromiter((math.exp(-v) for v in zz.flat), float, zz.size).reshape(zz.shape)
+        far = (z >= 1.0) & (zz <= _MAXLOG)  # the only elements that read e^(-x^2)
+        decay = np.zeros_like(zz)
+        decay[far] = np.fromiter(map(math.exp, (-zz[far]).tolist()), float)
         erfc = np.where(z < 1.0, 1.0 - erf, np.where(zz > _MAXLOG, 0.0, decay * p / q))
     half = 0.5 * erfc
     return np.where(z < _SQRT1_2, 0.5 + 0.5 * np.copysign(erf, x),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distortion import DistortionFunction, choquet_deviation
+from .distortion import DistortionFunction, ESDeviation, choquet_deviation
 from .distributions import StateVector
 from .riskweight import RiskWeightFunction, conjugate
 
@@ -111,8 +111,8 @@ def adjusted_es_identity_gap(
     lower bound (weak duality), and the Fenchel-Young point y* = g'(d), with
     d = max(ES_alpha - mean, 0) and y* = 0 at d = 0, attains the sup; so the
     dual is evaluated once, at y*, and the returned value is its absolute
-    difference from the direct evaluation.  ``grid_size`` is still checked
-    but no longer changes the value.
+    difference from the direct evaluation.  ES_alpha - mean is D_ES, read from
+    one partition of a copy of the sample; ``grid_size`` is only checked.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -125,9 +125,9 @@ def adjusted_es_identity_gap(
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
 
-    es = es_alpha(x, alpha)
     mean = x.mean()
-    d = max(es - mean, 0.0)  # on a constant sample es - mean can round below 0
+    # D_ES = ES - mean by one selection; ES is the mean where 1 - alpha rounds to 1
+    d = max(choquet_deviation(ESDeviation(alpha), x) if 1.0 - alpha < 1.0 else 0.0, 0.0)
     y = g.left_derivative(d) if d > 0.0 else 0.0
-    dual = y * es + (1.0 - y) * mean - conjugate(g, y)
+    dual = y * (d + mean) + (1.0 - y) * mean - conjugate(g, y)
     return abs(dual - (float(g(d)) + mean))

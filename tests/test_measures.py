@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from meandev import measures
 from meandev.distortion import ESDeviation, choquet_deviation
 from meandev.distributions import Normal, StateVector
 from meandev.measures import (
@@ -291,7 +293,59 @@ class TestMDEval:
                 assert md_eval(m, x) <= bound + 1e-12
 
 
+def es_samples():
+    """Seeded samples from n = 1 to 10**4: normal, integer with ties, two-valued,
+    constant, and located far from 0."""
+    rng = np.random.Generator(np.random.PCG64(30))
+    for n in (1, 2, 3, 7, 10, 37, 100, 1001, 10**4):
+        yield rng.normal(size=n)
+        yield rng.integers(-5, 6, size=n).astype(float)
+        yield rng.integers(0, 2, size=n).astype(float)
+        yield np.full(n, 0.7)
+        yield 1e6 + rng.normal(size=n)
+
+
+ES_ALPHAS = (1e-12, 1e-6, 0.01, 0.1, 0.37, 0.5, 0.9, 0.95, 0.99, 1 - 1e-6, 1 - 1e-9)
+
+
 class TestAdjustedESIdentity:
+    def test_row_kernel_es_is_the_exact_tail_average(self):
+        # ES = D_ES + mean as the dual check reads it, against the tail average in
+        # rational arithmetic.  es_alpha misses this bound on some of these samples,
+        # so it is not the reference: its tail sum is a difference of running sums,
+        # which on 10**4 copies of 0.7 reads 0.69999999999982, and its partial atom
+        # cancels against that sum where ES is small against the values
+        # ([-3, 0, 3] at alpha = 1e-12 is off by 1.5e-5 of ES = 3e-12)
+        for values in es_samples():
+            x, n = StateVector(values), values.size
+            mean = x.mean()
+            xs = sorted(Fraction(v) for v in values)
+            prefix = list(itertools.accumulate(xs, initial=Fraction(0)))
+            for alpha in ES_ALPHAS:
+                es = choquet_deviation(ESDeviation(alpha), x) + mean
+                a = Fraction(alpha)
+                k = math.ceil(n * a)
+                exact = ((prefix[-1] - prefix[k]) / n + xs[k - 1] * (Fraction(k, n) - a)) / (1 - a)
+                assert abs(Fraction(es) - exact) <= 1e-13 * (abs(exact) + abs(mean)), (n, alpha)
+
+    def test_reads_neither_es_alpha_nor_a_sorted_copy(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dual check sorted the sample")
+
+        for owner, name in ((measures, "es_alpha"), (measures, "_sorted_with_prefix"),
+                            (StateVector, "sorted_values")):
+            monkeypatch.setattr(owner, name, refuse)
+        x = Normal().sample(20000, 5)
+        assert adjusted_es_identity_gap(LinearWeight(1.0), 0.9, x) <= 1e-10
+        assert adjusted_es_identity_gap(ExpShortfallWeight(1.0), 0.9, x) <= 1e-3
+
+    def test_alpha_where_one_minus_alpha_rounds_to_one(self):
+        # ESDeviation refuses alpha <= 2**-54; there ES is the mean to rounding
+        x = Normal().sample(1000, 9)
+        for alpha in (2.0 ** -60, 2.0 ** -54, 2.0 ** -53):
+            for g in (ExpShortfallWeight(1.0), LinearWeight(1.0), relu_weight()):
+                assert adjusted_es_identity_gap(g, alpha, x) <= 1e-12, (alpha, g)
+
     def test_linear_gap_tiny(self):
         x = Normal().sample(20000, 5)
         gap = adjusted_es_identity_gap(LinearWeight(1.0), 0.9, x)

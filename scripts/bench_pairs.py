@@ -1,14 +1,15 @@
 """Run the benchmark on a parent commit and on the working tree in alternating pairs.
 
-    python3 scripts/bench_pairs.py --parent REV --seed N --out BENCH_<n>.json \\
-                                   --pairs sampling=10 --pairs cli_cold=3 ...
+    python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>.json \\
+                                   --pairs sampling=10 --pairs cli_cold=4 ... [--seed N]
 
 Run from the repository root.  The parent commit is exported with
 ``git archive`` into a temporary directory, so the repository gains no
 worktree entry.  Each pair runs ``perfbench/run.py --trace 0`` once on each
-side with the same workload, seed and the ``run_seconds`` of
-``BENCHMARK.json``; the side that runs first alternates from pair to pair,
-and N must be even, so each side runs first equally often.
+side with the same workload, seed (7 unless ``--seed`` names another) and
+the ``run_seconds`` of ``BENCHMARK.json``; the side that runs first
+alternates from pair to pair, and N must be even, so each side runs first
+equally often.
 The output file holds each side's machine record and, per workload and
 end-to-end metric of ``BENCHMARK.json``, each side's runs, median and
 quartiles, and how many pairs the change won (ties count for neither side).
@@ -38,7 +39,8 @@ import common  # noqa: E402  (perfbench/common.py: Op and op_medians)
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="git revision to compare against")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, default=7,
+                   help="workload seed (default 7, the seed of every record since BENCH_25)")
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
                    help="pairs to run for one workload; repeat per workload")

@@ -1,13 +1,14 @@
 """Risk measures on sample vectors: VaR, ES, expectiles, and g(D) + mean.
 
-ES integrates the empirical staircase quantile exactly (partial-atom
-weights), so the ES level and the matching distortion deviation agree to
-machine precision.  The mean-deviation measure is the pair (g, h): a
-risk-weighting function applied to the Choquet deviation D_h, plus the mean.
+ES is the mean plus D_ES from the distortion layer's row kernel (the exact
+staircase integral), so ES and the matching distortion deviation are one
+computation.  The mean-deviation measure is the pair (g, h): a risk-weighting
+function applied to the Choquet deviation D_h, plus the mean.
 """
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,28 +44,26 @@ def var_alpha(x: StateVector, alpha: float) -> float:
     return float(np.partition(x.values, k - 1)[k - 1])
 
 
-def _sorted_with_prefix(x: StateVector):
-    xs = x.sorted_values()
-    prefix = np.zeros(xs.size + 1)
-    np.cumsum(xs, out=prefix[1:])
-    return xs, prefix
+_es_h = functools.lru_cache(maxsize=64)(ESDeviation)  # validated once per alpha
+
+
+def _es_deviation(x: StateVector, alpha: float) -> float:
+    """D_ES = ES_alpha - mean, at least 0, from the row kernel; 0 where 1 - alpha rounds to 1."""
+    if 1.0 - alpha == 1.0:  # alpha <= 2**-54, which ESDeviation refuses
+        return 0.0
+    return max(choquet_deviation(_es_h(alpha), x), 0.0)
 
 
 def es_alpha(x: StateVector, alpha: float) -> float:
     """Tail average: exact integral of the staircase quantile over (alpha, 1].
 
+    D_ES from the row kernel plus the mean; the mean where 1 - alpha rounds to 1.
     For alpha > 0 it is also the least value of z + mean((x - z)+) / (1 - alpha),
     reached at z = var_alpha(x, alpha) (Rockafellar & Uryasev 2002).
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    xs, prefix = _sorted_with_prefix(x)
-    n = x.n
-    k = math.ceil(n * alpha)  # atom containing the level alpha, 0 at alpha = 0
-    # integral over (alpha, 1], summed directly so that it does not cancel as alpha -> 1:
-    # the n - k full atoms above atom k plus atom k's part above alpha
-    upper = (prefix[-1] - prefix[k]) / n + xs[max(k - 1, 0)] * (k / n - alpha)
-    return float(upper / (1.0 - alpha))
+    return _es_deviation(x, alpha) + x.mean()
 
 
 def expectile(x: StateVector, alpha: float) -> float:
@@ -76,7 +75,9 @@ def expectile(x: StateVector, alpha: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    xs, prefix = _sorted_with_prefix(x)
+    xs = x.sorted_values()
+    prefix = np.zeros(xs.size + 1)
+    np.cumsum(xs, out=prefix[1:])
     n, total = x.n, prefix.item(-1)
     def settled(j: int) -> bool:  # imbalance at xs[j], with j + 1 points at or below it
         xj, pj = xs.item(j), prefix.item(j + 1)  # Python floats: scalar numpy is slower
@@ -111,8 +112,8 @@ def adjusted_es_identity_gap(
     lower bound (weak duality), and the Fenchel-Young point y* = g'(d), with
     d = max(ES_alpha - mean, 0) and y* = 0 at d = 0, attains the sup; so the
     dual is evaluated once, at y*, and the returned value is its absolute
-    difference from the direct evaluation.  ES_alpha - mean is D_ES, read from
-    one partition of a copy of the sample; ``grid_size`` is only checked.
+    difference from the direct evaluation.  ES_alpha - mean is D_ES, read as
+    `es_alpha` reads it; ``grid_size`` is only checked.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -126,8 +127,7 @@ def adjusted_es_identity_gap(
         raise ValueError("grid_size must be >= 2")
 
     mean = x.mean()
-    # D_ES = ES - mean by one selection; ES is the mean where 1 - alpha rounds to 1
-    d = max(choquet_deviation(ESDeviation(alpha), x) if 1.0 - alpha < 1.0 else 0.0, 0.0)
+    d = _es_deviation(x, alpha)
     y = g.left_derivative(d) if d > 0.0 else 0.0
     dual = y * (d + mean) + (1.0 - y) * mean - conjugate(g, y)
     return abs(dual - (float(g(d)) + mean))

@@ -39,7 +39,7 @@ import numpy as np
 
 from ._spec import NumericsError, number, read, text, whole
 from .distributions import StateVector
-from .measures import es_alpha
+from .measures import _es_deviation
 from .riskweight import ExpShortfallWeight, RiskWeightFunction, conjugate, g_from_spec
 
 __all__ = [
@@ -251,8 +251,7 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
 def _mean_and_deviation(portfolio_losses: np.ndarray, alpha: float) -> tuple[float, float]:
     x = StateVector(portfolio_losses)
-    mean = x.mean()
-    return mean, es_alpha(x, alpha) - mean
+    return x.mean(), _es_deviation(x, alpha)
 
 
 def portfolio_objective(
@@ -260,7 +259,7 @@ def portfolio_objective(
 ) -> float:
     """Exact per-period objective: g(ES-deviation of L w) + mean(L w)."""
     mean, dev = _mean_and_deviation(np.asarray(window) @ np.asarray(w), alpha)
-    return float(g(max(dev, 0.0))) + mean
+    return float(g(dev)) + mean
 
 
 @dataclass(frozen=True)
@@ -461,7 +460,7 @@ def optimize_md(window: np.ndarray, cfg: BacktestConfig, w0: np.ndarray | None =
                 d, d_top = (d_mid, d_top) if slope(d_mid) <= s else (d, d_mid)
             w = v.edge[0] + (d_lo - d) / (d_lo - d_hi) * (v.edge[1] - v.edge[0])
     mean, dev = _mean_and_deviation(window @ w, alpha)
-    gap = mean + float(g(max(dev, 0.0))) - v.psi + conjugate(g, v.s)
+    gap = mean + float(g(dev)) - v.psi + conjugate(g, v.s)
     if not abs(gap) <= _GAP_TOLERANCE * scale:
         raise NumericsError(f"portfolio solve not certified: duality gap {gap:.3g}")
     return PortfolioWeights(w, gap=gap, pivots=v.pivots, slope=v.s)

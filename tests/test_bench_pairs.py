@@ -33,6 +33,11 @@ def test_even_pair_counts_parse():
     assert args.pairs == [("sampling", 10), ("cli_cold", 2)]
 
 
+def test_seed_defaults_to_seven():
+    args = BENCH_PAIRS.parse_args(["--parent", "HEAD", "--out", "out.json", "--pairs", "sampling=2"])
+    assert args.seed == 7
+
+
 def test_op_medians_are_read_from_the_run_results_file(tmp_path):
     results = tmp_path / "perfbench" / "results"
     results.mkdir(parents=True)

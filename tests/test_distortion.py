@@ -272,7 +272,7 @@ class TestStaircaseSum:
         m = MDMeasure(LinearWeight(1.0), h)
         calls = {"choquet_deviation": (lambda: choquet_deviation(h, x), 1.25),
                  "md_eval": (lambda: md_eval(m, x), 1.25),
-                 "es_alpha": (lambda: es_alpha(x, 0.9), 2.1),
+                 "es_alpha": (lambda: es_alpha(x, 0.9), 1.25),
                  "expectile": (lambda: expectile(x, 0.9), 2.1)}
         for name, (call, doubles) in calls.items():
             tracemalloc.start()

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from meandev import measures
 from meandev.distortion import ESDeviation, choquet_deviation
 from meandev.distributions import Normal, StateVector
 from meandev.measures import (
@@ -123,10 +122,20 @@ class TestES:
                     got = es_alpha(StateVector(values), alpha)
                     assert abs(Fraction(got) - exact) <= 1e-13 * abs(exact), (n, location, alpha)
 
-    def test_alpha_zero_is_the_prefix_mean_bitwise(self):
+    def test_alpha_zero_is_the_mean_bitwise(self):
+        # and so is every alpha where 1 - alpha rounds to 1
         for values in pinned_samples():
-            _, prefix = sorted_with_prefix(values)
-            assert es_alpha(StateVector(values), 0.0) == prefix[-1] / values.size, values
+            x = StateVector(values)
+            for alpha in (0.0, 2.0 ** -60, 2.0 ** -54):
+                assert es_alpha(x, alpha) == x.mean(), (values, alpha)
+
+    def test_exact_where_running_sums_were_not(self):
+        # a difference of two running sums read 0.6999999999970897 on the constant
+        # sample, and its partial atom cancelled to 3.000044657e-12 on [-3, 0, 3]
+        assert es_alpha(StateVector([0.7] * 10**5), 0.5) == 0.7
+        exact = exact_es([-3.0, 0.0, 3.0], 1e-12)  # the mean is 0
+        got = es_alpha(StateVector([-3.0, 0.0, 3.0]), 1e-12)
+        assert abs(Fraction(got) - exact) <= 1e-13 * abs(exact), got
 
 
 def ru_scan(values, alpha: float) -> np.ndarray:
@@ -310,32 +319,27 @@ ES_ALPHAS = (1e-12, 1e-6, 0.01, 0.1, 0.37, 0.5, 0.9, 0.95, 0.99, 1 - 1e-6, 1 - 1
 
 class TestAdjustedESIdentity:
     def test_row_kernel_es_is_the_exact_tail_average(self):
-        # ES = D_ES + mean as the dual check reads it, against the tail average in
-        # rational arithmetic.  es_alpha misses this bound on some of these samples,
-        # so it is not the reference: its tail sum is a difference of running sums,
-        # which on 10**4 copies of 0.7 reads 0.69999999999982, and its partial atom
-        # cancels against that sum where ES is small against the values
-        # ([-3, 0, 3] at alpha = 1e-12 is off by 1.5e-5 of ES = 3e-12)
+        # ES = D_ES + mean as the dual check and es_alpha read it, against the
+        # tail average in rational arithmetic
         for values in es_samples():
             x, n = StateVector(values), values.size
             mean = x.mean()
             xs = sorted(Fraction(v) for v in values)
             prefix = list(itertools.accumulate(xs, initial=Fraction(0)))
             for alpha in ES_ALPHAS:
-                es = choquet_deviation(ESDeviation(alpha), x) + mean
                 a = Fraction(alpha)
                 k = math.ceil(n * a)
                 exact = ((prefix[-1] - prefix[k]) / n + xs[k - 1] * (Fraction(k, n) - a)) / (1 - a)
-                assert abs(Fraction(es) - exact) <= 1e-13 * (abs(exact) + abs(mean)), (n, alpha)
+                for es in (choquet_deviation(ESDeviation(alpha), x) + mean, es_alpha(x, alpha)):
+                    assert abs(Fraction(es) - exact) <= 1e-13 * (abs(exact) + abs(mean)), (n, alpha)
 
-    def test_reads_neither_es_alpha_nor_a_sorted_copy(self, monkeypatch):
+    def test_neither_es_nor_the_dual_check_sorts(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the dual check sorted the sample")
+            raise AssertionError("ES sorted the sample")
 
-        for owner, name in ((measures, "es_alpha"), (measures, "_sorted_with_prefix"),
-                            (StateVector, "sorted_values")):
-            monkeypatch.setattr(owner, name, refuse)
+        monkeypatch.setattr(StateVector, "sorted_values", refuse)
         x = Normal().sample(20000, 5)
+        assert es_alpha(x, 0.9) > x.mean()
         assert adjusted_es_identity_gap(LinearWeight(1.0), 0.9, x) <= 1e-10
         assert adjusted_es_identity_gap(ExpShortfallWeight(1.0), 0.9, x) <= 1e-3
 

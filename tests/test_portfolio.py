@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from meandev import measures
 from meandev.distributions import StateVector
 from meandev.measures import es_alpha
 from meandev.portfolio import (
@@ -492,6 +493,25 @@ class TestBacktest:
                 report = run_backtest(panel, BacktestConfig(window=60, alpha=alpha, g_spec=g))
                 assert abs(report.max_gap) <= 1e-9 * float(np.max(np.abs(panel.losses))), (
                     alpha, g)
+
+    def test_takes_d_without_sorting(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("d(w) sorted the portfolio losses")
+
+        monkeypatch.setattr(StateVector, "sorted_values", refuse)
+        panel = synthetic_panel(200, 3, seed=21)
+        report = run_backtest(panel, BacktestConfig(window=60, g_spec=ExpShortfallWeight(3.0)))
+        assert len(report.periods) > 1
+
+    def test_builds_one_es_deviation_per_alpha(self):
+        # every solve reads d(w) through one cached ESDeviation per alpha
+        measures._es_h.cache_clear()
+        panel = synthetic_panel(200, 3, seed=21)
+        for alpha in (0.9, 0.95, 0.9):
+            run_backtest(panel, BacktestConfig(window=60, alpha=alpha,
+                                               g_spec=ExpShortfallWeight(3.0)))
+        info = measures._es_h.cache_info()
+        assert info.misses == 2 and info.hits > 10, info
 
     def test_deterministic(self):
         panel = synthetic_panel(300, 3, seed=21)

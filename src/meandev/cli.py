@@ -168,7 +168,7 @@ def _cmd_eval(args) -> tuple[str, dict]:
     x = StateVector.from_csv(args.data)
     dev = choquet_deviation(args.h, x)
     return _json({
-        "md": float(args.g(dev)) + x.mean(),  # md_eval's expression, without a second sort
+        "md": float(args.g(dev)) + x.mean(),  # md_eval's expression, without a second deviation
         "deviation": dev,
         "mean": x.mean(),
         "classification": asdict(args.g.classify()),

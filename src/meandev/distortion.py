@@ -39,7 +39,6 @@ __all__ = [
     "choquet_deviation",
     "row_deviations",
     "staircase_weights",
-    "staircase_sum",
     "is_range_normalized",
     "distortion_from_spec",
 ]
@@ -293,23 +292,6 @@ def staircase_weights(h: DistortionFunction, n: int, start: int = 0,
     return np.asarray(h(np.arange(n - 1 - start, n - 1 - stop, -1, dtype=float) / n), dtype=float)
 
 
-def staircase_sum(weights_of, xs: np.ndarray) -> float:
-    """Sum over j of w_j (xs[j+1] - xs[j]) for sorted xs, where weights_of(a, b) is w_a..w_(b-1).
-
-    It adds the np.dot's of fixed chunks of _DOT_CHUNK gaps in order, each chunk
-    forming its own gaps and weights, so only xs and one chunk are held; OpenBLAS
-    splits no chunk across its threads, so the sum does not depend on their count.
-    """
-    def chunk(a: int) -> float:
-        b = min(a + _DOT_CHUNK, xs.size - 1)
-        return np.dot(weights_of(a, b), xs[a + 1:b + 1] - xs[a:b])
-
-    total = chunk(0)
-    for start in range(_DOT_CHUNK, xs.size - 1, _DOT_CHUNK):
-        total += chunk(start)
-    return float(total)
-
-
 @functools.lru_cache(maxsize=64)
 def _selection_plan(h: PiecewiseLinearDistortion, n: int):
     """The ranks to select at, the blocks between them and their weights, for h at size n.
@@ -353,21 +335,22 @@ def row_deviations(h: DistortionFunction, rows: np.ndarray) -> np.ndarray:
     rank, from the top rank down, each partition on the part below the last;
     then shifted by its pivot order statistic, so a constant row gives exactly
     0.0 and a large location does not swamp the sums; then its blocks are
-    summed and weighed.  Every other h sorts the rows in place and takes
-    `staircase_sum` of each, with weights that are bit for bit the same
-    whether built for the block or one chunk at a time.  A row's arithmetic
+    summed and weighed.  Every other h sorts the rows in place, then for each
+    chunk of _DOT_CHUNK gaps in order builds its weights once and adds their
+    np.dot with each row's gaps to that row's sum; OpenBLAS splits no chunk
+    across its threads, so no sum depends on their count.  A row's arithmetic
     does not depend on the other rows, so it gives the same float in any block.
     """
     n = rows.shape[1]
     if not isinstance(h, PiecewiseLinearDistortion):
         rows.sort(axis=1)
-        weights = staircase_weights(h, n) if rows.shape[0] > 1 else None
-
-        def weights_of(a: int, b: int) -> np.ndarray:
-            # a block shares one set of weights; a single row builds one chunk at a time
-            return staircase_weights(h, n, a, b) if weights is None else weights[a:b]
-
-        return np.array([staircase_sum(weights_of, row) for row in rows])
+        dev = np.zeros(rows.shape[0])
+        for a in range(0, n - 1, _DOT_CHUNK):
+            b = min(a + _DOT_CHUNK, n - 1)
+            weights = staircase_weights(h, n, a, b)
+            for i, row in enumerate(rows):
+                dev[i] += np.dot(weights, row[a + 1:b + 1] - row[a:b])
+        return dev
     ranks, starts, weights, pivot = _selection_plan(h, n)
     if not ranks:  # no interior knot: h = 0, and 0 * a negative sum would read -0.0
         return np.zeros(rows.shape[0])

@@ -21,7 +21,6 @@ from meandev.distortion import (
     distortion_from_spec,
     is_range_normalized,
     row_deviations,
-    staircase_sum,
     staircase_weights,
 )
 from meandev.distributions import Normal, StateVector
@@ -221,27 +220,34 @@ def numeric_q_norm(h, q: float, n: int = 200001) -> float:
     return float(np.mean(np.abs(d) ** q) ** (1.0 / q))
 
 
-# prints the deviation of seeded samples too long for one single-threaded dot product
+# prints the deviation of seeded samples, and of a seeded block's rows, too long for
+# one single-threaded dot product
 BLAS_PROBE = """
+import numpy as np
 from meandev import ESDeviation, Gini, Normal, choquet_deviation
+from meandev.distortion import row_deviations
 for n in (10**5, 10**6):
     x = Normal().sample(n, 11)
     print(repr(choquet_deviation(ESDeviation(0.9), x)), repr(choquet_deviation(Gini(), x)))
+print(*map(repr, row_deviations(Gini(), np.random.default_rng(11).standard_normal((3, 25_001)))))
 """
 
 
 class TestStaircaseSum:
+    """The sort branch of the row kernel: Gini's staircase, summed in chunks of 10,000 gaps."""
+
     @pytest.mark.parametrize("n", [2, 1000, 10_000, 10_001])
     def test_is_one_dot_up_to_ten_thousand_gaps(self, n, rng):
-        h, xs = ESDeviation(0.9), np.sort(rng.standard_normal(n))
-        assert staircase_sum(lambda a, b: staircase_weights(h, n, a, b), xs) == float(
-            np.dot(staircase_weights(h, n), np.diff(xs)))
+        h, xs = Gini(), rng.standard_normal(n)
+        assert choquet_deviation(h, StateVector(xs)) == float(
+            np.dot(staircase_weights(h, n), np.diff(np.sort(xs))))
 
     @pytest.mark.parametrize("n", [10_002, 25_001, 10**6])
     def test_chunks_add_up(self, n, rng):
-        weights, xs = rng.standard_normal(n), np.sort(rng.standard_normal(n + 1))
-        products = weights * np.diff(xs)
-        assert staircase_sum(lambda a, b: weights[a:b], xs) == pytest.approx(
+        # n gaps between n + 1 values
+        h, xs = Gini(), rng.standard_normal(n + 1)
+        products = staircase_weights(h, n + 1) * np.diff(np.sort(xs))
+        assert choquet_deviation(h, StateVector(xs)) == pytest.approx(
             math.fsum(products), rel=1e-12, abs=1e-12 * np.abs(products).sum())
 
     @pytest.mark.parametrize("n", [2, 10_000, 10_001, 25_001, 10**6])
@@ -257,7 +263,6 @@ class TestStaircaseSum:
         full = np.dot(weights[:10_000], gaps[:10_000])
         for a in range(10_000, n - 1, 10_000):
             full += np.dot(weights[a:a + 10_000], gaps[a:a + 10_000])
-        assert staircase_sum(lambda a, b: staircase_weights(h, n, a, b), xs) == float(full)
         if isinstance(h, Gini):  # a piecewise-linear h is selected at its knots instead
             assert choquet_deviation(h, StateVector(xs)) == float(full)
         else:
@@ -288,7 +293,7 @@ class TestStaircaseSum:
                                   text=True, check=True,
                                   env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout
                    for threads in ("1", "2")]
-        assert outputs[0].count("\n") == 2 and outputs[0] == outputs[1]
+        assert outputs[0].count("\n") == 3 and outputs[0] == outputs[1]
 
 
 def exact_deviation(h: PiecewiseLinearDistortion, xs) -> Fraction:
@@ -357,6 +362,14 @@ class TestRowDeviations:
         devs = row_deviations(zero, np.array([[3.0, 1.0, 2.0], [1.0, 3.0, 2.0]]))
         assert np.array_equal(devs, [0.0, 0.0]) and not np.signbit(devs).any()
 
+    @pytest.mark.parametrize("h", [Gini(), RangeDistortion()], ids=["gini", "range"])
+    def test_signed_zeros_give_positive_zero(self, h):
+        # 0.0 and -0.0 compare equal, so the sort may keep them in that order, and the
+        # gap -0.0 - 0.0 is -0.0; each row's sum starts from +0.0
+        devs = row_deviations(h, np.array([[0.0, -0.0], [-0.0, 0.0]]))
+        assert np.array_equal(devs, [0.0, 0.0]) and not np.signbit(devs).any()
+        assert not np.signbit(choquet_deviation(h, StateVector([0.0, -0.0])))
+
     @pytest.mark.parametrize("h", PIECEWISE_H, ids=PIECEWISE_IDS)
     def test_shift_by_1e8_moves_only_by_the_rounding_of_the_shift(self, h, rng):
         # x + 1e8 rounds each value by up to ulp(1e8) / 2, and the weights'
@@ -378,7 +391,7 @@ class TestRowDeviations:
 
     @pytest.mark.parametrize("h", [*PIECEWISE_H, Gini(), RangeDistortion()],
                              ids=[*PIECEWISE_IDS, "gini", "range"])
-    @pytest.mark.parametrize("n", [1, 37, 1000, 10_001])
+    @pytest.mark.parametrize("n", [1, 37, 1000, 10_001, 25_001])
     def test_each_row_gives_its_choquet_deviation_bitwise(self, h, n, rng):
         block = rng.standard_normal((5, n)) * rng.uniform(0.1, 10.0, (5, 1))
         expected = [choquet_deviation(h, StateVector(row)) for row in block]

@@ -38,10 +38,10 @@ above u = 1/2: h'(1 - u) integrates to 0, so the constant drops out of the
 value, and a large location no longer swamps the sum or the tail windows.
 
 Monte Carlo draws its replications in blocks of rows, one row per spawned
-seed, and shares the blocks out over every core the process may run on:
+seed state, and shares the blocks out over every core the process may run on:
 each share runs on a thread of a `concurrent.futures` pool while the calling
 thread waits.  A block's element work (the PCG64 fill, the quantile, the row
-means and the deviations) runs in numpy, which releases the GIL.  Each block
+means, the deviations and g) runs in numpy, which releases the GIL.  Each block
 goes through `distortion.row_deviations`, the kernel of `choquet_deviation`,
 which selects at h's knots for a piecewise-linear h and sorts otherwise; a
 row's arithmetic does not depend on its block, so each estimate is the float
@@ -291,6 +291,38 @@ def worker_count() -> int:
         return os.cpu_count() or 1
 
 
+# numpy's SeedSequence hash constants (O'Neill's seed_seq hashing, NEP 19)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+
+
+def _hash(words: np.ndarray, init: int, mult: int, skip: int, width: int) -> np.ndarray:
+    """seed_seq's hash of uint32 ``words`` into ``width`` columns, column k at hash step skip + k."""
+    steps = range(skip, skip + width + 1)
+    consts = np.array([init * pow(mult, k, 2**32) % 2**32 for k in steps], np.uint32)
+    out = (words ^ consts[:-1]) * consts[1:]
+    return out ^ (out >> np.uint32(16))
+
+
+def _child_states(seed, count: int) -> np.ndarray:
+    """Row i is ``SeedSequence(seed).spawn(count)[i].generate_state(4, np.uint64)``.
+
+    Child i's entropy is the parent's ``words`` uint32 words, zero-padded to
+    four, then i: its pool is the parent's with i mixed in at the hash steps
+    after 16 + 4 max(0, words - 4).  Each hash is one vector pass over all rows.
+    """
+    if not 0 <= count < 2 ** 32:  # from 2^32 on, a spawn key takes two words
+        raise ValueError(f"child count must be in [0, 2^32), got {count}")
+    from numpy.random.bit_generator import _coerce_to_uint32_array
+
+    parent = np.random.SeedSequence(seed)
+    steps = 16 + 4 * max(0, len(_coerce_to_uint32_array(parent.entropy)) - 4)
+    hashed = _hash(np.arange(count, dtype=np.uint32)[:, None], _INIT_A, _MULT_A, steps, 4)
+    pool = np.uint32(0xCA01F9DD) * parent.pool - np.uint32(0x4973F715) * hashed  # seed_seq's mix
+    pool ^= pool >> np.uint32(16)
+    state = _hash(np.tile(pool, 2), _INIT_B, _MULT_B, 0, 8)  # generate_state cycles the pool
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
 def monte_carlo(
     model: ParametricModel,
     m: MDMeasure,
@@ -300,14 +332,15 @@ def monte_carlo(
 ) -> MonteCarloReport:
     """Sample `replications` estimates of g(D) + mean at sample size n.
 
-    Per-replication generators come from spawning the master seed, so the
-    result does not depend on execution order.  Replications run in blocks
-    of min(replications, max(1, 2^17 // n)) rows.  Share k of
+    Replication i's generator starts from the state of child i of
+    ``SeedSequence(seed).spawn(replications)``, all derived in one vector
+    pass, so the result does not depend on execution order.  Replications run
+    in blocks of min(replications, max(1, 2^17 // n)) rows.  Share k of
     w = min(worker_count(), blocks) takes blocks k, k + w, k + 2w, ... on a
     pool thread while the calling thread waits; it draws each block into one
-    buffer of its own, where numpy averages it and `row_deviations` takes
-    each row's deviation in place, and writes the block's own slots of the
-    estimates.  Each estimate is the float that `md_eval` gives on
+    buffer of its own, where numpy averages it, `row_deviations` takes each
+    row's deviation in place and g maps the deviations, and writes the
+    block's own slots.  Each estimate is the float that `md_eval` gives on
     ``model.sample(n, child)``.  Raises NumericsError when the asymptotic
     variance is too small to standardize the estimates (it underflows to 0,
     or n / sigma^2 overflows), or when the float spacing at the center is
@@ -329,9 +362,17 @@ def monte_carlo(
             f"the float spacing {spacing:.3g} at the center {limit.center:.3g} "
             f"is not small against the estimates' standard deviation {spread:.3g} at n = {n}, "
             "so the draws cannot resolve the estimator's spread")
-    from concurrent.futures import ThreadPoolExecutor  # kept out of `import meandev`
+    from concurrent.futures import ThreadPoolExecutor  # both kept out of `import meandev`
+    from numpy.random.bit_generator import ISeedSequence
 
-    children = np.random.SeedSequence(seed).spawn(replications)
+    class ChildSeed(ISeedSequence):  # PCG64 reads its four state words from one row
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    states = _child_states(seed, replications)
     rows = min(replications, max(1, _BLOCK_VALUES // n))
     workers = min(worker_count(), -(-replications // rows))
     estimates = np.empty(replications)
@@ -339,11 +380,9 @@ def monte_carlo(
     def share(k: int) -> None:
         block = np.empty((rows, n))
         for start in range(k * rows, replications, workers * rows):
-            x = model.sample_block(n, children[start:start + rows], out=block)
-            means = np.mean(x, axis=1)
-            devs = row_deviations(m.h, x)
-            for i, (dev, mean) in enumerate(zip(devs.tolist(), means.tolist())):
-                estimates[start + i] = float(m.g(dev)) + mean
+            x = model.sample_block(n, [ChildSeed(s) for s in states[start:start + rows]], out=block)
+            means = np.mean(x, axis=1)  # before row_deviations, which may sort x in place
+            estimates[start:start + len(x)] = m.g(row_deviations(m.h, x)) + means
 
     # map yields in share order, so the error raised is the first failing
     # share's; leaving the with block joins every thread before it propagates

@@ -138,7 +138,8 @@ class ExpCapWeight(_ExpWeight):
 
 @dataclass(frozen=True)
 class _ParetoWeight(RiskWeightFunction):
-    """The Pareto pair, Y with survival (1 + y)^(-theta)."""
+    """The Pareto pair, Y with survival (1 + y)^(-theta).  Powers use np.power: on a
+    numpy scalar ``**`` calls libm's pow, whose bits numpy's array loop need not match."""
 
     theta: float
 
@@ -154,7 +155,7 @@ class ParetoShortfallWeight(_ParetoWeight):
         y = np.minimum(x, np.finfo(float).max)  # so that g(inf) = inf - (a finite part)
         if self.theta == 1.0:
             return x - np.log1p(y)
-        return x + ((1.0 + y) ** (1.0 - self.theta) - 1.0) / (self.theta - 1.0)
+        return x + (np.power(1.0 + y, 1.0 - self.theta) - 1.0) / (self.theta - 1.0)
 
     def _left_derivative(self, x: float) -> float:
         # 1 - (1 + x)^(-theta), which cancels to 0 as x -> 0
@@ -193,7 +194,7 @@ class ParetoCapWeight(_ParetoWeight):
     def _value(self, x):
         if self.theta == 1.0:
             return np.log1p(x)
-        return (1.0 - (1.0 + x) ** (1.0 - self.theta)) / (self.theta - 1.0)
+        return (1.0 - np.power(1.0 + x, 1.0 - self.theta)) / (self.theta - 1.0)
 
     def _left_derivative(self, x: float) -> float:
         return (1.0 + x) ** (-self.theta)

@@ -297,7 +297,7 @@ class TestInputValidation:
                                                   ("--reps", "100000000", "1000000")])
     def test_mc_sizes_are_capped(self, flag, value, cap, capsys):
         # --n 1e11 used to die allocating 745 GiB of staircase weights, and
-        # --reps 1e8 would spawn about 37 GB of seed state
+        # --reps 1e8 would hold about 16 GB
         sizes = {"--n": "400", "--reps": "100", flag: value}
         argv = ["mc", "--model", '{"kind":"normal"}', "--g", LINEAR_G, "--h", GINI_H,
                 *(x for kv in sizes.items() for x in kv), "--seed", "1"]

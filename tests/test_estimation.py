@@ -24,7 +24,14 @@ from meandev.estimation import (
     sigma_g_squared,
 )
 from meandev.measures import MDMeasure, md_eval
-from meandev.riskweight import ExpCapWeight, ExpShortfallWeight, LinearWeight
+from meandev.riskweight import (
+    ExpCapWeight,
+    ExpShortfallWeight,
+    LinearWeight,
+    ParetoCapWeight,
+    ParetoShortfallWeight,
+    PiecewiseLinearWeight,
+)
 
 H09 = ESDeviation(0.9)
 
@@ -205,13 +212,21 @@ class TestMonteCarlo:
         assert r.normality_statistic < 0.08
 
     @pytest.mark.parametrize("model", [Normal(), Lomax(4.0)], ids=["normal", "lomax4"])
-    @pytest.mark.parametrize("h", [
-        H09, Gini(), PiecewiseLinearDistortion(t=(0.0, 0.2, 0.6, 1.0), h=(0.0, 0.5, 0.4, 0.0)),
-        MeanAbsDevHalf(),
-    ], ids=["es09", "gini", "piecewise3", "mad_half"])
-    def test_estimates_equal_md_eval(self, model, h):
-        # each row of a block gives exactly md_eval's float on its sample
-        m = MDMeasure(ExpShortfallWeight(1.0), h)
+    @pytest.mark.parametrize("g, h", [
+        # the exponential shortfall g, the first one, keeps the bare h id
+        pytest.param(g, h, id=h_id if g_id == "exp_shortfall" else f"{g_id}-{h_id}")
+        for g_id, g in [("exp_shortfall", ExpShortfallWeight(1.0)),
+                        ("pareto_shortfall", ParetoShortfallWeight(2.5)),
+                        ("pareto_cap", ParetoCapWeight(0.5)), ("exp_cap", ExpCapWeight(2.0)),
+                        ("piecewise", PiecewiseLinearWeight(knots=(0.5, 1.0), slopes=(0.0, 0.3, 1.0)))]
+        for h_id, h in [("es09", H09), ("gini", Gini()),
+                        ("piecewise3", PiecewiseLinearDistortion(t=(0.0, 0.2, 0.6, 1.0),
+                                                                 h=(0.0, 0.5, 0.4, 0.0))),
+                        ("mad_half", MeanAbsDevHalf())]
+    ])
+    def test_estimates_equal_md_eval(self, model, g, h):
+        # g on a block of deviations gives, row by row, exactly md_eval's float
+        m = MDMeasure(g, h)
         report = monte_carlo(model, m, n=300, replications=100, seed=61)
         children = np.random.SeedSequence(61).spawn(100)
         expected = [md_eval(m, model.sample(300, c)) for c in children]
@@ -225,6 +240,32 @@ class TestMonteCarlo:
         assert np.array_equal(forward, backward[::-1])
 
 
+class TestChildStates:
+    @pytest.mark.parametrize("seed", [
+        0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 128 + 11, 2 ** 200 + 1, np.int64(5), [3, 2 ** 40],
+    ], ids=repr)
+    @pytest.mark.parametrize("count", [1, 257])
+    def test_rows_are_spawned_states(self, seed, count):
+        # entropy of 1 to 7 words: the padded short ones and the long ones
+        # whose extra words shift the hash constant of the child's index
+        states = meandev.estimation._child_states(seed, count)
+        expected = [c.generate_state(4, np.uint64)
+                    for c in np.random.SeedSequence(seed).spawn(count)]
+        assert states.dtype == np.uint64 and states.flags.c_contiguous
+        assert np.array_equal(states, expected)
+
+    def test_negative_seed_raises_as_seed_sequence_does(self):
+        with pytest.raises(ValueError) as theirs:
+            np.random.SeedSequence(-1)
+        with pytest.raises(ValueError) as ours:
+            meandev.estimation._child_states(-1, 3)
+        assert str(ours.value) == str(theirs.value)
+
+    def test_count_beyond_one_word_is_refused(self):
+        with pytest.raises(ValueError, match="child count"):
+            meandev.estimation._child_states(1, 2 ** 32)
+
+
 class _HugeTopDraws(Normal):
     # the population integrals take the quantile below u = 1/2 only, so just
     # the sample blocks see levels above 0.999
@@ -235,12 +276,15 @@ class _HugeTopDraws(Normal):
         return x
 
 
-def _failing_at(*starts):
+def _failing_at(seed, reps, *starts):
     """A standard normal whose blocks starting at these replications raise."""
+    states = meandev.estimation._child_states(seed, reps)
+    failing = {states[start].tobytes(): start for start in starts}
+
     class FailsAt(Normal):
         def sample_block(self, n, seeds, out=None):
-            start = seeds[0].spawn_key[-1]
-            if start in starts:
+            start = failing.get(seeds[0].generate_state(4, np.uint64).tobytes())
+            if start is not None:
                 raise ValueError(f"block at replication {start}")
             return super().sample_block(n, seeds, out=out)
     return FailsAt()
@@ -303,7 +347,7 @@ class TestMonteCarloBlocks:
         monkeypatch.setattr(meandev.estimation, "worker_count", lambda: 2)
         before = threading.active_count()
         with pytest.raises(ValueError, match=f"^block at replication {last[min(shares)]}$"):
-            monte_carlo(_failing_at(*(last[k] for k in shares)), self.M, n=n,
+            monte_carlo(_failing_at(3, reps, *(last[k] for k in shares)), self.M, n=n,
                         replications=reps, seed=3)
         assert threading.active_count() == before
 

@@ -34,6 +34,18 @@ GRID = np.concatenate([[0.0], np.geomspace(1e-4, 1e3, 10000)])
 
 
 class TestEvaluation:
+    @pytest.mark.parametrize("g", [
+        LinearWeight(0.7), ExpShortfallWeight(1.0), ExpCapWeight(3.0),
+        PiecewiseLinearWeight(knots=(1.0, 2.0), slopes=(1.0, 0.5, 0.25)),
+        *(cls(theta) for cls in (ParetoShortfallWeight, ParetoCapWeight) for theta in (0.5, 1.0, 2.5)),
+    ], ids=repr)
+    def test_array_is_each_scalar(self, g):
+        # monte_carlo applies g to a block of deviations at once, md_eval to one
+        # deviation at a time: every family must give the same bits both ways
+        xs = np.concatenate([np.random.default_rng(0).exponential(1.0, 200_000),
+                             [0.0, 1e-300, 1e300]])
+        assert g(xs).tobytes() == np.array([g(x) for x in xs]).tobytes()  # signed zeros too
+
     def test_exp_shortfall_value(self):
         x = 1.755
         assert ExpShortfallWeight(1.0)(x) == pytest.approx(x + math.exp(-x) - 1.0,
@@ -295,7 +307,7 @@ def exp_capped(beta, x):
 
 
 def pareto_power(theta, x):
-    return (1.0 + np.asarray(x, dtype=float)) ** (1.0 - theta)
+    return np.power(1.0 + np.asarray(x, dtype=float), 1.0 - theta)
 
 
 def exp_shortfall_conjugate(beta, y):
